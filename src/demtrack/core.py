@@ -225,14 +225,13 @@ class Trajectory:
 class Ensemble:
     """Independent trajectories simulated from one spec.
 
-    Per-trajectory seeds are derived from ``base_seed`` and the trajectory
-    index, so the collection is independent of generation order and worker
-    count.
+    Per-trajectory seeds (each ``Trajectory.seed``) are derived from
+    ``base_seed`` and the trajectory index, so the collection is independent
+    of generation order and worker count.
     """
 
     spec: ProcessSpec
     base_seed: int
-    seeds: tuple[int, ...]
     trajectories: tuple[Trajectory, ...]
 
     def __post_init__(self):

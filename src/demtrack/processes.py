@@ -10,16 +10,31 @@ trend condition can never be violated.
 
 States must be cheap plain values (ints or tuples) and hashable, so that
 small instances can be exhaustively enumerated for oracle tests.
+
+The simulation kernel steps many trajectories (rows) at once through the
+batch methods ``step_batch``, ``observables_batch`` and ``drift_batch``. A
+plugin that declares ``uniforms_per_step = k`` implements them on the int64
+array stacking its scalar states and consumes exactly k uniforms per row and
+step, in the order ``step`` draws them. The ``ProcessPlugin`` defaults loop
+over the rows of an object array instead, calling ``step``, ``observables``
+and ``drift`` with each row's own generator.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Domain, ProcessSpec
+
+
+_BATCH_TWINS = (
+    ("step", "step_batch"),
+    ("observables", "observables_batch"),
+    ("drift", "drift_batch"),
+)
 
 
 class ProcessPlugin(ABC):
@@ -27,6 +42,17 @@ class ProcessPlugin(ABC):
 
     name: str = "?"
     exact_drift: bool = False
+    uniforms_per_step: int | None = None
+
+    def __init_subclass__(cls, **kwargs):
+        # A variant that overrides a scalar method but not its batch twin
+        # (say, a built-in process with another drift) must not run its
+        # parent's batch code: it falls back to the per-row defaults.
+        super().__init_subclass__(**kwargs)
+        if any(s in vars(cls) and b not in vars(cls) for s, b in _BATCH_TWINS):
+            cls.uniforms_per_step = None
+            for _, batch in _BATCH_TWINS:
+                setattr(cls, batch, getattr(ProcessPlugin, batch))
 
     def __init__(self, n: int):
         if n < 1:
@@ -63,6 +89,36 @@ class ProcessPlugin(ABC):
     def drift_field(self, t: float, y: np.ndarray) -> np.ndarray:
         """Limiting drift F(t, y) in rescaled coordinates."""
 
+    def step_batch(self, states: np.ndarray, u) -> tuple[np.ndarray, Sequence[int]]:
+        """Advance every row one step; returns ``(next_states, failed)``.
+
+        ``states`` is left unchanged. With ``uniforms_per_step = k`` it
+        stacks the scalar states as int64, ``u`` has shape (rows, k) and
+        ``failed`` is empty. The default steps each row of the object array
+        ``states`` through ``step`` with ``u[r]``, that row's generator;
+        ``failed`` lists the rows whose step raised.
+        """
+        out = states.copy()
+        failed = []
+        for r, rng in enumerate(u):
+            try:
+                out[r] = self.step(states[r], rng)
+            except Exception:
+                failed.append(r)
+        return out, failed
+
+    def observables_batch(self, states: np.ndarray) -> np.ndarray:
+        """Y(i) of every row, int64 of shape (rows, dim)."""
+        return np.array(
+            [self.observables(s) for s in states], dtype=np.int64
+        ).reshape(len(states), self.dim)
+
+    def drift_batch(self, states: np.ndarray) -> np.ndarray:
+        """Exact drift of every row, float of shape (rows, dim)."""
+        return np.array([self.drift(s) for s in states], dtype=float).reshape(
+            len(states), self.dim
+        )
+
     @abstractmethod
     def enumerate_transitions(self, state) -> list[tuple[float, object]]:
         """All one-step outcomes as (probability, next_state) pairs.
@@ -89,6 +145,7 @@ class BallsInBins(ProcessPlugin):
 
     name = "balls-in-bins"
     exact_drift = True
+    uniforms_per_step = 1
 
     @property
     def dim(self) -> int:
@@ -103,8 +160,17 @@ class BallsInBins(ProcessPlugin):
     def step(self, state, rng):
         return state - 1 if rng.random() * self.n < state else state
 
+    def step_batch(self, states, u):
+        return states - (u[:, 0] * self.n < states), ()
+
+    def observables_batch(self, states):
+        return states[:, None]
+
     def drift(self, state) -> tuple[float, ...]:
         return (-(state / self.n),)
+
+    def drift_batch(self, states):
+        return -(states / self.n)[:, None]
 
     def drift_field(self, t, y):
         return -np.asarray(y, dtype=float)
@@ -138,6 +204,7 @@ class DegreeProcess(ProcessPlugin):
 
     name = "degree-process"
     exact_drift = True
+    uniforms_per_step = 2
 
     def __init__(self, n: int, max_degree: int = 3):
         super().__init__(n)
@@ -147,6 +214,7 @@ class DegreeProcess(ProcessPlugin):
             raise ValueError("max_degree must be nonnegative")
         self.max_degree = max_degree
         self._overflow = max_degree + 1  # lumped class index
+        self._classes = np.arange(max_degree + 2)
 
     @property
     def dim(self) -> int:
@@ -190,12 +258,41 @@ class DegreeProcess(ProcessPlugin):
         out[min(jv + 1, top)] += 1
         return tuple(out)
 
+    def step_batch(self, states, u):
+        # The scan of ``step`` stops at the first class whose cumulative
+        # count exceeds the draw. The cumulative counts are exact in float64
+        # and nondecreasing (the class of u holds at least one vertex, so
+        # taking it out keeps them so), hence that class is the number of
+        # cumulative counts at or below the draw, or the overflow class.
+        top = self._overflow
+        classes = self._classes
+        acc = np.cumsum(states, axis=1)
+        ju = np.minimum((acc <= (u[:, 0] * self.n)[:, None]).sum(axis=1), top)
+        acc -= classes >= ju[:, None]
+        jv = np.minimum((acc <= (u[:, 1] * (self.n - 1))[:, None]).sum(axis=1), top)
+        # both endpoints move up one class; the overflow class keeps its own
+        moved = (classes == ju[:, None]).astype(np.int64)
+        moved += classes == jv[:, None]
+        out = states - moved
+        out[:, 1:] += moved[:, :-1]
+        out[:, top] += moved[:, top]
+        return out, ()
+
+    def observables_batch(self, states):
+        return states[:, : self.max_degree + 1]
+
     def drift(self, state) -> tuple[float, ...]:
         n = self.n
         return tuple(
             2.0 * ((state[k - 1] if k else 0) - state[k]) / n
             for k in range(self.max_degree + 1)
         )
+
+    def drift_batch(self, states):
+        counts = states[:, : self.max_degree + 1]
+        diff = -counts
+        diff[:, 1:] += counts[:, :-1]
+        return 2.0 * diff / self.n
 
     def drift_field(self, t, y):
         y = np.asarray(y, dtype=float)
@@ -241,6 +338,7 @@ class GreedyMatching(ProcessPlugin):
 
     name = "greedy-matching"
     exact_drift = True
+    uniforms_per_step = 0
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -260,8 +358,17 @@ class GreedyMatching(ProcessPlugin):
     def step(self, state, rng):
         return state - 2 if state >= 2 else state
 
+    def step_batch(self, states, u):
+        return states - 2 * (states >= 2), ()
+
+    def observables_batch(self, states):
+        return states[:, None]
+
     def drift(self, state) -> tuple[float, ...]:
         return (-2.0,) if state >= 2 else (0.0,)
+
+    def drift_batch(self, states):
+        return np.where(states >= 2, -2.0, 0.0)[:, None]
 
     def drift_field(self, t, y):
         return np.full(1, -2.0)

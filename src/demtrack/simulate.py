@@ -5,6 +5,19 @@ state leaves the domain, capped at floor(T*n). Sup-deviation from the ODE
 path, the sup of the martingale part, and the recurrence replay are all
 accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
+
+One lockstep kernel simulates a batch of trajectories: step i of every live
+trajectory runs at once on arrays with one row per trajectory, through the
+plugin's batch methods, so the Python loop runs once per step rather than
+once per step and trajectory. The stopping rule, the step-bound check, the
+deviation and martingale sups and the replay chain are elementwise array
+operations that keep each trajectory's order of float operations. A row that
+stops is written out and compacted away. Each trajectory keeps its own
+Philox stream; a plugin with ``uniforms_per_step`` gets its uniforms drawn
+ahead in blocks, which a counter-based generator yields unchanged. Records
+are preallocated for a run to the horizon, and each Trajectory holds views
+into them. ``simulate`` is a batch of one; ``run_ensemble`` runs one batch
+per worker.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -19,6 +33,9 @@ import numpy as np
 from .core import Ensemble, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution
 from .processes import ProcessPlugin
+
+# Steps of uniforms drawn ahead per trajectory.
+_UNIFORM_BLOCK = 256
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -34,9 +51,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 class _SimPrep:
     """Per-spec data shared by every trajectory of an ensemble."""
 
-    yode: list          # n * y_k(i/n) as nested python lists, rows 0..cap
+    yode: np.ndarray    # n * y_k(i/n), shape (cap+1, a)
     cap: int            # min(floor(T*n), floor(sigma*n))
-    lam_n: float
     two_lam_n: float
     step_term: float    # L*R/n + delta, the per-step additive recurrence term
     L_over_n: float
@@ -46,13 +62,10 @@ def _prepare(spec: ProcessSpec, solution: OdeSolution) -> _SimPrep:
     n = spec.n
     c = solution.constants
     cap = min(math.floor(c.T * n), math.floor(c.sigma * n + 1e-9))
-    yode = solution.counts_at_steps(cap).tolist()
-    lam_n = spec.lam * n
     return _SimPrep(
-        yode=yode,
+        yode=solution.counts_at_steps(cap),
         cap=cap,
-        lam_n=lam_n,
-        two_lam_n=2.0 * lam_n,
+        two_lam_n=2.0 * (spec.lam * n),
         step_term=spec.L * c.R / n + spec.delta,
         L_over_n=spec.L / n,
     )
@@ -80,20 +93,21 @@ def simulate(
     if replay_check and solution is None:
         raise ValueError("replay_check requires an ODE solution")
     prep = _prepare(spec, solution) if solution is not None else None
-    return _simulate_prepared(
-        plugin, spec, int(seed), prep, full_paths, event_predicate, replay_check
-    )
+    return _simulate_batch(
+        plugin, spec, prep, full_paths, event_predicate, replay_check, [int(seed)]
+    )[0]
 
 
-def _simulate_prepared(
+def _simulate_batch(
     plugin: ProcessPlugin,
     spec: ProcessSpec,
-    seed: int,
     prep: _SimPrep | None,
     full_paths: bool,
     event_predicate,
     replay_check: bool,
-) -> Trajectory:
+    seeds: list[int],
+) -> list[Trajectory]:
+    """The lockstep kernel: one trajectory per seed, in seed order."""
     n = spec.n
     a = spec.a
     if plugin.n != n:
@@ -101,157 +115,183 @@ def _simulate_prepared(
     if plugin.dim != a:
         raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {a}")
 
+    count = len(seeds)
     m_cap = math.floor(spec.domain.t_hi * n)
     stride = 1 if full_paths else max(1, math.ceil(n / 1000))
-    lo = spec.domain.lo
-    hi = spec.domain.hi
+    lo = np.array(spec.domain.lo)
+    hi = np.array(spec.domain.hi)
     beta = spec.beta
     delta = spec.delta
     check_trend = not plugin.exact_drift
-    ks = range(a)
+    upf = plugin.uniforms_per_step
+    cap = prep.cap if prep is not None else -1
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    state = plugin.initial_state()
-    Y = plugin.observables(state)
-    Y0 = Y
+    # Records of a trajectory that reaches the horizon: every stride-th step
+    # before m_cap, then m_cap. A trajectory that stops at i ends at record
+    # ceil(i/stride), so it keeps a prefix of its row. Trajectories share the
+    # read-only step grid unless their last step is off it.
+    rows = -(-m_cap // stride) + 1
+    grid = np.arange(rows, dtype=np.int64) * stride
+    grid[-1] = m_cap
+    rec_y = np.empty((count, rows, a), dtype=np.int64)
+    rec_d = np.empty((count, rows, a))
+    violations: list[list[Violation]] = [[] for _ in range(count)]
+    out: list[Trajectory | None] = [None] * count
 
-    rec_i: list[int] = []
-    rec_y: list[tuple] = []
-    rec_d: list[tuple] = []
-    nan_row = (math.nan,) * a
-    violations: list[Violation] = []
-    drift_cum = [0.0] * a
-    sup_mart = 0.0
-    event_stop: int | None = None
-    valid = True
-    error_step: int | None = None
-
-    if prep is not None:
-        yode = prep.yode
-        cap = prep.cap
-        sup_dev: float | None = 0.0
-        replay_ok: bool | None = True if replay_check else None
-        chain_sum = 0.0
-        prev_dev = 0.0
+    gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
+    uniforms = None  # each row's uniforms of the current block; None when row-wise
+    if upf is None:
+        states = np.empty(count, dtype=object)
+        for r in range(count):
+            states[r] = plugin.initial_state()
     else:
-        yode = None
-        cap = -1
-        sup_dev = None
-        replay_ok = None
+        states = np.array([plugin.initial_state()] * count, dtype=np.int64)
+        block = max(1, min(_UNIFORM_BLOCK, m_cap))
+        uniforms = np.empty((count, block, upf))
+
+    # Per-row state of the live rows; ``ids`` maps a row to its trajectory.
+    ids = np.arange(count)
+    Y = plugin.observables_batch(states)
+    Y0 = Y
+    drift_cum = np.zeros((count, a))
+    sup_mart = np.zeros(count)
+    sup_dev = np.zeros(count)
+    chain_sum = np.zeros(count)
+    prev_dev = np.zeros(count)
+    replay_ok = np.ones(count, dtype=bool)
+    event_stop = np.full(count, -1, dtype=np.int64)
+
+    dev = None  # this step's deviation from the ODE path, while i <= cap
+
+    def retire(mask, i: int, error: bool) -> bool:
+        """Write out and drop the rows in ``mask``, which ended at step i.
+
+        Returns False when no row is left.
+        """
+        nonlocal ids, states, gens, uniforms, Y, Y0, dev, drift_cum, sup_mart
+        nonlocal sup_dev, chain_sum, prev_dev, replay_ok, event_stop
+        pos = -(-i // stride)
+        indices = grid[: pos + 1] if grid[pos] == i else np.append(grid[:pos], i)
+        t_ids = ids[mask]
+        if not (error and i % stride == 0):
+            rec_y[t_ids, pos] = Y[mask]
+            rec_d[t_ids, pos] = math.nan
+        for r in np.flatnonzero(mask):
+            t = ids[r]
+            ev = int(event_stop[r]) if event_stop[r] >= 0 else None
+            dev_cap = None
+            if prep is not None:
+                dev_cap = min(cap, i)
+                if ev is not None:
+                    dev_cap = min(dev_cap, ev)
+            out[t] = Trajectory(
+                seed=int(seeds[t]),
+                stop_index=i,
+                indices=indices,
+                steps=rec_y[t, : pos + 1],
+                drifts=rec_d[t, : pos + 1],
+                violations=tuple(violations[t]),
+                sup_deviation=float(sup_dev[r]) if prep is not None else None,
+                deviation_cap=dev_cap,
+                sup_martingale=float(sup_mart[r]),
+                event_stop=ev,
+                replay_ok=bool(replay_ok[r]) if replay_check else None,
+                valid=not error,
+                error_step=i if error else None,
+            )
+        keep = ~mask
+        ids, states, Y, Y0, drift_cum = (
+            ids[keep], states[keep], Y[keep], Y0[keep], drift_cum[keep]
+        )
+        sup_mart, sup_dev, chain_sum, prev_dev, replay_ok, event_stop = (
+            sup_mart[keep], sup_dev[keep], chain_sum[keep], prev_dev[keep],
+            replay_ok[keep], event_stop[keep],
+        )
+        gens = [g for g, k in zip(gens, keep) if k]
+        if uniforms is not None:
+            uniforms = uniforms[keep]
+        if dev is not None:
+            dev = dev[keep]
+        return len(ids) > 0
 
     i = 0
     while True:
         # stopping rule: first index at or past the horizon, or with the
         # rescaled state outside the open box (the time axis cannot bind
         # earlier because 0 <= i/n < T and t_lo < 0)
-        stopped = i >= m_cap
-        if not stopped:
-            for k in ks:
-                yk = Y[k] / n
-                if not lo[k] < yk < hi[k]:
-                    stopped = True
-                    break
+        if i >= m_cap:
+            stopped = np.ones(len(ids), dtype=bool)
+        else:
+            yn = Y / n
+            stopped = ~((lo < yn) & (yn < hi)).all(axis=1)
 
-        if event_predicate is not None and event_stop is None and not event_predicate(i, Y):
-            event_stop = i
+        if event_predicate is not None:
+            for r in np.flatnonzero(event_stop < 0):
+                if not event_predicate(i, tuple(Y[r].tolist())):
+                    event_stop[r] = i
 
-        dev_i: float | None = None
-        if 0 <= i <= cap:
-            row = yode[i]
-            dev_i = 0.0
-            for k in ks:
-                d = Y[k] - row[k]
-                if d < 0.0:
-                    d = -d
-                if d > dev_i:
-                    dev_i = d
-            if event_stop is None or i <= event_stop:
-                if dev_i > sup_dev:
-                    sup_dev = dev_i
-            if replay_ok is not None:
+        dev = None
+        if i <= cap:
+            dev = np.abs(Y - prep.yode[i]).max(axis=1)
+            # NaN propagates: a deviation that is not finite never passes
+            in_range = True
+            if event_predicate is not None:
+                in_range = (event_stop < 0) | (event_stop == i)
+            np.maximum(sup_dev, dev, out=sup_dev, where=in_range)
+            if replay_check:
                 if i > 0:
                     chain_sum += prep.L_over_n * prev_dev + prep.step_term
-                if not dev_i < prep.two_lam_n + chain_sum:
-                    replay_ok = False
-                prev_dev = dev_i
+                replay_ok &= dev < prep.two_lam_n + chain_sum
+                prev_dev = dev
 
-        md = 0.0
-        for k in ks:
-            d = Y[k] - Y0[k] - drift_cum[k]
-            if d < 0.0:
-                d = -d
-            if d > md:
-                md = d
-        if md > sup_mart:
-            sup_mart = md
+        np.maximum(sup_mart, np.abs((Y - Y0) - drift_cum).max(axis=1), out=sup_mart)
 
-        if stopped:
-            rec_i.append(i)
-            rec_y.append(Y)
-            rec_d.append(nan_row)
+        if stopped.any() and not retire(stopped, i, error=False):
             break
 
-        d = plugin.drift(state)
+        d = plugin.drift_batch(states)
         if i % stride == 0:
-            rec_i.append(i)
-            rec_y.append(Y)
-            rec_d.append(d)
+            pos = i // stride
+            rec_y[ids, pos] = Y
+            rec_d[ids, pos] = d
         if check_trend:
-            field = plugin.drift_field(i / n, np.asarray(Y, dtype=float) / n)
-            for k in ks:
-                gap = abs(d[k] - float(field[k]))
-                if gap > delta:
-                    violations.append(Violation(i, k, "trend", gap, delta, dev_i))
-        try:
-            state = plugin.step(state, rng)
-        except Exception:
-            valid = False
-            error_step = i
-            if rec_i[-1] != i:
-                rec_i.append(i)
-                rec_y.append(Y)
-                rec_d.append(nan_row)
-            break
-        Y_new = plugin.observables(state)
-        for k in ks:
-            ch = Y_new[k] - Y[k]
-            if ch < 0:
-                ch = -ch
-            if ch > beta:
-                violations.append(Violation(i, k, "bound", float(ch), beta, dev_i))
-        for k in ks:
-            drift_cum[k] += d[k]
+            for r in range(len(ids)):
+                field = plugin.drift_field(i / n, Y[r].astype(float) / n)
+                for k in range(a):
+                    gap = abs(float(d[r, k]) - float(field[k]))
+                    if gap > delta:
+                        violations[ids[r]].append(Violation(
+                            i, k, "trend", gap, delta,
+                            float(dev[r]) if dev is not None else None,
+                        ))
+        drift_cum += d
+
+        if uniforms is None:
+            states, failed = plugin.step_batch(states, gens)
+        else:
+            if i % block == 0:
+                for r, g in enumerate(gens):
+                    g.random(out=uniforms[r])
+            states, failed = plugin.step_batch(states, uniforms[:, i % block])
+        if len(failed):
+            crashed = np.zeros(len(ids), dtype=bool)
+            crashed[list(failed)] = True
+            if not retire(crashed, i, error=True):
+                break
+
+        Y_new = plugin.observables_batch(states)
+        jump = np.abs(Y_new - Y)
+        over = jump > beta
+        if over.any():
+            for r, k in zip(*np.nonzero(over)):
+                violations[ids[r]].append(Violation(
+                    i, int(k), "bound", float(jump[r, k]), beta,
+                    float(dev[r]) if dev is not None else None,
+                ))
         Y = Y_new
         i += 1
 
-    dev_cap = None
-    if prep is not None:
-        dev_cap = min(cap, i)
-        if event_stop is not None:
-            dev_cap = min(dev_cap, event_stop)
-
-    return Trajectory(
-        seed=seed,
-        stop_index=i,
-        indices=np.array(rec_i, dtype=np.int64),
-        steps=np.array(rec_y, dtype=np.int64),
-        drifts=np.array(rec_d, dtype=float),
-        violations=tuple(violations),
-        sup_deviation=sup_dev,
-        deviation_cap=dev_cap,
-        sup_martingale=sup_mart,
-        event_stop=event_stop,
-        replay_ok=replay_ok,
-        valid=valid,
-        error_step=error_step,
-    )
-
-
-def _ensemble_worker(args) -> Trajectory:
-    plugin, spec, seed, prep, full_paths, event_predicate, replay_check = args
-    return _simulate_prepared(
-        plugin, spec, seed, prep, full_paths, event_predicate, replay_check
-    )
+    return out
 
 
 def run_ensemble(
@@ -269,8 +309,9 @@ def run_ensemble(
     """Simulate ``count`` independent trajectories from derived seeds.
 
     Trajectory i uses seed derive_seed(base_seed, i); results are identical
-    for any ``jobs`` value, and jobs > 1 distributes trajectories over a
-    process pool (everything passed in must then be picklable).
+    for any ``jobs`` value, and jobs > 1 splits the seeds into contiguous
+    chunks, one batch per worker of a process pool (everything passed in
+    must then be picklable).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -278,19 +319,19 @@ def run_ensemble(
         raise ValueError("replay_check requires an ODE solution")
     prep = _prepare(spec, solution) if solution is not None else None
     seeds = [derive_seed(base_seed, idx) for idx in range(count)]
-    work = [
-        (plugin, spec, s, prep, full_paths, event_predicate, replay_check)
-        for s in seeds
-    ]
+    batch = partial(
+        _simulate_batch, plugin, spec, prep, full_paths, event_predicate, replay_check
+    )
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(_ensemble_worker, work, chunksize=8))
+        edges = [count * k // jobs for k in range(jobs + 1)]
+        chunks = [seeds[lo:hi] for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            trajectories = [t for part in pool.map(batch, chunks) for t in part]
     else:
-        trajectories = [_ensemble_worker(w) for w in work]
+        trajectories = batch(seeds)
     return Ensemble(
         spec=spec,
         base_seed=int(base_seed),
-        seeds=tuple(seeds),
         trajectories=tuple(trajectories),
     )
 
@@ -347,16 +388,14 @@ def check_hypotheses(
     if mode not in ("strict", "proof-structure"):
         raise ValueError(f"unknown mode {mode!r}")
     kept = traj.violations
-    if mode == "proof-structure":
+    if mode == "proof-structure" and kept:
         m_cap = math.floor(spec.domain.t_hi * spec.n)
-        kept = []
-        for v in traj.violations:
-            dev = v.deviation
-            if dev is None:
-                dev = _deviation_at(traj, v.i, solution)
-            if v.i < m_cap and dev < _envelope(spec, solution):
-                kept.append(v)
-        kept = tuple(kept)
+        devs = [v.deviation for v in kept]
+        if None in devs:
+            table = _deviations(traj, solution)
+            devs = [float(table[v.i]) if d is None else d for v, d in zip(kept, devs)]
+        envelope = _envelope(spec, solution)
+        kept = tuple(v for v, d in zip(kept, devs) if v.i < m_cap and d < envelope)
     trend = sum(1 for v in kept if v.kind == "trend")
     bound = sum(1 for v in kept if v.kind == "bound")
     return HypothesisSummary(mode=mode, trend_count=trend, bound_count=bound, violations=kept)
@@ -368,7 +407,8 @@ def _envelope(spec: ProcessSpec, solution: OdeSolution | None) -> float:
     return solution.constants.margin * spec.n
 
 
-def _deviation_at(traj: Trajectory, i: int, solution: OdeSolution | None) -> float:
+def _deviations(traj: Trajectory, solution: OdeSolution | None) -> np.ndarray:
+    """max_k |Y_k(i) - n*y_k(i/n)| for i = 0..stop_index of a full trajectory."""
     if solution is None:
         raise ValueError(
             "violation lacks a tracked deviation; simulate with the solution "
@@ -376,5 +416,5 @@ def _deviation_at(traj: Trajectory, i: int, solution: OdeSolution | None) -> flo
         )
     if not traj.is_full:
         raise ValueError("cannot recompute deviations on a thinned trajectory")
-    target = solution.counts_at_steps(i)[i]
-    return float(np.max(np.abs(traj.steps[i] - target)))
+    target = solution.counts_at_steps(traj.stop_index)
+    return np.max(np.abs(traj.steps - target), axis=1)

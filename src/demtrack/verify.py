@@ -169,9 +169,10 @@ def verify(
                 f"max_k |Y_k(0) - y_hat_k*n| <= lambda*n"
             )
 
+    # written as "not below" so that a NaN sup counts as a failure
     sup_devs = tuple(t.sup_deviation for t in ensemble.trajectories)
-    failure_count = sum(1 for d in sup_devs if d >= envelope)
-    mart_exceed = sum(1 for t in ensemble.trajectories if t.sup_martingale >= lam_n)
+    failure_count = sum(1 for d in sup_devs if not d < envelope)
+    mart_exceed = sum(1 for t in ensemble.trajectories if not t.sup_martingale < lam_n)
     trend = sum(
         sum(1 for v in t.violations if v.kind == "trend") for t in ensemble.trajectories
     )
@@ -286,9 +287,15 @@ def sampling_slack(p: float, count: int) -> float:
 
 
 def within_bound(report: VerificationReport) -> bool:
-    """Empirical failure fraction <= failure probability + sampling slack."""
+    """Empirical failure fraction <= failure probability + sampling slack.
+
+    Never true when a sup deviation is not finite: such a run means nothing,
+    however loose the bound.
+    """
     if report.vacuous:
         return True
+    if not all(math.isfinite(d) for d in report.empirical_sup_deviations):
+        return False
     frac = report.failure_count / report.count
     p = min(report.failure_probability, 1.0)
     return frac <= p + sampling_slack(p, report.count)

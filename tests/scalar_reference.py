@@ -1,0 +1,220 @@
+"""Scalar reference for the lockstep kernel: one trajectory, one step at a time.
+
+This is the per-trajectory loop the batched kernel in ``demtrack.simulate``
+replaced, kept verbatim. Property tests require the kernel to reproduce its
+trajectories field for field on finite inputs. The one intended difference:
+this loop drops a NaN deviation (``d > dev_i`` is false), where the kernel
+propagates it so that verification never passes on it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from demtrack.core import ProcessSpec, Trajectory, Violation
+from demtrack.ode import OdeSolution
+from demtrack.processes import ProcessPlugin
+
+
+@dataclass(frozen=True)
+class _SimPrep:
+    """Per-spec data shared by every trajectory of an ensemble."""
+
+    yode: list          # n * y_k(i/n) as nested python lists, rows 0..cap
+    cap: int            # min(floor(T*n), floor(sigma*n))
+    lam_n: float
+    two_lam_n: float
+    step_term: float    # L*R/n + delta, the per-step additive recurrence term
+    L_over_n: float
+
+
+def _prepare(spec: ProcessSpec, solution: OdeSolution) -> _SimPrep:
+    n = spec.n
+    c = solution.constants
+    cap = min(math.floor(c.T * n), math.floor(c.sigma * n + 1e-9))
+    yode = solution.counts_at_steps(cap).tolist()
+    lam_n = spec.lam * n
+    return _SimPrep(
+        yode=yode,
+        cap=cap,
+        lam_n=lam_n,
+        two_lam_n=2.0 * lam_n,
+        step_term=spec.L * c.R / n + spec.delta,
+        L_over_n=spec.L / n,
+    )
+
+
+def _simulate_prepared(
+    plugin: ProcessPlugin,
+    spec: ProcessSpec,
+    seed: int,
+    prep: _SimPrep | None,
+    full_paths: bool,
+    event_predicate,
+    replay_check: bool,
+) -> Trajectory:
+    n = spec.n
+    a = spec.a
+    if plugin.n != n:
+        raise ValueError(f"plugin scale n={plugin.n} differs from spec n={n}")
+    if plugin.dim != a:
+        raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {a}")
+
+    m_cap = math.floor(spec.domain.t_hi * n)
+    stride = 1 if full_paths else max(1, math.ceil(n / 1000))
+    lo = spec.domain.lo
+    hi = spec.domain.hi
+    beta = spec.beta
+    delta = spec.delta
+    check_trend = not plugin.exact_drift
+    ks = range(a)
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    state = plugin.initial_state()
+    Y = plugin.observables(state)
+    Y0 = Y
+
+    rec_i: list[int] = []
+    rec_y: list[tuple] = []
+    rec_d: list[tuple] = []
+    nan_row = (math.nan,) * a
+    violations: list[Violation] = []
+    drift_cum = [0.0] * a
+    sup_mart = 0.0
+    event_stop: int | None = None
+    valid = True
+    error_step: int | None = None
+
+    if prep is not None:
+        yode = prep.yode
+        cap = prep.cap
+        sup_dev: float | None = 0.0
+        replay_ok: bool | None = True if replay_check else None
+        chain_sum = 0.0
+        prev_dev = 0.0
+    else:
+        yode = None
+        cap = -1
+        sup_dev = None
+        replay_ok = None
+
+    i = 0
+    while True:
+        # stopping rule: first index at or past the horizon, or with the
+        # rescaled state outside the open box (the time axis cannot bind
+        # earlier because 0 <= i/n < T and t_lo < 0)
+        stopped = i >= m_cap
+        if not stopped:
+            for k in ks:
+                yk = Y[k] / n
+                if not lo[k] < yk < hi[k]:
+                    stopped = True
+                    break
+
+        if event_predicate is not None and event_stop is None and not event_predicate(i, Y):
+            event_stop = i
+
+        dev_i: float | None = None
+        if 0 <= i <= cap:
+            row = yode[i]
+            dev_i = 0.0
+            for k in ks:
+                d = Y[k] - row[k]
+                if d < 0.0:
+                    d = -d
+                if d > dev_i:
+                    dev_i = d
+            if event_stop is None or i <= event_stop:
+                if dev_i > sup_dev:
+                    sup_dev = dev_i
+            if replay_ok is not None:
+                if i > 0:
+                    chain_sum += prep.L_over_n * prev_dev + prep.step_term
+                if not dev_i < prep.two_lam_n + chain_sum:
+                    replay_ok = False
+                prev_dev = dev_i
+
+        md = 0.0
+        for k in ks:
+            d = Y[k] - Y0[k] - drift_cum[k]
+            if d < 0.0:
+                d = -d
+            if d > md:
+                md = d
+        if md > sup_mart:
+            sup_mart = md
+
+        if stopped:
+            rec_i.append(i)
+            rec_y.append(Y)
+            rec_d.append(nan_row)
+            break
+
+        d = plugin.drift(state)
+        if i % stride == 0:
+            rec_i.append(i)
+            rec_y.append(Y)
+            rec_d.append(d)
+        if check_trend:
+            field = plugin.drift_field(i / n, np.asarray(Y, dtype=float) / n)
+            for k in ks:
+                gap = abs(d[k] - float(field[k]))
+                if gap > delta:
+                    violations.append(Violation(i, k, "trend", gap, delta, dev_i))
+        try:
+            state = plugin.step(state, rng)
+        except Exception:
+            valid = False
+            error_step = i
+            if rec_i[-1] != i:
+                rec_i.append(i)
+                rec_y.append(Y)
+                rec_d.append(nan_row)
+            break
+        Y_new = plugin.observables(state)
+        for k in ks:
+            ch = Y_new[k] - Y[k]
+            if ch < 0:
+                ch = -ch
+            if ch > beta:
+                violations.append(Violation(i, k, "bound", float(ch), beta, dev_i))
+        for k in ks:
+            drift_cum[k] += d[k]
+        Y = Y_new
+        i += 1
+
+    dev_cap = None
+    if prep is not None:
+        dev_cap = min(cap, i)
+        if event_stop is not None:
+            dev_cap = min(dev_cap, event_stop)
+
+    return Trajectory(
+        seed=seed,
+        stop_index=i,
+        indices=np.array(rec_i, dtype=np.int64),
+        steps=np.array(rec_y, dtype=np.int64),
+        drifts=np.array(rec_d, dtype=float),
+        violations=tuple(violations),
+        sup_deviation=sup_dev,
+        deviation_cap=dev_cap,
+        sup_martingale=sup_mart,
+        event_stop=event_stop,
+        replay_ok=replay_ok,
+        valid=valid,
+        error_step=error_step,
+    )
+
+
+def reference_simulate(
+    plugin, spec, seed, *, solution=None, full_paths=False,
+    event_predicate=None, replay_check=False,
+) -> Trajectory:
+    """The scalar counterpart of ``demtrack.simulate.simulate``."""
+    prep = _prepare(spec, solution) if solution is not None else None
+    return _simulate_prepared(
+        plugin, spec, int(seed), prep, full_paths, event_predicate, replay_check
+    )

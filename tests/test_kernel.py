@@ -1,0 +1,211 @@
+"""The lockstep kernel against the scalar reference loop it replaced."""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from demtrack import Domain, ProcessSpec
+from demtrack.ode import compute_RT, solve_ode
+from demtrack.processes import (
+    BallsInBins,
+    DegreeProcess,
+    ProcessPlugin,
+    balls_in_bins_spec,
+    degree_process_spec,
+    greedy_matching_spec,
+)
+from demtrack.simulate import derive_seed, run_ensemble
+from demtrack.verify import verify
+from scalar_reference import reference_simulate
+from test_simulate import DriftLiar, FairCoin, coin_spec
+from test_verify import BigStepPlugin
+
+KINDS = ("balls", "degree", "matching", "coin", "liar", "bigstep")
+
+
+class StepCutoff:
+    """Event predicate that fails from step ``cut`` on (picklable for jobs > 1)."""
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def __call__(self, i, y):
+        return i < self.cut
+
+
+class CountFloor:
+    """Event predicate that fails once Y_0 drops below ``level``."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def __call__(self, i, y):
+        return y[0] >= self.level
+
+
+def zero_field(t, y):
+    return np.zeros(1)
+
+
+def make_case(kind, n, tight):
+    """(spec, plugin); ``tight`` narrows the box so trajectories exit early.
+
+    Each lambda keeps sigma > 0, so deviations and the replay chain are
+    tracked over a nonempty range, and is admissible for n >= 800.
+    """
+    if kind in ("balls", "liar", "bigstep"):
+        lo = 0.6 if tight else 0.05
+        dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(lo,), hi=(1.1,))
+        spec, plugin = balls_in_bins_spec(n, lam=0.005, domain=dom)
+        if kind == "liar":
+            plugin = DriftLiar(n)
+        elif kind == "bigstep":
+            plugin = BigStepPlugin(n)
+        return spec, plugin
+    if kind == "degree":
+        lo0 = 0.7 if tight else -0.3
+        dom = Domain(t_lo=-0.3, t_hi=0.5, lo=(lo0, -0.3, -0.3), hi=(1.3,) * 3)
+        return degree_process_spec(n, max_degree=2, lam=0.005, domain=dom)
+    if kind == "matching":
+        n += n % 2
+        t_hi = 0.2 if tight else 0.45
+        dom = Domain(t_lo=-0.1, t_hi=t_hi, lo=(0.05,), hi=(1.1,))
+        return greedy_matching_spec(n, lam=0.01, domain=dom)
+    width = 0.2 if tight else 0.45
+    dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(-width,), hi=(width,))
+    spec = ProcessSpec(
+        n=n, drift=zero_field, L=0.0, delta=0.0, beta=1.0, lam=0.02,
+        y_hat=(0.0,), domain=dom,
+    )
+    return spec, FairCoin(n)
+
+
+@functools.cache
+def case_RT(kind, tight):
+    """compute_RT of a case; it depends on the box and the field, not on n."""
+    return compute_RT(make_case(kind, 1000, tight)[0])
+
+
+def assert_same_trajectory(got, want):
+    for f in dataclasses.fields(want):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            assert x.shape == y.shape, f.name
+            assert np.array_equal(x, y, equal_nan=True), f.name
+        else:
+            assert type(x) is type(y), f.name
+            assert x == y, f.name
+
+
+predicates = st.one_of(
+    st.none(),
+    st.builds(StepCutoff, st.integers(0, 400)),
+    st.builds(CountFloor, st.integers(0, 2000)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.one_of(st.integers(2, 60), st.integers(900, 2500)),
+    tight=st.booleans(),
+    count=st.integers(1, 9),
+    base_seed=st.integers(0, 2**32 - 1),
+    full_paths=st.booleans(),
+    tracked=st.sampled_from(("none", "solution", "replay")),
+    predicate=predicates,
+)
+def test_kernel_matches_scalar_reference(
+    kind, n, tight, count, base_seed, full_paths, tracked, predicate
+):
+    spec, plugin = make_case(kind, n, tight)
+    solution = None
+    if tracked != "none":
+        solution = solve_ode(spec, *case_RT(kind, tight))
+    replay = tracked == "replay"
+    ens = run_ensemble(
+        plugin, spec, count, base_seed, predicate,
+        solution=solution, full_paths=full_paths, replay_check=replay,
+    )
+    assert len(ens) == count
+    for idx, traj in enumerate(ens.trajectories):
+        want = reference_simulate(
+            plugin, spec, derive_seed(base_seed, idx), solution=solution,
+            full_paths=full_paths, event_predicate=predicate, replay_check=replay,
+        )
+        assert_same_trajectory(traj, want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(800, 1500),
+    count=st.integers(1, 9),
+    base_seed=st.integers(0, 2**32 - 1),
+    predicate=predicates,
+)
+def test_report_independent_of_jobs(kind, n, count, base_seed, predicate):
+    spec, plugin = make_case(kind, n, tight=False)
+    one = verify(spec, plugin, count, base_seed, event_predicate=predicate, jobs=1)
+    two = verify(spec, plugin, count, base_seed, event_predicate=predicate, jobs=2)
+    assert one.to_dict() == two.to_dict()
+
+
+class FlakyCoin(FairCoin):
+    """Fair coin whose step raises once the walk reaches +3."""
+
+    name = "flaky-coin"
+
+    def step(self, state, rng):
+        if state >= 3:
+            raise RuntimeError("flaky")
+        return super().step(state, rng)
+
+
+def test_failing_rows_leave_the_others_running():
+    spec = coin_spec(n=400)
+    plugin = FlakyCoin(400)
+    ens = run_ensemble(plugin, spec, 12, 5)
+    valid = [t.valid for t in ens.trajectories]
+    assert any(valid) and not all(valid)
+    for idx, traj in enumerate(ens.trajectories):
+        assert_same_trajectory(traj, reference_simulate(plugin, spec, derive_seed(5, idx)))
+
+
+class TestBatchContract:
+    def test_variants_fall_back_to_row_defaults(self):
+        for cls in (DriftLiar, BigStepPlugin, FairCoin):
+            assert cls.uniforms_per_step is None
+            for name in ("step_batch", "observables_batch", "drift_batch"):
+                assert getattr(cls, name) is getattr(ProcessPlugin, name)
+        assert BallsInBins.uniforms_per_step == 1
+        assert DegreeProcess.uniforms_per_step == 2
+
+    @pytest.mark.parametrize("plugin", [BallsInBins(50), DegreeProcess(50, 3)])
+    def test_batch_step_consumes_the_scalar_draws(self, plugin):
+        rng = np.random.Generator(np.random.Philox(7))
+        states = [plugin.initial_state()]
+        for _ in range(40):
+            states.append(plugin.step(states[-1], rng))
+        k = plugin.uniforms_per_step
+        u = np.random.Generator(np.random.Philox(8)).random((len(states), k))
+        stacked = np.array(states, dtype=np.int64)
+        got, failed = plugin.step_batch(stacked, u)
+        assert not len(failed)
+
+        class Replay:
+            def __init__(self, row):
+                self.left = list(row)
+
+            def random(self):
+                return self.left.pop(0)
+
+        want = [plugin.step(s, Replay(row)) for s, row in zip(states, u)]
+        assert np.array_equal(got, np.array(want, dtype=np.int64))
+        assert np.array_equal(plugin.observables_batch(got), [plugin.observables(s) for s in want])
+        assert np.array_equal(plugin.drift_batch(got), [plugin.drift(s) for s in want])

@@ -262,6 +262,21 @@ class TestHypothesisChecks:
         envelope = sol.constants.margin * spec.n
         assert all(v.deviation < envelope for v in proof.violations)
 
+    def test_recomputed_deviations_match_tracked(self):
+        dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
+        spec, _ = balls_in_bins_spec(100, lam=1e-3, domain=dom)
+        liar = DriftLiar(100)
+        sol = solve_ode(spec)
+        tracked = simulate(liar, spec, 4, solution=sol, full_paths=True)
+        bare = simulate(liar, spec, 4, full_paths=True)
+        assert all(v.deviation is None for v in bare.violations)
+        want = check_hypotheses(tracked, spec, mode="proof-structure", solution=sol)
+        got = check_hypotheses(bare, spec, mode="proof-structure", solution=sol)
+        assert want.trend_count > 0
+        assert [(v.i, v.k, v.kind) for v in got.violations] == [
+            (v.i, v.k, v.kind) for v in want.violations
+        ]
+
     def test_unknown_mode_rejected(self):
         spec, plugin = balls_in_bins_spec(100, lam=1e-3)
         traj = simulate(plugin, spec, 1)

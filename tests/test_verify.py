@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from demtrack import Domain, LambdaNotAdmissible, ProcessSpec
@@ -126,6 +127,26 @@ class TestVerifyPlain:
         assert report.hypotheses_failed
         assert report.bound_violation_count > 0
         assert report.trajectories_with_violations > 0
+
+
+class TestNonFinite:
+    def test_nan_drift_past_a_time_never_passes(self):
+        # the ODE path, hence every deviation from it, is NaN for t > 0.3
+        def field(t, y):
+            y = np.asarray(y, dtype=float)
+            return np.full_like(y, math.nan) if t > 0.3 else -y
+
+        spec = ProcessSpec(
+            n=2000, drift=field, L=1.0, delta=0.0, beta=1.0, lam=0.02,
+            y_hat=(1.0,), domain=VERIFY_DOM, plugin_name="balls-in-bins",
+        )
+        report = verify(spec, BallsInBins(2000), 5, 0)
+        assert report.constants.sigma > 0.3
+        assert all(math.isnan(d) for d in report.empirical_sup_deviations)
+        assert report.failure_count == report.count
+        assert report.replay_checked > 0
+        assert report.replay_failures == report.replay_checked
+        assert not within_bound(report)
 
 
 class TestModes:
