@@ -25,6 +25,7 @@ from .core import (
     Domain,
     Ensemble,
     LambdaNotAdmissible,
+    PluginCrashed,
     ProcessSpec,
     Trajectory,
     VerificationReport,

@@ -1,7 +1,8 @@
 """Command-line interface: solve / simulate / verify / bounds.
 
 Exit codes: 0 on success, 1 when verification finds more envelope failures
-than the bound (plus sampling slack) allows, 2 on usage or schema errors.
+than the bound (plus sampling slack) allows, 2 on usage or schema errors,
+3 when a plugin step raises during verification.
 All printed numbers carry 12 significant digits.
 """
 
@@ -25,6 +26,7 @@ from .bounds import (
     theorem_failure_probability,
     truncated_failure_probability,
 )
+from .core import PluginCrashed
 from .ode import check_lambda_admissible, compute_RT, lambda_threshold, solve_ode
 from .simulate import run_ensemble
 from .specio import load_spec
@@ -291,6 +293,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PluginCrashed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ class LambdaNotAdmissible(ValueError):
     """Raised when the approximation parameter is below its admissible threshold."""
 
 
+class PluginCrashed(RuntimeError):
+    """Raised when a plugin's step raised during a verification run."""
+
+
 @dataclass(frozen=True)
 class Domain:
     """Open axis-aligned box in (t, y_1..y_a) space.
@@ -81,7 +85,12 @@ class ProcessSpec:
     """Full problem instance for one tracked random process.
 
     ``drift`` maps (t, y) with y an array of length ``a`` to the array of
-    expected one-step changes F_1..F_a (rescaled coordinates). ``L`` is the
+    expected one-step changes F_1..F_a (rescaled coordinates). It may also
+    accept N stacked points (t of shape (N,), y of shape (N, a)) and return
+    shape (N, a), each row equal to its single-point call; the scans of
+    ``compute_RT`` and ``estimate_lipschitz_lower_bound`` then evaluate
+    their points in a few stacked calls, and fall back to one call per
+    point for a field that only takes single points. ``L`` is the
     Lipschitz constant of every F_k per unit l-infinity distance, ``delta``
     the drift tolerance, ``beta`` the worst-case one-step bound, ``lam`` the
     approximation parameter, and ``y_hat`` the initial anchor with
@@ -191,7 +200,9 @@ class Trajectory:
     step was taken). ``stop_index`` is the first exit from the domain capped
     at floor(T*n). Online statistics (sup_deviation, sup_martingale,
     replay_ok) are computed during simulation so that thinning never affects
-    verification.
+    verification. A trajectory simulated against a sequence of ODE solutions
+    holds ``sup_deviation``, ``deviation_cap`` and ``replay_ok`` as tuples,
+    one entry per solution, and its violations carry no deviation.
     """
 
     seed: int
@@ -200,11 +211,11 @@ class Trajectory:
     steps: np.ndarray
     drifts: np.ndarray
     violations: tuple[Violation, ...] = ()
-    sup_deviation: float | None = None
-    deviation_cap: int | None = None
+    sup_deviation: float | tuple[float, ...] | None = None
+    deviation_cap: int | tuple[int, ...] | None = None
     sup_martingale: float = 0.0
     event_stop: int | None = None
-    replay_ok: bool | None = None
+    replay_ok: bool | tuple[bool, ...] | None = None
     valid: bool = True
     error_step: int | None = None
 

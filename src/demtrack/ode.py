@@ -19,6 +19,7 @@ from .core import Constants, ProcessSpec
 
 RT_GRID_RESOLUTION = 64       # per-axis grid points for the sup |F_k| scan
 RT_GRID_BUDGET = 64 ** 3      # cap on total scan points in higher dimensions
+RT_SCAN_CHUNK = 2 ** 15       # scan points per drift call; bounds the scan's memory
 MIN_GRID_STEPS = 2048
 MAX_GRID_STEPS = 2 ** 20
 RANGE_CHECK_LAMBDA_CAP = 0.01  # concrete proxy for the lambda = o(1) regime
@@ -67,6 +68,31 @@ class OdeSolution:
         return self.values_at(times) * n
 
 
+def drift_at(spec: ProcessSpec, points: np.ndarray) -> np.ndarray:
+    """``spec.drift`` at every row (t, y_1..y_a) of ``points``, shape (N, a).
+
+    Makes one call on the stacked points and keeps its result when it has
+    shape (N, a) and its first, middle and last rows equal the single-point
+    calls exactly (NaN equal to NaN). Otherwise, and when the stacked call
+    raises, the field is taken to accept single points only and is called
+    once per point; exceptions of those calls propagate.
+    """
+    f = spec.drift
+    count = len(points)
+    ts, ys = points[:, 0], points[:, 1:]
+    try:
+        out = np.asarray(f(ts, ys), dtype=float)
+        stacked = out.shape == (count, spec.a) and all(
+            np.array_equal(out[r], np.asarray(f(ts[r], ys[r]), dtype=float), equal_nan=True)
+            for r in sorted({0, count // 2, count - 1})
+        )
+    except Exception:
+        stacked = False
+    if stacked:
+        return out
+    return np.array([np.asarray(f(p[0], p[1:]), dtype=float) for p in points])
+
+
 def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     """Drift bound R and time horizon T for the spec's domain.
 
@@ -76,6 +102,8 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     The scan uses RT_GRID_RESOLUTION points per axis, reduced in higher
     dimensions to keep the total under RT_GRID_BUDGET (the coarser mesh is
     compensated by a larger inflation, so R stays a valid upper bound).
+    The points are taken in row-major grid order, RT_SCAN_CHUNK at a time.
+    A point where some F_k is NaN does not count.
     """
     dom = spec.domain
     T = dom.t_hi
@@ -85,10 +113,14 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     res = min(RT_GRID_RESOLUTION, max(4, int(RT_GRID_BUDGET ** (1.0 / ndim))))
     grids = [np.linspace(lo, hi, res) for lo, hi in zip(axes_lo, axes_hi)]
     mesh = max((hi - lo) / (res - 1) for lo, hi in zip(axes_lo, axes_hi))
+    total = res ** ndim
     best = 0.0
-    for point in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, ndim):
-        f = np.asarray(spec.drift(point[0], point[1:]), dtype=float)
-        best = max(best, float(np.max(np.abs(f))))
+    for start in range(0, total, RT_SCAN_CHUNK):
+        flat = np.arange(start, min(start + RT_SCAN_CHUNK, total))
+        idx = np.unravel_index(flat, (res,) * ndim)
+        points = np.column_stack([g[i] for g, i in zip(grids, idx)])
+        per_point = np.abs(drift_at(spec, points)).reshape(len(points), -1).max(axis=1)
+        best = float(np.fmax.reduce(per_point, initial=best))
     return max(1.0, best + spec.L * mesh), T
 
 
@@ -104,16 +136,12 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     dom = spec.domain
     lo = np.array((dom.t_lo, *dom.lo))
     hi = np.array((dom.t_hi, *dom.hi))
-    best = 0.0
-    for _ in range(samples):
-        x = rng.uniform(lo, hi)
-        x2 = rng.uniform(lo, hi)
-        gap = float(np.max(np.abs(x - x2)))
-        if gap < 1e-12:
-            continue
-        fx = np.asarray(spec.drift(x[0], x[1:]), dtype=float)
-        fx2 = np.asarray(spec.drift(x2[0], x2[1:]), dtype=float)
-        best = max(best, float(np.max(np.abs(fx - fx2))) / gap)
+    pairs = rng.uniform(lo, hi, size=(samples, 2, len(lo)))
+    gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
+    f = drift_at(spec, pairs.reshape(2 * samples, len(lo))).reshape(samples, 2, -1)
+    apart = gaps >= 1e-12
+    slopes = np.abs(f[apart, 0] - f[apart, 1]).max(axis=1) / gaps[apart]
+    best = float(np.fmax.reduce(slopes, initial=0.0))
     if best > spec.L:
         warnings.warn(
             f"sampled Lipschitz lower bound {best:.6g} exceeds the supplied "
@@ -205,14 +233,19 @@ def compute_sigma(ts: np.ndarray, ys: np.ndarray, spec: ProcessSpec, margin: flo
     Conservative: sigma is rounded down to the grid, which only narrows the
     range on which the envelope is claimed. Returns 0.0 when already the
     initial point sits within margin of the boundary (the guarantee is then
-    vacuous).
+    vacuous). Distances are those of ``Domain.boundary_distance``, taken for
+    all rows at once; ``np.fmin`` skips a NaN face distance as its builtin
+    ``min`` does.
     """
-    sigma = 0.0
-    for t, y in zip(ts, ys):
-        if spec.domain.boundary_distance((t, *y)) < margin:
-            break
-        sigma = float(t)
-    return sigma
+    dom = spec.domain
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys, dtype=float).reshape(len(ts), -1)
+    dist = np.fmin(ts - dom.t_lo, dom.t_hi - ts)
+    faces = np.fmin(ys - np.array(dom.lo), np.array(dom.hi) - ys)
+    dist = np.fmin(dist, np.fmin.reduce(faces, axis=1, initial=math.inf))
+    below = np.flatnonzero(dist < margin)
+    stop = below[0] if len(below) else len(ts)
+    return float(ts[stop - 1]) if stop else 0.0
 
 
 def lambda_threshold(

@@ -87,7 +87,14 @@ class ProcessPlugin(ABC):
 
     @abstractmethod
     def drift_field(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Limiting drift F(t, y) in rescaled coordinates."""
+        """Limiting drift F(t, y) in rescaled coordinates.
+
+        Takes one point (``t`` a float, ``y`` of shape (a,)) and returns
+        shape (a,). A field may also take N stacked points (``t`` of shape
+        (N,), ``y`` of shape (N, a)) and return shape (N, a), each row equal
+        bit for bit to its single-point call; the built-in fields do, and
+        the ODE scans then evaluate their points in a few stacked calls.
+        """
 
     def step_batch(self, states: np.ndarray, u) -> tuple[np.ndarray, Sequence[int]]:
         """Advance every row one step; returns ``(next_states, failed)``.
@@ -296,7 +303,7 @@ class DegreeProcess(ProcessPlugin):
 
     def drift_field(self, t, y):
         y = np.asarray(y, dtype=float)
-        prev = np.concatenate(([0.0], y[:-1]))
+        prev = np.concatenate((np.zeros(y.shape[:-1] + (1,)), y[..., :-1]), axis=-1)
         return 2.0 * (prev - y)
 
     def enumerate_transitions(self, state):
@@ -371,7 +378,7 @@ class GreedyMatching(ProcessPlugin):
         return np.where(states >= 2, -2.0, 0.0)[:, None]
 
     def drift_field(self, t, y):
-        return np.full(1, -2.0)
+        return np.full(np.shape(y), -2.0)
 
     def enumerate_transitions(self, state):
         return [(1.0, state - 2)] if state >= 2 else [(1.0, state)]

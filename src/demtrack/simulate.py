@@ -17,7 +17,9 @@ Philox stream; a plugin with ``uniforms_per_step`` gets its uniforms drawn
 ahead in blocks, which a counter-based generator yields unchanged. Records
 are preallocated for a run to the horizon, and each Trajectory holds views
 into them. ``simulate`` is a batch of one; ``run_ensemble`` runs one batch
-per worker.
+per worker. Deviations and the replay chain may be tracked against several
+ODE solutions (reference paths) at once, as (rows, K) arrays with one column
+per path, each column updated only up to its own path's cap.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,27 +49,44 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+Solutions = OdeSolution | Sequence[OdeSolution]
+
+
 @dataclass(frozen=True)
 class _SimPrep:
-    """Per-spec data shared by every trajectory of an ensemble."""
+    """Per-spec data shared by every trajectory of an ensemble: K reference paths."""
 
-    yode: np.ndarray    # n * y_k(i/n), shape (cap+1, a)
-    cap: int            # min(floor(T*n), floor(sigma*n))
+    yode: np.ndarray       # n * y_k(i/n) of each path, shape (cap+1, K, a)
+    caps: np.ndarray       # per path min(floor(T*n), floor(sigma*n)), shape (K,)
+    live: np.ndarray       # live[i] = i <= caps, shape (cap+1, K)
+    cap: int               # max(caps)
     two_lam_n: float
-    step_term: float    # L*R/n + delta, the per-step additive recurrence term
+    step_term: np.ndarray  # per path L*R/n + delta, the per-step additive recurrence term
     L_over_n: float
+    single: bool           # one solution, not a sequence: trajectories get scalars
 
 
-def _prepare(spec: ProcessSpec, solution: OdeSolution) -> _SimPrep:
+def _prepare(spec: ProcessSpec, solution: Solutions) -> _SimPrep:
     n = spec.n
-    c = solution.constants
-    cap = min(math.floor(c.T * n), math.floor(c.sigma * n + 1e-9))
+    single = isinstance(solution, OdeSolution)
+    solutions = [solution] if single else list(solution)
+    if not solutions:
+        raise ValueError("need at least one ODE solution")
+    consts = [s.constants for s in solutions]
+    caps = np.array(
+        [min(math.floor(c.T * n), math.floor(c.sigma * n + 1e-9)) for c in consts]
+    )
+    cap = int(caps.max())
+    # a path is interpolated past its own cap too; those rows are never used
     return _SimPrep(
-        yode=solution.counts_at_steps(cap),
+        yode=np.stack([s.counts_at_steps(cap) for s in solutions], axis=1),
+        caps=caps,
+        live=np.arange(cap + 1)[:, None] <= caps,
         cap=cap,
         two_lam_n=2.0 * (spec.lam * n),
-        step_term=spec.L * c.R / n + spec.delta,
+        step_term=np.array([spec.L * c.R / n + spec.delta for c in consts]),
         L_over_n=spec.L / n,
+        single=single,
     )
 
 
@@ -76,7 +95,7 @@ def simulate(
     spec: ProcessSpec,
     seed: int,
     *,
-    solution: OdeSolution | None = None,
+    solution: Solutions | None = None,
     full_paths: bool = False,
     event_predicate: Callable[[int, tuple], bool] | None = None,
     replay_check: bool = False,
@@ -125,6 +144,7 @@ def _simulate_batch(
     check_trend = not plugin.exact_drift
     upf = plugin.uniforms_per_step
     cap = prep.cap if prep is not None else -1
+    paths = len(prep.caps) if prep is not None else 0
 
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before m_cap, then m_cap. A trajectory that stops at i ends at record
@@ -155,13 +175,20 @@ def _simulate_batch(
     Y0 = Y
     drift_cum = np.zeros((count, a))
     sup_mart = np.zeros(count)
-    sup_dev = np.zeros(count)
-    chain_sum = np.zeros(count)
-    prev_dev = np.zeros(count)
-    replay_ok = np.ones(count, dtype=bool)
+    sup_dev = np.zeros((count, paths))
+    chain_sum = np.zeros((count, paths))
+    prev_dev = np.zeros((count, paths))
+    replay_ok = np.ones((count, paths), dtype=bool)
     event_stop = np.full(count, -1, dtype=np.int64)
 
-    dev = None  # this step's deviation from the ODE path, while i <= cap
+    dev = None  # this step's deviation from each ODE path, while i <= cap
+
+    def per_path(values, kind):
+        values = [kind(v) for v in values]
+        return values[0] if prep.single else tuple(values)
+
+    def violation_dev(r):
+        return float(dev[r, 0]) if dev is not None and prep.single else None
 
     def retire(mask, i: int, error: bool) -> bool:
         """Write out and drop the rows in ``mask``, which ended at step i.
@@ -179,11 +206,13 @@ def _simulate_batch(
         for r in np.flatnonzero(mask):
             t = ids[r]
             ev = int(event_stop[r]) if event_stop[r] >= 0 else None
-            dev_cap = None
+            sup = dev_cap = ok = None
             if prep is not None:
-                dev_cap = min(cap, i)
-                if ev is not None:
-                    dev_cap = min(dev_cap, ev)
+                sup = per_path(sup_dev[r], float)
+                last = i if ev is None else min(i, ev)
+                dev_cap = per_path(np.minimum(prep.caps, last), int)
+                if replay_check:
+                    ok = per_path(replay_ok[r], bool)
             out[t] = Trajectory(
                 seed=int(seeds[t]),
                 stop_index=i,
@@ -191,11 +220,11 @@ def _simulate_batch(
                 steps=rec_y[t, : pos + 1],
                 drifts=rec_d[t, : pos + 1],
                 violations=tuple(violations[t]),
-                sup_deviation=float(sup_dev[r]) if prep is not None else None,
+                sup_deviation=sup,
                 deviation_cap=dev_cap,
                 sup_martingale=float(sup_mart[r]),
                 event_stop=ev,
-                replay_ok=bool(replay_ok[r]) if replay_check else None,
+                replay_ok=ok,
                 valid=not error,
                 error_step=i if error else None,
             )
@@ -232,16 +261,20 @@ def _simulate_batch(
 
         dev = None
         if i <= cap:
-            dev = np.abs(Y - prep.yode[i]).max(axis=1)
+            # column j is the deviation from path j, used while i <= caps[j]
+            live = prep.live[i]
+            dev = np.abs(Y[:, None] - prep.yode[i]).max(axis=2)
             # NaN propagates: a deviation that is not finite never passes
-            in_range = True
+            in_range = live
             if event_predicate is not None:
-                in_range = (event_stop < 0) | (event_stop == i)
+                in_range = live & ((event_stop < 0) | (event_stop == i))[:, None]
             np.maximum(sup_dev, dev, out=sup_dev, where=in_range)
             if replay_check:
                 if i > 0:
                     chain_sum += prep.L_over_n * prev_dev + prep.step_term
-                replay_ok &= dev < prep.two_lam_n + chain_sum
+                np.logical_and(
+                    replay_ok, dev < prep.two_lam_n + chain_sum, out=replay_ok, where=live
+                )
                 prev_dev = dev
 
         np.maximum(sup_mart, np.abs((Y - Y0) - drift_cum).max(axis=1), out=sup_mart)
@@ -261,8 +294,7 @@ def _simulate_batch(
                     gap = abs(float(d[r, k]) - float(field[k]))
                     if gap > delta:
                         violations[ids[r]].append(Violation(
-                            i, k, "trend", gap, delta,
-                            float(dev[r]) if dev is not None else None,
+                            i, k, "trend", gap, delta, violation_dev(r)
                         ))
         drift_cum += d
 
@@ -285,8 +317,7 @@ def _simulate_batch(
         if over.any():
             for r, k in zip(*np.nonzero(over)):
                 violations[ids[r]].append(Violation(
-                    i, int(k), "bound", float(jump[r, k]), beta,
-                    float(dev[r]) if dev is not None else None,
+                    i, int(k), "bound", float(jump[r, k]), beta, violation_dev(r)
                 ))
         Y = Y_new
         i += 1
@@ -301,7 +332,7 @@ def run_ensemble(
     base_seed: int,
     event_predicate: Callable[[int, tuple], bool] | None = None,
     *,
-    solution: OdeSolution | None = None,
+    solution: Solutions | None = None,
     full_paths: bool = False,
     replay_check: bool = False,
     jobs: int = 1,
@@ -311,7 +342,9 @@ def run_ensemble(
     Trajectory i uses seed derive_seed(base_seed, i); results are identical
     for any ``jobs`` value, and jobs > 1 splits the seeds into contiguous
     chunks, one batch per worker of a process pool (everything passed in
-    must then be picklable).
+    must then be picklable). ``solution`` may be a sequence of K solutions
+    of the same spec from different anchors: one simulation then tracks
+    every path, and the per-path statistics of each trajectory are K-tuples.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -25,6 +25,7 @@ from .bounds import (
 from .core import (
     Constants,
     LambdaNotAdmissible,
+    PluginCrashed,
     ProcessSpec,
     VerificationReport,
     check_initial_condition,
@@ -100,127 +101,13 @@ def verify(
     'truncated' (steps exceed beta with probability at most gamma, hard cap
     B, budget x). An ``event_predicate`` restricts the deviation range per
     side-event semantics and relabels plain mode as 'side-events'.
+    ``anchor`` only labels the report. Raises :class:`PluginCrashed` when a
+    plugin step raises.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
-    R, T = compute_RT(spec)
-    threshold = lambda_threshold(spec, R, T, gamma=gamma, B=B, x=x)
-    if not check_lambda_admissible(spec, R, T, gamma=gamma, B=B, x=x):
-        raise LambdaNotAdmissible(
-            f"lambda={spec.lam} < (delta + gamma*B)*min(T, 1/L) + (R + x*B)/n"
-            f" = {threshold}"
-        )
-    solution = solve_ode(spec, R, T)
-    c = solution.constants
-    n = spec.n
-    envelope = c.margin * n
-    lam_n = spec.lam * n
-    reported_mode = mode
-    if event_predicate is not None and mode == "plain":
-        reported_mode = "side-events"
-    failure_probability = _failure_probability(spec, T, mode, b, gamma, x)
-    gw_holds = _gw_final_inequality(spec, c)
-
-    if c.sigma == 0.0:
-        return VerificationReport(
-            mode=reported_mode,
-            plugin=spec.plugin_name,
-            count=count,
-            base_seed=int(base_seed),
-            constants=c,
-            envelope=envelope,
-            lambda_value=spec.lam,
-            lambda_threshold=threshold,
-            lambda_admissible=True,
-            failure_probability=failure_probability,
-            failure_count=0,
-            empirical_sup_deviations=(),
-            martingale_bound=lam_n,
-            martingale_exceed_count=0,
-            trend_violation_count=0,
-            bound_violation_count=0,
-            trajectories_with_violations=0,
-            hypotheses_failed=False,
-            vacuous=True,
-            gw_final_inequality_holds=gw_holds,
-            event_predicate_active=event_predicate is not None,
-            anchor=anchor,
-        )
-
-    ensemble = run_ensemble(
-        plugin,
-        spec,
-        count,
-        base_seed,
-        event_predicate,
-        solution=solution,
-        replay_check=replay_check,
-        jobs=jobs,
-    )
-    for idx, traj in enumerate(ensemble.trajectories):
-        if not traj.valid:
-            raise RuntimeError(
-                f"trajectory {idx} failed at step {traj.error_step}; cannot verify"
-            )
-        if not check_initial_condition(spec, traj.steps[0]):
-            raise ValueError(
-                f"trajectory {idx} violates the initial condition "
-                f"max_k |Y_k(0) - y_hat_k*n| <= lambda*n"
-            )
-
-    # written as "not below" so that a NaN sup counts as a failure
-    sup_devs = tuple(t.sup_deviation for t in ensemble.trajectories)
-    failure_count = sum(1 for d in sup_devs if not d < envelope)
-    mart_exceed = sum(1 for t in ensemble.trajectories if not t.sup_martingale < lam_n)
-    trend = sum(
-        sum(1 for v in t.violations if v.kind == "trend") for t in ensemble.trajectories
-    )
-    bound = sum(
-        sum(1 for v in t.violations if v.kind == "bound") for t in ensemble.trajectories
-    )
-    dirty = sum(1 for t in ensemble.trajectories if t.violations)
-
-    replay_checked = replay_failures = None
-    if replay_check:
-        holders = [t for t in ensemble.trajectories if t.sup_martingale < lam_n]
-        replay_checked = len(holders)
-        replay_failures = sum(1 for t in holders if t.replay_ok is False)
-
-    event_stops = None
-    if event_predicate is not None:
-        event_stops = tuple(
-            t.event_stop if t.event_stop is not None else -1
-            for t in ensemble.trajectories
-        )
-
-    return VerificationReport(
-        mode=reported_mode,
-        plugin=spec.plugin_name,
-        count=count,
-        base_seed=int(base_seed),
-        constants=c,
-        envelope=envelope,
-        lambda_value=spec.lam,
-        lambda_threshold=threshold,
-        lambda_admissible=True,
-        failure_probability=failure_probability,
-        failure_count=failure_count,
-        empirical_sup_deviations=sup_devs,
-        martingale_bound=lam_n,
-        martingale_exceed_count=mart_exceed,
-        trend_violation_count=trend,
-        bound_violation_count=bound,
-        trajectories_with_violations=dirty,
-        hypotheses_failed=dirty > 0,
-        vacuous=False,
-        gw_final_inequality_holds=gw_holds,
-        replay_checked=replay_checked,
-        replay_failures=replay_failures,
-        event_predicate_active=event_predicate is not None,
-        event_stops=event_stops,
-        anchor=anchor,
-    )
+    return _verify_anchors(
+        spec, plugin, count, base_seed, mode, event_predicate, replay_check, jobs,
+        [(spec, anchor)],
+    )[0]
 
 
 def verify_multi_anchor(
@@ -237,15 +124,17 @@ def verify_multi_anchor(
 
     The continuum relaxation of the initial condition (the envelope holding
     simultaneously for every admissible anchor) is approximated by this
-    finite anchor set. All anchors share ``base_seed``, hence see identical
-    trajectories, so the per-anchor reports jointly check one realization.
-    Each anchor must lie in the domain and within lambda*n of the process's
-    deterministic initial counts; offenders are rejected with their index.
+    finite anchor set. The ensemble is simulated once and checked against
+    every anchor's path, so the per-anchor reports jointly check one
+    realization; report k equals ``verify`` on the spec re-anchored at
+    anchor k. Each anchor must lie in the domain and within lambda*n of the
+    process's deterministic initial counts; every anchor is checked before
+    any work starts, and offenders are rejected with their index.
     """
     if not anchors:
         raise ValueError("need at least one anchor")
     y0 = plugin.observables(plugin.initial_state())
-    reports = []
+    anchored = []
     for idx, anchor in enumerate(anchors):
         anchor = tuple(float(v) for v in anchor)
         if len(anchor) != spec.a:
@@ -258,18 +147,124 @@ def verify_multi_anchor(
                 f"anchor {idx} violates max_k |Y_k(0) - y_hat_k*n| <= lambda*n "
                 f"(offset {offset}, allowed {spec.lam * spec.n})"
             )
-        anchored = replace(spec, y_hat=anchor)
-        reports.append(
-            verify(
-                anchored,
-                plugin,
-                count,
-                base_seed,
-                mode=mode,
-                jobs=jobs,
-                anchor=anchor,
-            )
+        anchored.append((replace(spec, y_hat=anchor), anchor))
+    return _verify_anchors(
+        spec, plugin, count, base_seed, mode, None, True, jobs, anchored
+    )
+
+
+def _verify_anchors(
+    spec: ProcessSpec,
+    plugin: ProcessPlugin,
+    count: int,
+    base_seed: int,
+    mode: str,
+    event_predicate,
+    replay_check: bool,
+    jobs: int,
+    anchored: list[tuple[ProcessSpec, tuple[float, ...] | None]],
+) -> list[VerificationReport]:
+    """One report per (spec re-anchored at y_hat, anchor label) of ``spec``.
+
+    R and T do not depend on the anchor, so the RT scan runs once; each
+    anchor gets its own ODE solve, and one ensemble is checked against all
+    the paths with sigma > 0. An anchor with sigma = 0 gets a vacuous report.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
+    R, T = compute_RT(spec)
+    threshold = lambda_threshold(spec, R, T, gamma=gamma, B=B, x=x)
+    if not check_lambda_admissible(spec, R, T, gamma=gamma, B=B, x=x):
+        raise LambdaNotAdmissible(
+            f"lambda={spec.lam} < (delta + gamma*B)*min(T, 1/L) + (R + x*B)/n"
+            f" = {threshold}"
         )
+    solutions = [solve_ode(anchored_spec, R, T) for anchored_spec, _ in anchored]
+    tracked = [k for k, sol in enumerate(solutions) if sol.sigma > 0.0]  # path order
+    failure_probability = _failure_probability(spec, T, mode, b, gamma, x)
+
+    trajectories = ()
+    if tracked:
+        ensemble = run_ensemble(
+            plugin,
+            spec,
+            count,
+            base_seed,
+            event_predicate,
+            solution=[solutions[k] for k in tracked],
+            replay_check=replay_check,
+            jobs=jobs,
+        )
+        trajectories = ensemble.trajectories
+        for idx, traj in enumerate(trajectories):
+            if not traj.valid:
+                raise PluginCrashed(
+                    f"trajectory {idx} failed at step {traj.error_step}; cannot verify"
+                )
+            y0 = traj.steps[0]
+            if not all(check_initial_condition(anchored[k][0], y0) for k in tracked):
+                raise ValueError(
+                    f"trajectory {idx} violates the initial condition "
+                    f"max_k |Y_k(0) - y_hat_k*n| <= lambda*n"
+                )
+
+    n = spec.n
+    lam_n = spec.lam * n
+    reported_mode = mode
+    if event_predicate is not None and mode == "plain":
+        reported_mode = "side-events"
+    reports = []
+    for k, ((_, anchor), sol) in enumerate(zip(anchored, solutions)):
+        c = sol.constants
+        envelope = c.margin * n
+        vacuous = k not in tracked
+        trajs = () if vacuous else trajectories
+        path = None if vacuous else tracked.index(k)
+        sup_devs = tuple(t.sup_deviation[path] for t in trajs)
+        dirty = sum(1 for t in trajs if t.violations)
+        replay_checked = replay_failures = None
+        if replay_check and not vacuous:
+            holders = [t for t in trajs if t.sup_martingale < lam_n]
+            replay_checked = len(holders)
+            replay_failures = sum(1 for t in holders if not t.replay_ok[path])
+        event_stops = None
+        if event_predicate is not None and not vacuous:
+            event_stops = tuple(
+                t.event_stop if t.event_stop is not None else -1 for t in trajs
+            )
+        reports.append(VerificationReport(
+            mode=reported_mode,
+            plugin=spec.plugin_name,
+            count=count,
+            base_seed=int(base_seed),
+            constants=c,
+            envelope=envelope,
+            lambda_value=spec.lam,
+            lambda_threshold=threshold,
+            lambda_admissible=True,
+            failure_probability=failure_probability,
+            # "not below", so that a NaN sup counts as a failure
+            failure_count=sum(1 for d in sup_devs if not d < envelope),
+            empirical_sup_deviations=sup_devs,
+            martingale_bound=lam_n,
+            martingale_exceed_count=sum(1 for t in trajs if not t.sup_martingale < lam_n),
+            trend_violation_count=sum(
+                1 for t in trajs for v in t.violations if v.kind == "trend"
+            ),
+            bound_violation_count=sum(
+                1 for t in trajs for v in t.violations if v.kind == "bound"
+            ),
+            trajectories_with_violations=dirty,
+            hypotheses_failed=dirty > 0,
+            vacuous=vacuous,
+            gw_final_inequality_holds=_gw_final_inequality(spec, c),
+            replay_checked=replay_checked,
+            replay_failures=replay_failures,
+            event_predicate_active=event_predicate is not None,
+            event_stops=event_stops,
+            anchor=anchor,
+        ))
     return reports
 
 

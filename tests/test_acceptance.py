@@ -21,7 +21,7 @@ from demtrack.processes import (
     balls_in_bins_spec,
     degree_process_spec,
 )
-from demtrack.simulate import doob_decompose, simulate
+from demtrack.simulate import doob_decompose, run_ensemble
 from demtrack.verify import verify
 
 
@@ -173,8 +173,7 @@ def test_07_drift_oracles():
 def test_08_doob_identity():
     spec, plugin = balls_in_bins_spec(10_000, lam=2e-3, domain=BALLS_DOM)
     worst = 0.0
-    for seed in range(100):
-        traj = simulate(plugin, spec, seed, full_paths=True)
+    for traj in run_ensemble(plugin, spec, 100, 0, full_paths=True).trajectories:
         M = doob_decompose(traj)
         recon = M + traj.steps[0] + np.vstack(
             [np.zeros(1), np.cumsum(traj.drifts[:-1], axis=0)]

@@ -3,8 +3,14 @@ import math
 
 import pytest
 
+from demtrack import processes
 from demtrack.cli import main
-from demtrack.processes import balls_in_bins_spec, greedy_matching_spec
+from demtrack.processes import (
+    BallsInBins,
+    balls_in_bins_spec,
+    greedy_matching_spec,
+    register_plugin,
+)
 from demtrack.specio import save_spec, spec_to_dict
 
 
@@ -127,6 +133,23 @@ class TestVerify:
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--mode", "truncated", "--count", "3"]) == 0
+
+    def test_crashing_plugin_exits_3(self, tmp_path, capsys, monkeypatch):
+        class CrashingBalls(BallsInBins):
+            name = "crashing-balls"
+
+            def step(self, state, rng):
+                raise RuntimeError("boom")
+
+        monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+        register_plugin(CrashingBalls.name, lambda n, params: CrashingBalls(n))
+        doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
+        doc["plugin"] = CrashingBalls.name
+        path = tmp_path / "crash.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--count", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory 0 failed at step 0")
 
     def test_inadmissible_lambda_exits_2(self, tmp_path, capsys):
         spec, _ = balls_in_bins_spec(2000, lam=1e-3)

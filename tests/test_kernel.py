@@ -209,3 +209,46 @@ class TestBatchContract:
         assert np.array_equal(got, np.array(want, dtype=np.int64))
         assert np.array_equal(plugin.observables_batch(got), [plugin.observables(s) for s in want])
         assert np.array_equal(plugin.drift_batch(got), [plugin.drift(s) for s in want])
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(800, 1500),
+    tight=st.booleans(),
+    count=st.integers(1, 6),
+    base_seed=st.integers(0, 2**32 - 1),
+    replay=st.booleans(),
+    predicate=predicates,
+)
+def test_paths_tracked_together_match_one_at_a_time(
+    kind, n, tight, count, base_seed, replay, predicate
+):
+    spec, plugin = make_case(kind, n, tight)
+    R, T = case_RT(kind, tight)
+    shift = np.zeros(spec.a)
+    shift[0] = 0.5 * spec.lam
+    anchors = [tuple(np.array(spec.y_hat) + f * shift) for f in (-1.0, 0.0, 1.0)]
+    solutions = [solve_ode(dataclasses.replace(spec, y_hat=y), R, T) for y in anchors]
+    # a path solved to T/2 only: its cap falls far short of the trajectories' end
+    solutions.append(solve_ode(spec, R, 0.5 * T))
+    run = functools.partial(
+        run_ensemble, plugin, spec, count, base_seed, predicate, replay_check=replay
+    )
+    together = run(solution=solutions)
+    alone = [run(solution=sol) for sol in solutions]
+    per_path = ("sup_deviation", "deviation_cap", "replay_ok")
+    for idx, traj in enumerate(together.trajectories):
+        for j, ens in enumerate(alone):
+            want = ens.trajectories[idx]
+            for name in per_path:
+                got = getattr(traj, name)
+                assert repr(None if got is None else got[j]) == repr(getattr(want, name))
+        want = alone[0].trajectories[idx]
+        assert [dataclasses.replace(v, deviation=None) for v in want.violations] == list(
+            traj.violations
+        )
+        assert_same_trajectory(
+            dataclasses.replace(traj, **{name: None for name in per_path}, violations=()),
+            dataclasses.replace(want, **{name: None for name in per_path}, violations=()),
+        )

@@ -1,20 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scan_reference import reference_compute_RT, reference_lipschitz, reference_sigma
 
 from demtrack import Domain, ProcessSpec
 from demtrack.ode import (
+    RT_GRID_BUDGET,
+    RT_GRID_RESOLUTION,
+    RT_SCAN_CHUNK,
     check_lambda_admissible,
     compute_RT,
     compute_sigma,
+    estimate_lipschitz_lower_bound,
     grid_steps,
     lambda_threshold,
     range_check,
     rk4_grid,
     solve_ode,
 )
-from demtrack.processes import balls_in_bins_spec, degree_process_spec
+from demtrack.processes import balls_in_bins_spec, degree_process_spec, greedy_matching_spec
 
 
 def make_spec(drift, y_hat, domain, n=4096, L=1.0, lam=1e-3, delta=0.0, beta=1.0):
@@ -267,3 +275,94 @@ def test_uniqueness_proxy_restart_mid_trajectory():
     upto = min(len(sol.ts) - j0, len(sol2.ts))
     gap = np.abs(sol.ys[j0 : j0 + upto] - sol2.ys[:upto]).max()
     assert gap < 1e-9
+
+
+class CallCounter:
+    """Wraps a callable and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def nan_after(t, y):
+    # scalar only: ``t > 0.3`` is ambiguous on stacked times
+    y = np.asarray(y, dtype=float)
+    return np.full_like(y, math.nan) if t > 0.3 else -y
+
+
+def stacked_liar(t, y):
+    # right on one point, off by one on stacked points
+    y = np.asarray(y, dtype=float)
+    return -y + (np.ndim(t) > 0)
+
+
+def always_fails(t, y):
+    raise ZeroDivisionError("field undefined")
+
+
+SCAN_DOM = Domain(t_lo=-0.5, t_hi=1.0, lo=(-1.0,), hi=(1.0,))
+
+
+def scan_cases():
+    """(name, spec, takes stacked points) for the builtins and custom fields."""
+    yield "balls", balls_in_bins_spec(1000)[0], True
+    yield "degree", degree_process_spec(1000, max_degree=3)[0], True
+    yield "matching", greedy_matching_spec(1000)[0], True
+    yield "decay", make_spec(decay, (0.0,), SCAN_DOM), True
+    yield "zeros", make_spec(lambda t, y: np.zeros(1), (0.0,), SCAN_DOM, L=0.0), False
+    yield "nan-after", make_spec(nan_after, (0.0,), SCAN_DOM), False
+    yield "liar", make_spec(stacked_liar, (0.0,), SCAN_DOM), False
+
+
+class TestStackedScans:
+    @pytest.mark.parametrize("name,spec,stacked", list(scan_cases()))
+    def test_compute_RT_matches_per_point_loop(self, name, spec, stacked):
+        counted = CallCounter(spec.drift)
+        got = compute_RT(replace(spec, drift=counted))
+        assert got == reference_compute_RT(spec)
+        ndim = spec.a + 1
+        res = min(RT_GRID_RESOLUTION, max(4, int(RT_GRID_BUDGET ** (1.0 / ndim))))
+        chunks = math.ceil(res**ndim / RT_SCAN_CHUNK)
+        # one stacked call and three single-point checks per chunk
+        if stacked:
+            assert counted.calls == 4 * chunks
+        else:
+            assert counted.calls > res**ndim
+
+    @pytest.mark.parametrize("name,spec,stacked", list(scan_cases()))
+    def test_lipschitz_matches_per_point_loop(self, name, spec, stacked):
+        for samples, seed in ((256, 0), (33, 7)):
+            got = estimate_lipschitz_lower_bound(spec, samples=samples, seed=seed)
+            assert got == reference_lipschitz(spec, samples=samples, seed=seed)
+
+    def test_field_errors_propagate(self):
+        spec = make_spec(always_fails, (0.0,), SCAN_DOM)
+        with pytest.raises(ZeroDivisionError, match="undefined"):
+            compute_RT(spec)
+        with pytest.raises(ZeroDivisionError, match="undefined"):
+            estimate_lipschitz_lower_bound(spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-1.2, 1.2),
+                st.one_of(st.floats(-1.5, 1.5), st.just(math.nan)),
+                st.one_of(st.floats(-1.5, 1.5), st.just(math.nan)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        margin=st.floats(0.0, 0.6),
+    )
+    def test_compute_sigma_matches_per_point_loop(self, rows, margin):
+        dom = Domain(t_lo=-1.0, t_hi=1.0, lo=(-1.0, -0.5), hi=(1.0, 1.25))
+        spec = make_spec(decay, (0.0, 0.0), dom)
+        ts = np.array([r[0] for r in rows])
+        ys = np.array([r[1:] for r in rows])
+        assert compute_sigma(ts, ys, spec, margin) == reference_sigma(ts, ys, spec, margin)

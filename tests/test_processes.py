@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_utils import oracle_drift, oracle_mean_abs_step, reachable_states
 
 from demtrack.processes import (
@@ -173,3 +175,32 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown plugin"):
             make_plugin("no-such-process", 10)
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    which=st.sampled_from(("balls", "degree", "matching")),
+    max_degree=st.integers(0, 4),
+    rows=st.integers(1, 12),
+    data=st.data(),
+)
+def test_stacked_drift_field_matches_rows(which, max_degree, rows, data):
+    if which == "balls":
+        plugin = BallsInBins(10)
+    elif which == "degree":
+        plugin = DegreeProcess(10, max_degree=max_degree)
+    else:
+        plugin = GreedyMatching(10)
+    a = plugin.dim
+    ts = np.array(data.draw(st.lists(finite_or_not, min_size=rows, max_size=rows)))
+    ys = np.array(
+        data.draw(st.lists(finite_or_not, min_size=rows * a, max_size=rows * a))
+    ).reshape(rows, a)
+    with np.errstate(all="ignore"):  # overflow and inf - inf alike in both forms
+        got = plugin.drift_field(ts, ys)
+        want = np.stack([plugin.drift_field(ts[r], ys[r]) for r in range(rows)])
+    assert got.shape == (rows, a) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

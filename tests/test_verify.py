@@ -1,8 +1,12 @@
+import importlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_ode import CallCounter
+from test_simulate import DriftLiar
 
 from demtrack import Domain, LambdaNotAdmissible, ProcessSpec
 from demtrack.processes import (
@@ -17,6 +21,9 @@ from demtrack.verify import (
     verify_multi_anchor,
     within_bound,
 )
+
+# the module, which the package's ``verify`` function shadows
+verify_module = importlib.import_module("demtrack.verify")
 
 VERIFY_DOM = Domain(t_lo=-0.2, t_hi=1.0, lo=(0.05,), hi=(1.3,))
 
@@ -280,3 +287,40 @@ def test_envelope_dominance_for_builtin_plugins():
     for spec, plugin in cases:
         report = verify(spec, plugin, 30, 17)
         assert within_bound(report), (spec.plugin_name, report.failure_count)
+
+
+def anchored_case(kind):
+    """(spec, plugin, anchors): anchor 1 sits too near the top face, so sigma = 0.
+
+    The paths from anchors 0 and 2 reach the bottom face's margin before T at
+    different times, so they are tracked up to different caps.
+    """
+    if kind == "degree":
+        dom = Domain(t_lo=-0.3, t_hi=0.2, lo=(0.753, -0.3, -0.3), hi=(1.07, 1.3, 1.3))
+        spec, plugin = degree_process_spec(2000, max_degree=2, lam=0.01, domain=dom)
+        return spec, plugin, [(0.995, 0.0, 0.0), (1.005, 0.0, 0.0), (1.0, 0.004, 0.0)]
+    dom = Domain(t_lo=-0.2, t_hi=1.0, lo=(0.35,), hi=(1.085,))
+    spec, plugin = balls_in_bins_spec(2000, lam=0.01, domain=dom)
+    if kind == "liar":
+        plugin = DriftLiar(2000)
+    return spec, plugin, [(0.995,), (1.005,), (1.0,)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", ["balls", "degree", "liar"])
+def test_each_anchor_report_equals_verify(kind, jobs, monkeypatch):
+    spec, plugin, anchors = anchored_case(kind)
+    counters = {}
+    for name in ("compute_RT", "run_ensemble"):
+        counters[name] = CallCounter(getattr(verify_module, name))
+        monkeypatch.setattr(verify_module, name, counters[name])
+    reports = verify_multi_anchor(spec, plugin, 5, 8, anchors, jobs=jobs)
+    assert counters["compute_RT"].calls == 1
+    assert counters["run_ensemble"].calls == 1
+    assert [r.vacuous for r in reports] == [False, True, False]
+    assert 0 < reports[0].constants.sigma < reports[2].constants.sigma < spec.domain.t_hi
+    if kind == "liar":
+        assert all(r.trend_violation_count > 0 for r in reports if not r.vacuous)
+    for anchor, report in zip(anchors, reports):
+        want = verify(replace(spec, y_hat=anchor), plugin, 5, 8, anchor=anchor, jobs=jobs)
+        assert report.to_dict() == want.to_dict()
