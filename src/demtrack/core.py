@@ -99,7 +99,8 @@ class ProcessSpec:
     Optional extension parameters: ``avg_step_bound`` (a bound b on the
     conditional mean absolute step), ``trunc_gamma``/``trunc_bound`` (a
     probability gamma of exceeding beta together with a hard cap B), and
-    ``trunc_x`` (the tolerated number x of oversized steps).
+    ``trunc_x`` (the tolerated number x of oversized steps). Every number
+    given must be finite.
     """
 
     n: int
@@ -120,6 +121,18 @@ class ProcessSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        # the range checks below let inf through, and NaN too where they test
+        # ``< 0`` or take a min() (the anchor's boundary distance)
+        named = [("L", self.L), ("delta", self.delta), ("beta", self.beta), ("lambda", self.lam)]
+        named += [(f"y_hat[{k}]", v) for k, v in enumerate(self.y_hat)]
+        named += [
+            (name, getattr(self, name))
+            for name in ("avg_step_bound", "trunc_gamma", "trunc_bound", "trunc_x")
+            if getattr(self, name) is not None
+        ]
+        for name, v in named:
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
         if not self.beta > 0:

@@ -68,8 +68,8 @@ class OdeSolution:
         return self.values_at(times) * n
 
 
-def drift_at(spec: ProcessSpec, points: np.ndarray) -> np.ndarray:
-    """``spec.drift`` at every row (t, y_1..y_a) of ``points``, shape (N, a).
+def drift_at(field, points: np.ndarray) -> np.ndarray:
+    """``field(t, y)`` at every row (t, y_1..y_a) of ``points``, shape (N, a).
 
     Makes one call on the stacked points and keeps its result when it has
     shape (N, a) and its first, middle and last rows equal the single-point
@@ -77,20 +77,19 @@ def drift_at(spec: ProcessSpec, points: np.ndarray) -> np.ndarray:
     raises, the field is taken to accept single points only and is called
     once per point; exceptions of those calls propagate.
     """
-    f = spec.drift
-    count = len(points)
+    count, a = len(points), points.shape[1] - 1
     ts, ys = points[:, 0], points[:, 1:]
     try:
-        out = np.asarray(f(ts, ys), dtype=float)
-        stacked = out.shape == (count, spec.a) and all(
-            np.array_equal(out[r], np.asarray(f(ts[r], ys[r]), dtype=float), equal_nan=True)
+        out = np.asarray(field(ts, ys), dtype=float)
+        stacked = out.shape == (count, a) and all(
+            np.array_equal(out[r], np.asarray(field(ts[r], ys[r]), dtype=float), equal_nan=True)
             for r in sorted({0, count // 2, count - 1})
         )
     except Exception:
         stacked = False
     if stacked:
         return out
-    return np.array([np.asarray(f(p[0], p[1:]), dtype=float) for p in points])
+    return np.array([np.asarray(field(p[0], p[1:]), dtype=float) for p in points])
 
 
 def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
@@ -119,7 +118,7 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
         flat = np.arange(start, min(start + RT_SCAN_CHUNK, total))
         idx = np.unravel_index(flat, (res,) * ndim)
         points = np.column_stack([g[i] for g, i in zip(grids, idx)])
-        per_point = np.abs(drift_at(spec, points)).reshape(len(points), -1).max(axis=1)
+        per_point = np.abs(drift_at(spec.drift, points)).reshape(len(points), -1).max(axis=1)
         best = float(np.fmax.reduce(per_point, initial=best))
     return max(1.0, best + spec.L * mesh), T
 
@@ -138,7 +137,7 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     hi = np.array((dom.t_hi, *dom.hi))
     pairs = rng.uniform(lo, hi, size=(samples, 2, len(lo)))
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
-    f = drift_at(spec, pairs.reshape(2 * samples, len(lo))).reshape(samples, 2, -1)
+    f = drift_at(spec.drift, pairs.reshape(2 * samples, len(lo))).reshape(samples, 2, -1)
     apart = gaps >= 1e-12
     slopes = np.abs(f[apart, 0] - f[apart, 1]).max(axis=1) / gaps[apart]
     best = float(np.fmax.reduce(slopes, initial=0.0))

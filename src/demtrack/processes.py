@@ -220,8 +220,16 @@ class DegreeProcess(ProcessPlugin):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.max_degree = max_degree
-        self._overflow = max_degree + 1  # lumped class index
-        self._classes = np.arange(max_degree + 2)
+        self._overflow = top = max_degree + 1  # lumped class index
+        classes = np.arange(top + 1)
+        # _ge[j]: 1 on the classes from j on; _moves[ju, jv]: the change of
+        # the counts when one endpoint leaves class ju and the other jv, each
+        # moving up one class (the overflow class keeps its own)
+        self._ge = (classes >= classes[:, None]).astype(np.int64)
+        eye = np.eye(top + 1, dtype=np.int64)
+        move = eye[np.minimum(classes + 1, top)] - eye
+        self._moves = move[:, None] + move
+        self._scale = np.array([n, n - 1], dtype=float)  # what ``step`` scales u, v by
 
     @property
     def dim(self) -> int:
@@ -269,21 +277,15 @@ class DegreeProcess(ProcessPlugin):
         # The scan of ``step`` stops at the first class whose cumulative
         # count exceeds the draw. The cumulative counts are exact in float64
         # and nondecreasing (the class of u holds at least one vertex, so
-        # taking it out keeps them so), hence that class is the number of
-        # cumulative counts at or below the draw, or the overflow class.
-        top = self._overflow
-        classes = self._classes
-        acc = np.cumsum(states, axis=1)
-        ju = np.minimum((acc <= (u[:, 0] * self.n)[:, None]).sum(axis=1), top)
-        acc -= classes >= ju[:, None]
-        jv = np.minimum((acc <= (u[:, 1] * (self.n - 1))[:, None]).sum(axis=1), top)
-        # both endpoints move up one class; the overflow class keeps its own
-        moved = (classes == ju[:, None]).astype(np.int64)
-        moved += classes == jv[:, None]
-        out = states - moved
-        out[:, 1:] += moved[:, :-1]
-        out[:, top] += moved[:, top]
-        return out, ()
+        # taking it out keeps them so), and the last one, n (then n - 1),
+        # exceeds every draw, so that class is the first position where
+        # ``acc <= draw`` is False: its argmin.
+        acc = states.cumsum(axis=1)
+        draws = u * self._scale
+        ju = (acc <= draws[:, :1]).argmin(axis=1)
+        acc -= self._ge[ju]
+        jv = (acc <= draws[:, 1:]).argmin(axis=1)
+        return states + self._moves[ju, jv], ()
 
     def observables_batch(self, states):
         return states[:, : self.max_degree + 1]

@@ -6,20 +6,27 @@ path, the sup of the martingale part, and the recurrence replay are all
 accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
 
-One lockstep kernel simulates a batch of trajectories: step i of every live
-trajectory runs at once on arrays with one row per trajectory, through the
-plugin's batch methods, so the Python loop runs once per step rather than
-once per step and trajectory. The stopping rule, the step-bound check, the
-deviation and martingale sups and the replay chain are elementwise array
-operations that keep each trajectory's order of float operations. A row that
-stops is written out and compacted away. Each trajectory keeps its own
-Philox stream; a plugin with ``uniforms_per_step`` gets its uniforms drawn
-ahead in blocks, which a counter-based generator yields unchanged. Records
-are preallocated for a run to the horizon, and each Trajectory holds views
-into them. ``simulate`` is a batch of one; ``run_ensemble`` runs one batch
-per worker. Deviations and the replay chain may be tracked against several
-ODE solutions (reference paths) at once, as (rows, K) arrays with one column
-per path, each column updated only up to its own path's cap.
+One lockstep kernel simulates a batch of trajectories, one row per
+trajectory, through the plugin's batch methods, in time blocks of
+``_UNIFORM_BLOCK`` steps aligned with the blocks of uniforms drawn ahead for
+plugins with ``uniforms_per_step`` (a counter-based Philox stream yields
+them unchanged; each trajectory keeps its own). Within a block, each Python
+pass only steps every live row and stores the new states; a pass in which
+some row's step raised ends the block early. Once per block, on all of its
+steps at once, the kernel then finds each row's stop (the horizon, the first
+exit from the box, or the first step that raised, unless the row left the
+box at or before it), evaluates the drift on the steps taken before each
+stop, and reduces the deviation and martingale sups, the replay chain, the
+hypothesis checks and the stride records, summing along each row one step at
+a time so that every trajectory keeps its order of float operations. Rows
+are stepped and observed to the end of the block even past their stop; what
+they do there, raised exceptions included, is discarded. A row that stopped is
+written out and compacted away. Records are preallocated for a run to the
+horizon, and each Trajectory holds views into them. ``simulate`` is a batch
+of one; ``run_ensemble`` runs one batch per worker. Deviations and the
+replay chain may be tracked against several ODE solutions (reference paths)
+at once, as (rows, K) arrays with one column per path, each column updated
+only up to its own path's cap.
 """
 
 from __future__ import annotations
@@ -28,16 +35,18 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Ensemble, ProcessSpec, Trajectory, Violation
-from .ode import OdeSolution
+from .ode import OdeSolution, drift_at
 from .processes import ProcessPlugin
 
-# Steps of uniforms drawn ahead per trajectory.
-_UNIFORM_BLOCK = 256
+# Steps of uniforms drawn ahead per trajectory, and steps per kernel block;
+# the block's work arrays, (rows, block + 1, .), bound the kernel's memory.
+_UNIFORM_BLOCK = 128
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -107,7 +116,11 @@ def simulate(
     with ``replay_check`` the additive-plus-linear recurrence chain of the
     concentration argument is verified at every step. ``event_predicate``
     receives (i, Y) and its first failing index truncates the deviation
-    range. The RNG is a counter-based Philox stream keyed by the seed.
+    range; it is called once per step i = 0..min(stop, first failure), in
+    step order, and not past the stop. The RNG is a counter-based Philox
+    stream keyed by the seed. Steps are taken in time blocks (see the module
+    docstring), so the plugin may be stepped past the stop; those steps are
+    discarded.
     """
     if replay_check and solution is None:
         raise ValueError("replay_check requires an ODE solution")
@@ -145,6 +158,7 @@ def _simulate_batch(
     upf = plugin.uniforms_per_step
     cap = prep.cap if prep is not None else -1
     paths = len(prep.caps) if prep is not None else 0
+    block = max(1, min(_UNIFORM_BLOCK, m_cap))
 
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before m_cap, then m_cap. A trajectory that stops at i ends at record
@@ -166,13 +180,15 @@ def _simulate_batch(
             states[r] = plugin.initial_state()
     else:
         states = np.array([plugin.initial_state()] * count, dtype=np.int64)
-        block = max(1, min(_UNIFORM_BLOCK, m_cap))
         uniforms = np.empty((count, block, upf))
+    # the states at steps i0..i0+J of the current block, one row per live row
+    held = np.empty((count, block + 1) + states.shape[1:], dtype=states.dtype)
 
-    # Per-row state of the live rows; ``ids`` maps a row to its trajectory.
+    # Per-row state of the live rows at the start of a block, whose first
+    # step is i0; ``ids`` maps a row to its trajectory. chain_sum and
+    # prev_dev belong to step i0 - 1.
     ids = np.arange(count)
-    Y = plugin.observables_batch(states)
-    Y0 = Y
+    Y0 = plugin.observables_batch(states)
     drift_cum = np.zeros((count, a))
     sup_mart = np.zeros(count)
     sup_dev = np.zeros((count, paths))
@@ -181,30 +197,139 @@ def _simulate_batch(
     replay_ok = np.ones((count, paths), dtype=bool)
     event_stop = np.full(count, -1, dtype=np.int64)
 
-    dev = None  # this step's deviation from each ODE path, while i <= cap
-
     def per_path(values, kind):
         values = [kind(v) for v in values]
         return values[0] if prep.single else tuple(values)
 
-    def violation_dev(r):
-        return float(dev[r, 0]) if dev is not None and prep.single else None
+    def finish_block(i0, J, buf, failed):
+        """Reduce the block of steps i0..i0 + J of every live row.
 
-    def retire(mask, i: int, error: bool) -> bool:
-        """Write out and drop the rows in ``mask``, which ended at step i.
-
-        Returns False when no row is left.
+        Updates the live rows' statistics, writes their records and
+        violations, writes out the rows that stopped and returns their mask.
         """
-        nonlocal ids, states, gens, uniforms, Y, Y0, dev, drift_cum, sup_mart
-        nonlocal sup_dev, chain_sum, prev_dev, replay_ok, event_stop
-        pos = -(-i // stride)
-        indices = grid[: pos + 1] if grid[pos] == i else np.append(grid[:pos], i)
-        t_ids = ids[mask]
-        if not (error and i % stride == 0):
-            rec_y[t_ids, pos] = Y[mask]
-            rec_d[t_ids, pos] = math.nan
-        for r in np.flatnonzero(mask):
+        live_rows = len(ids)
+        # Block position j is step i0 + j, and Y[:, j] its counts.
+        at = np.arange(J + 1)
+        Y = plugin.observables_batch(
+            buf[:, : J + 1].reshape((live_rows * (J + 1),) + buf.shape[2:])
+        ).reshape(live_rows, J + 1, a)
+
+        # Stopping rule: the first step at the horizon or with the rescaled
+        # state outside the open box (the time axis cannot bind earlier
+        # because 0 <= i/n < T and t_lo < 0), unless the row's step raised
+        # at an earlier step. ``end`` is the position of the stop, J + 1 for
+        # a row that goes on; what a row did past its stop is discarded.
+        yn = Y / n
+        outside = ~((lo < yn) & (yn < hi)).all(axis=2)
+        del yn
+        if i0 + J >= m_cap:
+            outside[:, J] = True
+        end = np.where(outside.any(axis=1), outside.argmax(axis=1), J + 1)
+        error = np.zeros(live_rows, dtype=bool)
+        if len(failed):
+            failed = np.asarray(failed)
+            error[failed] = end[failed] > J - 1
+            end[failed] = np.minimum(end[failed], J - 1)
+        done = end <= J
+        # steps whose stopping rule, predicate, deviation and martingale part count
+        seen = at <= np.where(done, end, J - 1)[:, None]
+        # steps taken, with their drift; a step that raised still had one
+        taken = at[:J] < (end + error)[:, None]
+
+        if event_predicate is not None:
+            for r in np.flatnonzero(event_stop < 0):
+                for j, y in enumerate(Y[r, seen[r]].tolist()):
+                    if not event_predicate(i0 + j, tuple(y)):
+                        event_stop[r] = i0 + j
+                        break
+
+        # Hypothesis violations, kept per trajectory in (step, trend before
+        # bound, coordinate) order. Each (rows, J, .) temporary is deleted
+        # once used, which bounds the block's memory.
+        found = []
+        d = plugin.drift_batch(buf[:, :J][taken])
+        if check_trend and len(d):
+            r, j = np.nonzero(taken)
+            points = np.column_stack(((i0 + j) / n, Y[r, j].astype(float) / n))
+            gap = np.abs(d - drift_at(plugin.drift_field, points))
+            x, k = np.nonzero(gap > delta)
+            found.append((r[x], j[x], np.zeros_like(k), k, gap[x, k]))
+        # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
+        # before the sum, cum[:, j + 1] holds the drift of step i0 + j
+        cum = np.zeros((live_rows, J + 1, a))
+        cum[:, 1:][taken] = d
+        del d
+        # records of the steps on the stride grid; a row's records past its
+        # stop are overwritten by its last record or lie past its prefix
+        on_grid = slice(-i0 % stride, J, stride)
+        first = -(-i0 // stride)
+        span = slice(first, first + len(range(J)[on_grid]))
+        rec_y[ids, span] = Y[:, on_grid]
+        rec_d[ids, span] = cum[:, 1:][:, on_grid]
+        cum[:, 0] = drift_cum
+        np.add.accumulate(cum, axis=1, out=cum)
+        drift_cum[:] = cum[:, J]
+        # the martingale part; a NaN propagates through max, so it never passes
+        np.subtract(Y - Y0[:, None], cum, out=cum)
+        mart = np.abs(cum, out=cum).max(axis=2)
+        del cum
+        np.maximum(sup_mart, mart.max(axis=1, where=seen, initial=0.0), out=sup_mart)
+        del mart
+
+        dev = None  # deviation from each ODE path at positions up to cap
+        if i0 <= cap:
+            jd = min(J, cap - i0) + 1
+            dev = np.subtract(Y[:, :jd, None], prep.yode[i0 : i0 + jd])
+            dev = np.abs(dev, out=dev).max(axis=3)
+            # column k counts while i <= caps[k], and the sup up to the event stop
+            live = prep.live[i0 : i0 + jd] & seen[:, :jd, None]
+            in_range = live
+            if event_predicate is not None:
+                before = (event_stop < 0)[:, None] | (i0 + at[:jd] <= event_stop[:, None])
+                in_range = live & before[:, :, None]
+            np.maximum(sup_dev, dev.max(axis=1, where=in_range, initial=0.0), out=sup_dev)
+            if replay_check:
+                # chain[:, j + 1] is chain_sum at step i0 + j, summed one step at a time
+                chain = np.empty((live_rows, jd + 1, paths))
+                chain[:, 0] = chain_sum
+                chain[:, 1] = prep.L_over_n * prev_dev + prep.step_term if i0 else 0.0
+                np.multiply(dev[:, :-1], prep.L_over_n, out=chain[:, 2:])
+                chain[:, 2:] += prep.step_term
+                np.add.accumulate(chain, axis=1, out=chain)
+                last = min(J, jd) - 1
+                chain_sum[:], prev_dev[:] = chain[:, last + 1], dev[:, last]
+                bound = np.add(chain[:, 1:], prep.two_lam_n, out=chain[:, 1:])
+                ok = np.less(dev, bound).all(axis=1, where=live)
+                np.logical_and(replay_ok, ok, out=replay_ok)
+                del chain, bound
+
+        jump = np.diff(Y, axis=1)
+        over = np.abs(jump, out=jump) > beta
+        over &= (at[:J] < end[:, None])[:, :, None]
+        if over.any():
+            r, j, k = np.nonzero(over)
+            found.append((r, j, np.ones_like(k), k, jump[r, j, k]))
+        del jump, over
+        if found:
+            r, j, kind, k, observed = (np.concatenate(f) for f in zip(*found))
+            single = dev is not None and prep.single
+            for x in np.lexsort((k, kind, j, r)):
+                rx, jx = r[x], j[x]
+                violations[ids[rx]].append(Violation(
+                    i0 + int(jx), int(k[x]), ("trend", "bound")[kind[x]], float(observed[x]),
+                    (delta, beta)[kind[x]],
+                    float(dev[rx, jx, 0]) if single and jx < dev.shape[1] else None,
+                ))
+
+        # write out the rows that stopped
+        for r in np.flatnonzero(done):
             t = ids[r]
+            i = i0 + int(end[r])
+            pos = -(-i // stride)
+            indices = grid[: pos + 1] if grid[pos] == i else np.append(grid[:pos], i)
+            if not (error[r] and i % stride == 0):
+                rec_y[t, pos] = Y[r, end[r]]
+                rec_d[t, pos] = math.nan
             ev = int(event_stop[r]) if event_stop[r] >= 0 else None
             sup = dev_cap = ok = None
             if prep is not None:
@@ -225,13 +350,39 @@ def _simulate_batch(
                 sup_martingale=float(sup_mart[r]),
                 event_stop=ev,
                 replay_ok=ok,
-                valid=not error,
-                error_step=i if error else None,
+                valid=not error[r],
+                error_step=i if error[r] else None,
             )
-        keep = ~mask
-        ids, states, Y, Y0, drift_cum = (
-            ids[keep], states[keep], Y[keep], Y0[keep], drift_cum[keep]
-        )
+        return done
+
+    i0 = 0
+    while True:
+        # Step every live row J times, to the end of the uniform block or to
+        # the horizon; a pass in which some row's step raised ends the block.
+        live_rows = len(ids)
+        J = min(block - i0 % block, m_cap - i0)
+        buf = held[:live_rows]
+        buf[:, 0] = states
+        if uniforms is None:
+            draws = repeat(gens, J)
+        else:
+            if i0 % block == 0:
+                for r, g in enumerate(gens):
+                    g.random(out=uniforms[r])
+            draws = uniforms.swapaxes(0, 1)[i0 % block : i0 % block + J]
+        failed = ()
+        for j, u in enumerate(draws, 1):
+            states, failed = plugin.step_batch(states, u)
+            buf[:, j] = states
+            if len(failed):
+                J = j
+                break
+
+        done = finish_block(i0, J, buf, failed)
+        keep = ~done
+        if not keep.any():
+            return out
+        ids, states, Y0, drift_cum = ids[keep], states[keep], Y0[keep], drift_cum[keep]
         sup_mart, sup_dev, chain_sum, prev_dev, replay_ok, event_stop = (
             sup_mart[keep], sup_dev[keep], chain_sum[keep], prev_dev[keep],
             replay_ok[keep], event_stop[keep],
@@ -239,90 +390,7 @@ def _simulate_batch(
         gens = [g for g, k in zip(gens, keep) if k]
         if uniforms is not None:
             uniforms = uniforms[keep]
-        if dev is not None:
-            dev = dev[keep]
-        return len(ids) > 0
-
-    i = 0
-    while True:
-        # stopping rule: first index at or past the horizon, or with the
-        # rescaled state outside the open box (the time axis cannot bind
-        # earlier because 0 <= i/n < T and t_lo < 0)
-        if i >= m_cap:
-            stopped = np.ones(len(ids), dtype=bool)
-        else:
-            yn = Y / n
-            stopped = ~((lo < yn) & (yn < hi)).all(axis=1)
-
-        if event_predicate is not None:
-            for r in np.flatnonzero(event_stop < 0):
-                if not event_predicate(i, tuple(Y[r].tolist())):
-                    event_stop[r] = i
-
-        dev = None
-        if i <= cap:
-            # column j is the deviation from path j, used while i <= caps[j]
-            live = prep.live[i]
-            dev = np.abs(Y[:, None] - prep.yode[i]).max(axis=2)
-            # NaN propagates: a deviation that is not finite never passes
-            in_range = live
-            if event_predicate is not None:
-                in_range = live & ((event_stop < 0) | (event_stop == i))[:, None]
-            np.maximum(sup_dev, dev, out=sup_dev, where=in_range)
-            if replay_check:
-                if i > 0:
-                    chain_sum += prep.L_over_n * prev_dev + prep.step_term
-                np.logical_and(
-                    replay_ok, dev < prep.two_lam_n + chain_sum, out=replay_ok, where=live
-                )
-                prev_dev = dev
-
-        np.maximum(sup_mart, np.abs((Y - Y0) - drift_cum).max(axis=1), out=sup_mart)
-
-        if stopped.any() and not retire(stopped, i, error=False):
-            break
-
-        d = plugin.drift_batch(states)
-        if i % stride == 0:
-            pos = i // stride
-            rec_y[ids, pos] = Y
-            rec_d[ids, pos] = d
-        if check_trend:
-            for r in range(len(ids)):
-                field = plugin.drift_field(i / n, Y[r].astype(float) / n)
-                for k in range(a):
-                    gap = abs(float(d[r, k]) - float(field[k]))
-                    if gap > delta:
-                        violations[ids[r]].append(Violation(
-                            i, k, "trend", gap, delta, violation_dev(r)
-                        ))
-        drift_cum += d
-
-        if uniforms is None:
-            states, failed = plugin.step_batch(states, gens)
-        else:
-            if i % block == 0:
-                for r, g in enumerate(gens):
-                    g.random(out=uniforms[r])
-            states, failed = plugin.step_batch(states, uniforms[:, i % block])
-        if len(failed):
-            crashed = np.zeros(len(ids), dtype=bool)
-            crashed[list(failed)] = True
-            if not retire(crashed, i, error=True):
-                break
-
-        Y_new = plugin.observables_batch(states)
-        jump = np.abs(Y_new - Y)
-        over = jump > beta
-        if over.any():
-            for r, k in zip(*np.nonzero(over)):
-                violations[ids[r]].append(Violation(
-                    i, int(k), "bound", float(jump[r, k]), beta, violation_dev(r)
-                ))
-        Y = Y_new
-        i += 1
-
-    return out
+        i0 += J
 
 
 def run_ensemble(
@@ -345,6 +413,9 @@ def run_ensemble(
     must then be picklable). ``solution`` may be a sequence of K solutions
     of the same spec from different anchors: one simulation then tracks
     every path, and the per-path statistics of each trajectory are K-tuples.
+    ``event_predicate`` is called once per trajectory and step up to that
+    trajectory's stop (as in :func:`simulate`), in step order for each
+    trajectory; the order of calls across trajectories is unspecified.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -132,3 +132,32 @@ def test_spec_validation():
                      ("L", -0.5), ("y_hat", (2.0,)), ("y_hat", (0.5, 0.5))]:
         with pytest.raises(ValueError):
             ProcessSpec(**{**good, key: bad})
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("y_hat", (math.nan,)),
+        ("y_hat", (math.inf,)),
+        ("L", math.nan),
+        ("L", math.inf),
+        ("delta", math.nan),
+        ("delta", math.inf),
+        ("lam", math.nan),
+        ("lam", math.inf),
+        ("beta", math.nan),
+        ("beta", math.inf),
+        ("avg_step_bound", math.nan),
+        ("trunc_gamma", math.inf),
+        ("trunc_bound", -math.inf),
+        ("trunc_x", math.nan),
+    ],
+)
+def test_spec_rejects_non_finite_values(key, bad):
+    dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.0,), hi=(1.0,))
+    good = dict(n=10, drift=lambda t, y: -np.asarray(y), L=1.0, delta=0.0, beta=1.0,
+                lam=0.1, y_hat=(0.5,), domain=dom, avg_step_bound=1.0, trunc_gamma=0.1,
+                trunc_bound=2.0, trunc_x=3.0)
+    ProcessSpec(**good)
+    with pytest.raises(ValueError, match="must be finite"):
+        ProcessSpec(**{**good, key: bad})

@@ -1,7 +1,9 @@
 """The lockstep kernel against the scalar reference loop it replaced."""
 
+import collections
 import dataclasses
 import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -24,7 +26,16 @@ from scalar_reference import reference_simulate
 from test_simulate import DriftLiar, FairCoin, coin_spec
 from test_verify import BigStepPlugin
 
+simulate = importlib.import_module("demtrack.simulate")  # the module, not the function
+
 KINDS = ("balls", "degree", "matching", "coin", "liar", "bigstep")
+# plugins whose step raises: inside the box (flaky), only past it (late-crash),
+# and a drift liar that also breaks a beta of 0.5 (crash-liar)
+CRASHING = ("flaky", "late-crash", "crash-liar")
+# block lengths that put every kernel edge on a block boundary: stride > block
+# for n of 900-2500, failures and exits in the first or last pass of a block;
+# then the default and a longer one
+BLOCKS = (1, 2, 3, 7, 128, 256)
 
 
 class StepCutoff:
@@ -47,6 +58,49 @@ class CountFloor:
         return y[0] >= self.level
 
 
+class FlakyCoin(FairCoin):
+    """Fair coin whose step raises once the walk reaches +3."""
+
+    name = "flaky-coin"
+
+    def step(self, state, rng):
+        if state >= 3:
+            raise RuntimeError("flaky")
+        return super().step(state, rng)
+
+
+class LateCrashCoin(FairCoin):
+    """Fair coin whose step raises only once the walk is outside the box.
+
+    The kernel steps a row past its stop to the end of the block, so the
+    raise comes in the block of the exit; the row must still stop normally.
+    """
+
+    name = "late-crash-coin"
+
+    def __init__(self, n, width):
+        super().__init__(n)
+        self.width = width
+        self.raised = 0
+
+    def step(self, state, rng):
+        if not -self.width < state / self.n < self.width:
+            self.raised += 1
+            raise RuntimeError("stepped past the exit")
+        return super().step(state, rng)
+
+
+class CrashingLiar(DriftLiar):
+    """DriftLiar whose step raises once a fifth of the bins are filled."""
+
+    name = "crashing-liar"
+
+    def step(self, state, rng):
+        if 5 * state < 4 * self.n:
+            raise RuntimeError("crash")
+        return super().step(state, rng)
+
+
 def zero_field(t, y):
     return np.zeros(1)
 
@@ -57,7 +111,7 @@ def make_case(kind, n, tight):
     Each lambda keeps sigma > 0, so deviations and the replay chain are
     tracked over a nonempty range, and is admissible for n >= 800.
     """
-    if kind in ("balls", "liar", "bigstep"):
+    if kind in ("balls", "liar", "bigstep", "crash-liar"):
         lo = 0.6 if tight else 0.05
         dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(lo,), hi=(1.1,))
         spec, plugin = balls_in_bins_spec(n, lam=0.005, domain=dom)
@@ -65,6 +119,8 @@ def make_case(kind, n, tight):
             plugin = DriftLiar(n)
         elif kind == "bigstep":
             plugin = BigStepPlugin(n)
+        elif kind == "crash-liar":
+            spec, plugin = dataclasses.replace(spec, beta=0.5), CrashingLiar(n)
         return spec, plugin
     if kind == "degree":
         lo0 = 0.7 if tight else -0.3
@@ -81,6 +137,10 @@ def make_case(kind, n, tight):
         n=n, drift=zero_field, L=0.0, delta=0.0, beta=1.0, lam=0.02,
         y_hat=(0.0,), domain=dom,
     )
+    if kind == "flaky":
+        return spec, FlakyCoin(n)
+    if kind == "late-crash":
+        return spec, LateCrashCoin(n, width)
     return spec, FairCoin(n)
 
 
@@ -109,9 +169,14 @@ predicates = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 @given(
-    kind=st.sampled_from(KINDS),
+    kind=st.sampled_from(KINDS + CRASHING),
     n=st.one_of(st.integers(2, 60), st.integers(900, 2500)),
     tight=st.booleans(),
     count=st.integers(1, 9),
@@ -121,8 +186,9 @@ predicates = st.one_of(
     predicate=predicates,
 )
 def test_kernel_matches_scalar_reference(
-    kind, n, tight, count, base_seed, full_paths, tracked, predicate
+    monkeypatch, block, kind, n, tight, count, base_seed, full_paths, tracked, predicate
 ):
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
     spec, plugin = make_case(kind, n, tight)
     solution = None
     if tracked != "none":
@@ -156,17 +222,6 @@ def test_report_independent_of_jobs(kind, n, count, base_seed, predicate):
     assert one.to_dict() == two.to_dict()
 
 
-class FlakyCoin(FairCoin):
-    """Fair coin whose step raises once the walk reaches +3."""
-
-    name = "flaky-coin"
-
-    def step(self, state, rng):
-        if state >= 3:
-            raise RuntimeError("flaky")
-        return super().step(state, rng)
-
-
 def test_failing_rows_leave_the_others_running():
     spec = coin_spec(n=400)
     plugin = FlakyCoin(400)
@@ -175,6 +230,75 @@ def test_failing_rows_leave_the_others_running():
     assert any(valid) and not all(valid)
     for idx, traj in enumerate(ens.trajectories):
         assert_same_trajectory(traj, reference_simulate(plugin, spec, derive_seed(5, idx)))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block):
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+    # the box is |Y| < 5, so every exit is at an odd step
+    spec, plugin = make_case("late-crash", 25, tight=True)
+    ens = run_ensemble(plugin, spec, 12, 3)
+    assert all(t.valid and t.error_step is None for t in ens.trajectories)
+    assert any(t.stop_index < 25 for t in ens.trajectories)  # exits, not the horizon
+    # a row is stepped past its exit only when the exit is not a block's last step
+    assert (plugin.raised > 0) == (block > 1)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_crash_keeps_its_trend_violation_and_no_bound_violation(monkeypatch, block):
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+    spec, plugin = make_case("crash-liar", 200, tight=False)
+    ens = run_ensemble(plugin, spec, 5, 8)
+    for traj in ens.trajectories:
+        f = traj.error_step
+        assert not traj.valid and f is not None
+        at_crash = [v.kind for v in traj.violations if v.i == f]
+        assert at_crash == ["trend"]
+        assert any(v.kind == "bound" for v in traj.violations)
+
+
+class LoggedPredicate:
+    """Event predicate that records each call and fails from step ``cut`` on."""
+
+    def __init__(self, cut):
+        self.cut = cut
+        self.calls = []
+
+    def __call__(self, i, y):
+        self.calls.append((i, y))
+        return i < self.cut
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.sampled_from(KINDS + CRASHING),
+    n=st.integers(2, 300),
+    tight=st.booleans(),
+    count=st.integers(1, 6),
+    base_seed=st.integers(0, 2**32 - 1),
+    cut=st.integers(0, 400),
+)
+def test_predicate_sees_each_step_once_up_to_the_stop(
+    monkeypatch, block, kind, n, tight, count, base_seed, cut
+):
+    """Each row's calls are i = 0..min(stop, first failure), in step order."""
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+    spec, plugin = make_case(kind, n, tight)
+    predicate = LoggedPredicate(cut)
+    ens = run_ensemble(plugin, spec, count, base_seed, predicate, full_paths=True)
+    want = []
+    for traj in ens.trajectories:
+        last = traj.stop_index if traj.event_stop is None else traj.event_stop
+        assert last <= traj.stop_index
+        want += [(i, tuple(traj.steps[i].tolist())) for i in range(last + 1)]
+    if count == 1:
+        assert predicate.calls == want
+    assert collections.Counter(predicate.calls) == collections.Counter(want)
 
 
 class TestBatchContract:
