@@ -30,7 +30,6 @@ from .core import (
     Trajectory,
     VerificationReport,
     Violation,
-    boundary_distance,
     check_initial_condition,
 )
 from .ode import (

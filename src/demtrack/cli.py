@@ -1,8 +1,10 @@
 """Command-line interface: solve / simulate / verify / bounds.
 
 Exit codes: 0 on success, 1 when verification finds more envelope failures
-than the bound (plus sampling slack) allows, 2 on usage or schema errors,
-3 when a plugin step raises during verification.
+than the bound (plus sampling slack) allows, 2 on usage or schema errors
+(including a mode parameter that neither the spec's ``extensions`` nor the
+plugin supplies, and a bad initial condition), 3 when a plugin step raises
+during verification.
 All printed numbers carry 12 significant digits.
 """
 
@@ -30,7 +32,7 @@ from .core import PluginCrashed
 from .ode import check_lambda_admissible, compute_RT, lambda_threshold, solve_ode
 from .simulate import run_ensemble
 from .specio import load_spec
-from .verify import report_to_json, sampling_slack, verify, within_bound
+from .verify import MODES, report_to_json, sampling_slack, verify, within_bound
 
 
 def _fmt(v) -> str:
@@ -105,17 +107,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, plugin = load_spec(args.spec)
-    if args.mode == "truncated" and (
-        spec.trunc_gamma is None or spec.trunc_bound is None or spec.trunc_x is None
-    ):
-        raise ValueError(
-            "truncated mode needs extensions.gamma, extensions.B and extensions.x "
-            "in the spec file"
-        )
-    if args.mode == "averaged" and spec.avg_step_bound is None:
-        b = plugin.avg_step_bound(spec)
-        if b is None:
-            raise ValueError("averaged mode needs extensions.b in the spec file")
     report = verify(
         spec,
         plugin,
@@ -218,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("plain", "averaged", "truncated"), default="plain")
+    p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-replay", action="store_true", help="skip the recurrence replay")

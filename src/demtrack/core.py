@@ -72,12 +72,8 @@ class Domain:
         return d
 
     def contains(self, point: Sequence[float]) -> bool:
-        return self.boundary_distance(point) > 0.0
-
-
-def boundary_distance(domain: Domain, point: Sequence[float]) -> float:
-    """Module-level alias for :meth:`Domain.boundary_distance`."""
-    return domain.boundary_distance(point)
+        # a NaN coordinate lies in no box, but boundary_distance's min() skips it
+        return self.boundary_distance(point) > 0.0 and not any(map(math.isnan, point))
 
 
 @dataclass(frozen=True)

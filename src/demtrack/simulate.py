@@ -75,8 +75,19 @@ class _SimPrep:
     single: bool           # one solution, not a sequence: trajectories get scalars
 
 
-def _prepare(spec: ProcessSpec, solution: Solutions) -> _SimPrep:
+def _prepare(
+    plugin: ProcessPlugin, spec: ProcessSpec, solution: Solutions | None, replay_check: bool
+) -> _SimPrep | None:
+    """Check a simulation's inputs before any batch starts; None without a solution."""
     n = spec.n
+    if replay_check and solution is None:
+        raise ValueError("replay_check requires an ODE solution")
+    if plugin.n != n:
+        raise ValueError(f"plugin scale n={plugin.n} differs from spec n={n}")
+    if plugin.dim != spec.a:
+        raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {spec.a}")
+    if solution is None:
+        return None
     single = isinstance(solution, OdeSolution)
     solutions = [solution] if single else list(solution)
     if not solutions:
@@ -122,9 +133,7 @@ def simulate(
     docstring), so the plugin may be stepped past the stop; those steps are
     discarded.
     """
-    if replay_check and solution is None:
-        raise ValueError("replay_check requires an ODE solution")
-    prep = _prepare(spec, solution) if solution is not None else None
+    prep = _prepare(plugin, spec, solution, replay_check)
     return _simulate_batch(
         plugin, spec, prep, full_paths, event_predicate, replay_check, [int(seed)]
     )[0]
@@ -142,11 +151,6 @@ def _simulate_batch(
     """The lockstep kernel: one trajectory per seed, in seed order."""
     n = spec.n
     a = spec.a
-    if plugin.n != n:
-        raise ValueError(f"plugin scale n={plugin.n} differs from spec n={n}")
-    if plugin.dim != a:
-        raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {a}")
-
     count = len(seeds)
     m_cap = math.floor(spec.domain.t_hi * n)
     stride = 1 if full_paths else max(1, math.ceil(n / 1000))
@@ -174,21 +178,21 @@ def _simulate_batch(
 
     gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
     uniforms = None  # each row's uniforms of the current block; None when row-wise
+    start = plugin.initial_state()  # deterministic, so every row starts from it
     if upf is None:
         states = np.empty(count, dtype=object)
-        for r in range(count):
-            states[r] = plugin.initial_state()
+        states.fill(start)
     else:
-        states = np.array([plugin.initial_state()] * count, dtype=np.int64)
+        states = np.array([start] * count, dtype=np.int64)
         uniforms = np.empty((count, block, upf))
     # the states at steps i0..i0+J of the current block, one row per live row
     held = np.empty((count, block + 1) + states.shape[1:], dtype=states.dtype)
+    Y0 = plugin.observables_batch(states[:1])[0]  # Y(0), one (a,) row for all rows
 
     # Per-row state of the live rows at the start of a block, whose first
     # step is i0; ``ids`` maps a row to its trajectory. chain_sum and
     # prev_dev belong to step i0 - 1.
     ids = np.arange(count)
-    Y0 = plugin.observables_batch(states)
     drift_cum = np.zeros((count, a))
     sup_mart = np.zeros(count)
     sup_dev = np.zeros((count, paths))
@@ -270,7 +274,7 @@ def _simulate_batch(
         np.add.accumulate(cum, axis=1, out=cum)
         drift_cum[:] = cum[:, J]
         # the martingale part; a NaN propagates through max, so it never passes
-        np.subtract(Y - Y0[:, None], cum, out=cum)
+        np.subtract(Y - Y0, cum, out=cum)
         mart = np.abs(cum, out=cum).max(axis=2)
         del cum
         np.maximum(sup_mart, mart.max(axis=1, where=seen, initial=0.0), out=sup_mart)
@@ -382,7 +386,7 @@ def _simulate_batch(
         keep = ~done
         if not keep.any():
             return out
-        ids, states, Y0, drift_cum = ids[keep], states[keep], Y0[keep], drift_cum[keep]
+        ids, states, drift_cum = ids[keep], states[keep], drift_cum[keep]
         sup_mart, sup_dev, chain_sum, prev_dev, replay_ok, event_stop = (
             sup_mart[keep], sup_dev[keep], chain_sum[keep], prev_dev[keep],
             replay_ok[keep], event_stop[keep],
@@ -419,9 +423,7 @@ def run_ensemble(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if replay_check and solution is None:
-        raise ValueError("replay_check requires an ODE solution")
-    prep = _prepare(spec, solution) if solution is not None else None
+    prep = _prepare(plugin, spec, solution, replay_check)
     seeds = [derive_seed(base_seed, idx) for idx in range(count)]
     batch = partial(
         _simulate_batch, plugin, spec, prep, full_paths, event_predicate, replay_check

@@ -30,7 +30,7 @@ from .core import (
     VerificationReport,
     check_initial_condition,
 )
-from .ode import check_lambda_admissible, compute_RT, lambda_threshold, solve_ode
+from .ode import compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin
 from .simulate import run_ensemble
 
@@ -38,25 +38,30 @@ MODES = ("plain", "averaged", "truncated")
 
 
 def _resolve_extension_params(spec: ProcessSpec, plugin: ProcessPlugin, mode: str):
-    """(b, gamma, B, x) for the mode, preferring spec values over plugin defaults."""
+    """(b, gamma, B, x) for the mode, preferring spec values over plugin defaults.
+
+    The one check of the mode and its parameters; messages name the spec-file keys.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     b = gamma = B = x = 0.0
     if mode == "averaged":
         b = spec.avg_step_bound
         if b is None:
             b = plugin.avg_step_bound(spec)
         if b is None:
-            raise ValueError("averaged mode needs an average step bound b")
+            raise ValueError("averaged mode needs extensions.b")
     elif mode == "truncated":
         gamma, B = spec.trunc_gamma, spec.trunc_bound
         if gamma is None or B is None:
             declared = plugin.truncation(spec)
             if declared is None:
-                raise ValueError("truncated mode needs gamma and B")
+                raise ValueError("truncated mode needs extensions.gamma and extensions.B")
             gamma = declared[0] if gamma is None else gamma
             B = declared[1] if B is None else B
         x = spec.trunc_x
         if x is None:
-            raise ValueError("truncated mode needs the oversized-step budget x")
+            raise ValueError("truncated mode needs extensions.x, the oversized-step budget")
     return b, gamma, B, x
 
 
@@ -92,7 +97,6 @@ def verify(
     *,
     replay_check: bool = True,
     jobs: int = 1,
-    anchor: tuple[float, ...] | None = None,
 ) -> VerificationReport:
     """Solve, simulate, and check the envelope; raises if lambda is inadmissible.
 
@@ -100,13 +104,14 @@ def verify(
     bound beta), 'averaged' (conditional mean absolute step at most b), or
     'truncated' (steps exceed beta with probability at most gamma, hard cap
     B, budget x). An ``event_predicate`` restricts the deviation range per
-    side-event semantics and relabels plain mode as 'side-events'.
-    ``anchor`` only labels the report. Raises :class:`PluginCrashed` when a
+    side-event semantics and relabels plain mode as 'side-events'. The mode
+    parameters and the initial condition max_k |Y_k(0) - y_hat_k*n| <=
+    lambda*n, Y(0) from ``plugin.initial_state()``, are checked before any
+    work starts, even when sigma = 0. Raises :class:`PluginCrashed` when a
     plugin step raises.
     """
     return _verify_anchors(
-        spec, plugin, count, base_seed, mode, event_predicate, replay_check, jobs,
-        [(spec, anchor)],
+        spec, plugin, count, base_seed, mode, event_predicate, replay_check, jobs, [spec]
     )[0]
 
 
@@ -127,30 +132,21 @@ def verify_multi_anchor(
     finite anchor set. The ensemble is simulated once and checked against
     every anchor's path, so the per-anchor reports jointly check one
     realization; report k equals ``verify`` on the spec re-anchored at
-    anchor k. Each anchor must lie in the domain and within lambda*n of the
-    process's deterministic initial counts; every anchor is checked before
-    any work starts, and offenders are rejected with their index.
+    anchor k, labelled with that anchor. Each anchor must make a valid
+    ``ProcessSpec`` (dimension, finite values, inside the domain) and
+    satisfy the initial condition; every anchor is checked before any work
+    starts, and offenders are rejected with their index.
     """
     if not anchors:
         raise ValueError("need at least one anchor")
-    y0 = plugin.observables(plugin.initial_state())
     anchored = []
     for idx, anchor in enumerate(anchors):
-        anchor = tuple(float(v) for v in anchor)
-        if len(anchor) != spec.a:
-            raise ValueError(f"anchor {idx} has wrong dimension {len(anchor)}")
-        if not spec.domain.contains((0.0, *anchor)):
-            raise ValueError(f"anchor {idx} lies outside the domain: {anchor}")
-        offset = max(abs(v - h * spec.n) for v, h in zip(y0, anchor))
-        if offset > spec.lam * spec.n:
-            raise ValueError(
-                f"anchor {idx} violates max_k |Y_k(0) - y_hat_k*n| <= lambda*n "
-                f"(offset {offset}, allowed {spec.lam * spec.n})"
-            )
-        anchored.append((replace(spec, y_hat=anchor), anchor))
-    return _verify_anchors(
-        spec, plugin, count, base_seed, mode, None, True, jobs, anchored
-    )
+        try:
+            anchored.append(replace(spec, y_hat=tuple(anchor)))
+        except ValueError as exc:
+            raise ValueError(f"anchor {idx}: {exc}") from exc
+    reports = _verify_anchors(spec, plugin, count, base_seed, mode, None, True, jobs, anchored)
+    return [replace(r, anchor=s.y_hat) for r, s in zip(reports, anchored)]
 
 
 def _verify_anchors(
@@ -162,25 +158,29 @@ def _verify_anchors(
     event_predicate,
     replay_check: bool,
     jobs: int,
-    anchored: list[tuple[ProcessSpec, tuple[float, ...] | None]],
+    anchored: list[ProcessSpec],
 ) -> list[VerificationReport]:
-    """One report per (spec re-anchored at y_hat, anchor label) of ``spec``.
+    """One unlabelled report per spec in ``anchored``, ``spec`` re-anchored.
 
     R and T do not depend on the anchor, so the RT scan runs once; each
     anchor gets its own ODE solve, and one ensemble is checked against all
     the paths with sigma > 0. An anchor with sigma = 0 gets a vacuous report.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
+    y0 = plugin.observables(plugin.initial_state())
+    for idx, anchored_spec in enumerate(anchored):
+        if not check_initial_condition(anchored_spec, y0):
+            raise ValueError(
+                f"anchor {idx} violates the initial condition, Y(0) = {tuple(y0)}"
+            )
     R, T = compute_RT(spec)
     threshold = lambda_threshold(spec, R, T, gamma=gamma, B=B, x=x)
-    if not check_lambda_admissible(spec, R, T, gamma=gamma, B=B, x=x):
+    if not spec.lam >= threshold:
         raise LambdaNotAdmissible(
             f"lambda={spec.lam} < (delta + gamma*B)*min(T, 1/L) + (R + x*B)/n"
             f" = {threshold}"
         )
-    solutions = [solve_ode(anchored_spec, R, T) for anchored_spec, _ in anchored]
+    solutions = [solve_ode(anchored_spec, R, T) for anchored_spec in anchored]
     tracked = [k for k, sol in enumerate(solutions) if sol.sigma > 0.0]  # path order
     failure_probability = _failure_probability(spec, T, mode, b, gamma, x)
 
@@ -202,12 +202,6 @@ def _verify_anchors(
                 raise PluginCrashed(
                     f"trajectory {idx} failed at step {traj.error_step}; cannot verify"
                 )
-            y0 = traj.steps[0]
-            if not all(check_initial_condition(anchored[k][0], y0) for k in tracked):
-                raise ValueError(
-                    f"trajectory {idx} violates the initial condition "
-                    f"max_k |Y_k(0) - y_hat_k*n| <= lambda*n"
-                )
 
     n = spec.n
     lam_n = spec.lam * n
@@ -215,7 +209,7 @@ def _verify_anchors(
     if event_predicate is not None and mode == "plain":
         reported_mode = "side-events"
     reports = []
-    for k, ((_, anchor), sol) in enumerate(zip(anchored, solutions)):
+    for k, sol in enumerate(solutions):
         c = sol.constants
         envelope = c.margin * n
         vacuous = k not in tracked
@@ -263,7 +257,6 @@ def _verify_anchors(
             replay_failures=replay_failures,
             event_predicate_active=event_predicate is not None,
             event_stops=event_stops,
-            anchor=anchor,
         ))
     return reports
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,16 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--mode", "truncated", "--count", "3"]) == 0
 
+    def test_truncated_with_only_x_uses_plugin_gamma_and_B(self, tmp_path, capsys):
+        spec, plugin = greedy_matching_spec(400, lam=0.02)
+        assert plugin.truncation(spec) is not None
+        doc = spec_to_dict(spec)
+        doc["extensions"] = {"x": 0.0}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--mode", "truncated", "--count", "3"]) == 0
+        assert "mode = truncated" in capsys.readouterr().out
+
     def test_crashing_plugin_exits_3(self, tmp_path, capsys, monkeypatch):
         class CrashingBalls(BallsInBins):
             name = "crashing-balls"
@@ -159,6 +170,16 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--count", "2"]) == 2
         assert "lambda" in capsys.readouterr().err
+
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_shipped_spec_solves(name):
+    """Every spec file under scripts/specs is named in the README and solves."""
+    assert name in (SPECS.parents[1] / "README.md").read_text()
+    assert main(["solve", str(SPECS / name)]) == 0
 
 
 class TestBounds:

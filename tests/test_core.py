@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demtrack import Domain, ProcessSpec, boundary_distance, check_initial_condition
+from demtrack import Domain, ProcessSpec, check_initial_condition
 from demtrack.processes import balls_in_bins_spec
 
 BOX = Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
@@ -39,8 +39,11 @@ def test_boundary_distance_dimension_mismatch():
         BOX.boundary_distance((0.0, 0.5, 0.5))
 
 
-def test_module_level_alias():
-    assert boundary_distance(BOX, (0.0, 1.0)) == BOX.boundary_distance((0.0, 1.0))
+def test_nan_coordinate_is_outside():
+    # boundary_distance's min() skips the NaN face distances and keeps its value
+    assert BOX.boundary_distance((0.0, math.nan)) == pytest.approx(0.1)
+    assert not BOX.contains((0.0, math.nan))
+    assert not BOX.contains((math.nan, 0.5))
 
 
 def test_domain_validation():

@@ -1,7 +1,9 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from test_ode import CallCounter
 
 from demtrack import Domain, ProcessSpec
 from demtrack.ode import solve_ode
@@ -18,6 +20,9 @@ from demtrack.simulate import (
     run_ensemble,
     simulate,
 )
+
+# the module, which the package's ``simulate`` function shadows
+simulate_module = importlib.import_module("demtrack.simulate")
 
 
 class FairCoin(ProcessPlugin):
@@ -329,3 +334,13 @@ class TestFailureHandling:
         spec, plugin = balls_in_bins_spec(100, lam=1e-3)
         with pytest.raises(ValueError, match="solution"):
             simulate(plugin, spec, 1, replay_check=True)
+
+    def test_ensemble_inputs_checked_before_any_batch(self, monkeypatch):
+        spec, plugin = balls_in_bins_spec(100, lam=1e-3)
+        batches = CallCounter(simulate_module._simulate_batch)
+        monkeypatch.setattr(simulate_module, "_simulate_batch", batches)
+        with pytest.raises(ValueError, match="scale"):
+            run_ensemble(BallsInBins(99), spec, 4, 0, jobs=2)
+        with pytest.raises(ValueError, match="solution"):
+            run_ensemble(plugin, spec, 4, 0, replay_check=True)
+        assert batches.calls == 0

@@ -117,15 +117,15 @@ class TestVerifyPlain:
         assert report.empirical_sup_deviations == ()
         assert within_bound(report)
 
-    def test_initial_condition_enforced(self):
-        spec, plugin = small_balls(n=1000, lam=0.02)
-        shifted = ProcessSpec(
-            n=1000, drift=plugin.drift_field, L=1.0, delta=0.0, beta=1.0,
-            lam=0.02, y_hat=(0.9,), domain=VERIFY_DOM,
-        )
-        # Y(0) = n but anchor 0.9n: offset n/10 > lam*n
-        with pytest.raises(ValueError, match="initial condition"):
-            verify(shifted, plugin, 3, 0)
+    def test_initial_condition_enforced(self, monkeypatch):
+        counters = count_calls(monkeypatch)
+        # Y(0) = n but anchor 0.9n: offset n/10 > lam*n; at lam = 0.25 sigma = 0
+        for lam, y_hat in ((0.02, 0.9), (0.25, 0.4)):
+            spec, plugin = small_balls(n=1000, lam=lam)
+            with pytest.raises(ValueError, match="initial condition"):
+                verify(replace(spec, y_hat=(y_hat,)), plugin, 3, 0)
+        # refused before the RT scan or any simulation
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
 
     def test_hypothesis_violations_surface(self):
         spec, _ = small_balls(n=400, lam=0.02)
@@ -254,10 +254,17 @@ class TestMultiAnchor:
         with pytest.raises(ValueError, match="anchor 1"):
             verify_multi_anchor(spec, plugin, 3, 0, [(1.0,), (2.0,)])
 
-    def test_anchor_offset_too_large_rejected(self):
+    def test_anchor_wrong_dimension_rejected(self):
+        spec, plugin = small_balls(n=1000)
+        with pytest.raises(ValueError, match="anchor 1: y_hat dimension"):
+            verify_multi_anchor(spec, plugin, 3, 0, [(1.0,), (1.0, 0.0)])
+
+    def test_anchor_offset_too_large_rejected(self, monkeypatch):
+        counters = count_calls(monkeypatch)
         spec, plugin = small_balls(n=1000, lam=0.02)
-        with pytest.raises(ValueError, match="anchor 0"):
-            verify_multi_anchor(spec, plugin, 3, 0, [(1.0 - 2 * 0.02,)])
+        with pytest.raises(ValueError, match="anchor 1 violates the initial condition"):
+            verify_multi_anchor(spec, plugin, 3, 0, [(1.0,), (1.0 - 2 * 0.02,)])
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
 
 
 class TestReportSerialization:
@@ -289,6 +296,15 @@ def test_envelope_dominance_for_builtin_plugins():
         assert within_bound(report), (spec.plugin_name, report.failure_count)
 
 
+def count_calls(monkeypatch):
+    """Count the verify module's calls of compute_RT and run_ensemble."""
+    counters = {}
+    for name in ("compute_RT", "run_ensemble"):
+        counters[name] = CallCounter(getattr(verify_module, name))
+        monkeypatch.setattr(verify_module, name, counters[name])
+    return counters
+
+
 def anchored_case(kind):
     """(spec, plugin, anchors): anchor 1 sits too near the top face, so sigma = 0.
 
@@ -310,10 +326,7 @@ def anchored_case(kind):
 @pytest.mark.parametrize("kind", ["balls", "degree", "liar"])
 def test_each_anchor_report_equals_verify(kind, jobs, monkeypatch):
     spec, plugin, anchors = anchored_case(kind)
-    counters = {}
-    for name in ("compute_RT", "run_ensemble"):
-        counters[name] = CallCounter(getattr(verify_module, name))
-        monkeypatch.setattr(verify_module, name, counters[name])
+    counters = count_calls(monkeypatch)
     reports = verify_multi_anchor(spec, plugin, 5, 8, anchors, jobs=jobs)
     assert counters["compute_RT"].calls == 1
     assert counters["run_ensemble"].calls == 1
@@ -322,5 +335,5 @@ def test_each_anchor_report_equals_verify(kind, jobs, monkeypatch):
     if kind == "liar":
         assert all(r.trend_violation_count > 0 for r in reports if not r.vacuous)
     for anchor, report in zip(anchors, reports):
-        want = verify(replace(spec, y_hat=anchor), plugin, 5, 8, anchor=anchor, jobs=jobs)
-        assert report.to_dict() == want.to_dict()
+        want = verify(replace(spec, y_hat=anchor), plugin, 5, 8, jobs=jobs)
+        assert report.to_dict() == {**want.to_dict(), "anchor": list(anchor)}
