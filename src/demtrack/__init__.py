@@ -34,7 +34,6 @@ from .core import (
 )
 from .ode import (
     OdeSolution,
-    check_lambda_admissible,
     compute_RT,
     compute_sigma,
     estimate_lipschitz_lower_bound,

@@ -29,7 +29,7 @@ from .bounds import (
     truncated_failure_probability,
 )
 from .core import PluginCrashed
-from .ode import check_lambda_admissible, compute_RT, lambda_threshold, solve_ode
+from .ode import compute_RT, lambda_threshold, solve_ode
 from .simulate import run_ensemble
 from .specio import load_spec
 from .verify import MODES, report_to_json, sampling_slack, verify, within_bound
@@ -44,8 +44,8 @@ def cmd_solve(args) -> int:
     R, T = compute_RT(spec)
     sol = solve_ode(spec, R, T)
     c = sol.constants
-    admissible = check_lambda_admissible(spec, R, T)
     threshold = lambda_threshold(spec, R, T)
+    admissible = spec.lam >= threshold
     print(f"R = {_fmt(c.R)}")
     print(f"T = {_fmt(c.T)}")
     print(f"sigma = {_fmt(c.sigma)}")

@@ -5,6 +5,17 @@ horizon T or the first grid point whose l-infinity boundary distance drops
 below margin = 3*exp(L*T)*lambda. Fixed steps keep the sigma rounding
 deterministic; the drift is Lipschitz and bounded on a box, so stiffness is
 not a concern.
+
+One driver, ``rk4_solve``, integrates all K anchors of a run together: as
+one (K, a) state through the stacked-field contract of ``ProcessSpec``, or,
+for a field that fails ``drift_at``'s check, one anchor at a time (a single
+anchor is always a plain (a,) point at a float time). It writes into a
+preallocated grid and checks the margin once per ``_RK4_BLOCK`` steps, with
+``compute_sigma``'s vectorised distance rule; each anchor halts at its own
+first row below the margin, which it keeps. A block that raises is redone
+anchor by anchor, step by step, so that a failing step is retried once at
+half width for its own anchor only. The grids equal those of stepping each
+anchor alone and checking the margin after every step, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, ProcessSpec
+from .core import Constants, Domain, ProcessSpec
 
 RT_GRID_RESOLUTION = 64       # per-axis grid points for the sup |F_k| scan
 RT_GRID_BUDGET = 64 ** 3      # cap on total scan points in higher dimensions
 RT_SCAN_CHUNK = 2 ** 15       # scan points per drift call; bounds the scan's memory
 MIN_GRID_STEPS = 2048
 MAX_GRID_STEPS = 2 ** 20
+_RK4_BLOCK = 64               # RK4 steps between two margin checks of the driver
 RANGE_CHECK_LAMBDA_CAP = 0.01  # concrete proxy for the lambda = o(1) regime
 
 
@@ -68,26 +80,33 @@ class OdeSolution:
         return self.values_at(times) * n
 
 
+def _stacked_drift(field, ts: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
+    """``field(ts, ys)`` if it has the shape of ``ys`` and its first, middle and
+    last rows equal the single-point calls exactly (NaN equal to NaN), else None.
+    """
+    count = len(ys)
+    try:
+        out = np.asarray(field(ts, ys), dtype=float)
+        if out.shape == ys.shape and all(
+            np.array_equal(out[r], np.asarray(field(ts[r], ys[r]), dtype=float), equal_nan=True)
+            for r in sorted({0, count // 2, count - 1})
+        ):
+            return out
+    except Exception:
+        pass
+    return None
+
+
 def drift_at(field, points: np.ndarray) -> np.ndarray:
     """``field(t, y)`` at every row (t, y_1..y_a) of ``points``, shape (N, a).
 
-    Makes one call on the stacked points and keeps its result when it has
-    shape (N, a) and its first, middle and last rows equal the single-point
-    calls exactly (NaN equal to NaN). Otherwise, and when the stacked call
-    raises, the field is taken to accept single points only and is called
-    once per point; exceptions of those calls propagate.
+    Makes one call on the stacked points and keeps its result when
+    ``_stacked_drift`` does. Otherwise the field is taken to accept single
+    points only and is called once per point; exceptions of those calls
+    propagate.
     """
-    count, a = len(points), points.shape[1] - 1
-    ts, ys = points[:, 0], points[:, 1:]
-    try:
-        out = np.asarray(field(ts, ys), dtype=float)
-        stacked = out.shape == (count, a) and all(
-            np.array_equal(out[r], np.asarray(field(ts[r], ys[r]), dtype=float), equal_nan=True)
-            for r in sorted({0, count // 2, count - 1})
-        )
-    except Exception:
-        stacked = False
-    if stacked:
+    out = _stacked_drift(field, points[:, 0], points[:, 1:])
+    if out is not None:
         return out
     return np.array([np.asarray(field(p[0], p[1:]), dtype=float) for p in points])
 
@@ -152,21 +171,88 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
 
 def rk4_grid(f, y0: np.ndarray, t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Classical 4th-order Runge-Kutta on a uniform grid; returns (ts, ys)."""
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    h = (t1 - t0) / steps
-    ts = t0 + h * np.arange(steps + 1)
+    ((ts, ys),) = rk4_solve(f, [y0], t0, t1, steps)
     ts[-1] = t1
-    ys = np.empty((steps + 1, len(y0)))
-    ys[0] = y0
-    y = np.asarray(y0, dtype=float)
-    for j in range(steps):
-        y = _rk4_step(f, ts[j], y, h)
-        ys[j + 1] = y
     return ts, ys
 
 
-def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def rk4_solve(
+    f, y0s, t0: float, t1: float, steps: int, domain: Domain | None = None, margin: float = 0.0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """RK4 from every row of ``y0s`` on the grid t0 + j*h, h = (t1 - t0)/steps.
+
+    Returns one (ts, ys) pair per row. Without a ``domain`` each takes all
+    ``steps`` steps and an exception of ``f`` propagates. With one, each
+    keeps its rows up to the first whose boundary distance is below
+    ``margin`` (the initial row included), and a step that raises is
+    retried once at half width: the anchor halts with the half step's row,
+    at t + h/2, or without it when the retry raises too.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    y0s = np.asarray(y0s, dtype=float)
+    h = (t1 - t0) / steps
+    ts = t0 + h * np.arange(steps + 1)
+    grid = np.empty((len(y0s), steps + 1, y0s.shape[1]))
+    grid[:, 0] = y0s
+    ends = np.ones(len(y0s), dtype=int)  # rows kept per anchor
+    halves = {}  # anchor -> time of its half-width last row
+
+    def advance(rows, j0, j1, width=h):
+        # one anchor's index (a float time, a point of shape (a,)) or an index array (stacked)
+        y = grid[rows, j0]
+        for j in range(j0, j1):
+            t = t0 + j * h
+            y = _rk4_step(f, np.full(len(rows), t) if np.ndim(rows) else t, y, width)
+            grid[rows, j + 1] = y
+
+    def below(rows, j0, j1):
+        if domain is None:
+            return np.zeros((len(rows), j1 - j0), dtype=bool)
+        return _distance(domain, ts[j0:j1], grid[rows, j0:j1]) < margin
+
+    def stepwise(k, j0, j1):
+        # steps j0..j1-1 of anchor k one at a time; False once it halts
+        for j in range(j0, j1):
+            try:
+                advance(k, j, j + 1)
+            except Exception:
+                try:
+                    advance(k, j, j + 1, 0.5 * h)
+                    ends[k], halves[k] = j + 2, ts[j] + 0.5 * h
+                except Exception:
+                    ends[k] = j + 1
+                return False
+            ends[k] = j + 2
+            if below([k], j + 1, j + 2)[0, 0]:
+                return False
+        return True
+
+    live = np.flatnonzero(~below(np.arange(len(y0s)), 0, 1)[:, 0])
+    stacked = len(live) > 1 and _stacked_drift(f, np.full(len(live), t0), y0s[live]) is not None
+    for rows in [live] if stacked else live[:, None]:
+        for j0 in range(0, steps, _RK4_BLOCK):
+            j1 = min(j0 + _RK4_BLOCK, steps)
+            try:
+                advance(rows if stacked else rows[0], j0, j1)
+            except Exception:
+                if domain is None:
+                    raise
+                rows = np.array([k for k in rows if stepwise(k, j0, j1)], dtype=int)
+            else:
+                hit = below(rows, j0 + 1, j1 + 1)
+                stop = hit.any(axis=1)
+                ends[rows] = np.where(stop, j0 + 2 + hit.argmax(axis=1), j1 + 1)
+                rows = rows[~stop]
+            if not len(rows):
+                break
+    out = [(ts[:end].copy(), grid[k, :end].copy()) for k, end in enumerate(ends)]
+    for k, t in halves.items():
+        out[k][0][-1] = t
+    return out
+
+
+def _rk4_step(f, t, y: np.ndarray, h: float) -> np.ndarray:
     k1 = np.asarray(f(t, y), dtype=float)
     k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
     k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
@@ -179,51 +265,52 @@ def grid_steps(spec: ProcessSpec, T: float) -> int:
     return max(MIN_GRID_STEPS, min(math.ceil(T * spec.n), MAX_GRID_STEPS))
 
 
-def solve_ode(spec: ProcessSpec, R: float | None = None, T: float | None = None) -> OdeSolution:
+def _margin(spec: ProcessSpec, T: float) -> float:
+    return 3.0 * math.exp(spec.L * T) * spec.lam
+
+
+def anchor_grids(specs: list[ProcessSpec], T: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``solve_ode``'s (ts, ys) grid of each spec, all from one driver run.
+
+    The specs must differ in ``y_hat`` only, as a multi-anchor run's do.
+    """
+    s = specs[0]
+    y0s = [spec.y_hat for spec in specs]
+    return rk4_solve(s.drift, y0s, 0.0, T, grid_steps(s, T), s.domain, _margin(s, T))
+
+
+def solve_ode(
+    spec: ProcessSpec,
+    R: float | None = None,
+    T: float | None = None,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
+) -> OdeSolution:
     """Integrate the limiting system from the anchor and fix sigma.
 
-    Halts at the first grid time whose boundary distance falls below margin,
-    or at T. A drift evaluation failure during a stage rejects the step,
-    retries once at half width, then halts conservatively at the last safe
-    time. The returned grid may include one final point past sigma (the
-    point that triggered the halt).
+    The grid halts as ``rk4_solve`` says: at the first grid time whose
+    boundary distance falls below margin, at T, or after a step that raises
+    (retried once at half width). It may include one final point past sigma
+    (the point that triggered the halt). ``grid`` is this spec's entry of
+    ``anchor_grids``, when it was solved together with other anchors.
     """
     if R is None or T is None:
         R, T = compute_RT(spec)
-    margin = 3.0 * math.exp(spec.L * T) * spec.lam
-    steps = grid_steps(spec, T)
-    h = T / steps
-    f = spec.drift
-
-    y = np.array(spec.y_hat, dtype=float)
-    ts = [0.0]
-    ys = [y.copy()]
-    if spec.domain.boundary_distance((0.0, *y)) >= margin:
-        for j in range(steps):
-            t = j * h
-            try:
-                y_next = _rk4_step(f, t, y, h)
-                t_next = (j + 1) * h
-            except Exception:
-                try:
-                    y_next = _rk4_step(f, t, y, 0.5 * h)
-                    t_next = t + 0.5 * h
-                    ts.append(t_next)
-                    ys.append(y_next)
-                except Exception:
-                    pass
-                break
-            ts.append(t_next)
-            ys.append(y_next)
-            y = y_next
-            if spec.domain.boundary_distance((t_next, *y)) < margin:
-                break
-
-    ts_arr = np.array(ts)
-    ys_arr = np.array(ys)
-    sigma = compute_sigma(ts_arr, ys_arr, spec, margin)
+    ts, ys = anchor_grids([spec], T)[0] if grid is None else grid
+    margin = _margin(spec, T)
+    sigma = compute_sigma(ts, ys, spec, margin)
     constants = Constants(R=R, T=T, sigma=sigma, margin=margin)
-    return OdeSolution(spec=spec, ts=ts_arr, ys=ys_arr, constants=constants)
+    return OdeSolution(spec=spec, ts=ts, ys=ys, constants=constants)
+
+
+def _distance(dom: Domain, ts, ys) -> np.ndarray:
+    """l-infinity boundary distance of the points (ts[..., i], ys[..., i, :]).
+
+    ``Domain.boundary_distance``, taken for all points at once; ``np.fmin``
+    skips a NaN face distance as its builtin ``min`` does.
+    """
+    dist = np.fmin(ts - dom.t_lo, dom.t_hi - ts)
+    faces = np.fmin(ys - np.array(dom.lo), np.array(dom.hi) - ys)
+    return np.fmin(dist, np.fmin.reduce(faces, axis=-1, initial=math.inf))
 
 
 def compute_sigma(ts: np.ndarray, ys: np.ndarray, spec: ProcessSpec, margin: float) -> float:
@@ -232,17 +319,11 @@ def compute_sigma(ts: np.ndarray, ys: np.ndarray, spec: ProcessSpec, margin: flo
     Conservative: sigma is rounded down to the grid, which only narrows the
     range on which the envelope is claimed. Returns 0.0 when already the
     initial point sits within margin of the boundary (the guarantee is then
-    vacuous). Distances are those of ``Domain.boundary_distance``, taken for
-    all rows at once; ``np.fmin`` skips a NaN face distance as its builtin
-    ``min`` does.
+    vacuous). Distances are those of ``_distance``.
     """
-    dom = spec.domain
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float).reshape(len(ts), -1)
-    dist = np.fmin(ts - dom.t_lo, dom.t_hi - ts)
-    faces = np.fmin(ys - np.array(dom.lo), np.array(dom.hi) - ys)
-    dist = np.fmin(dist, np.fmin.reduce(faces, axis=1, initial=math.inf))
-    below = np.flatnonzero(dist < margin)
+    below = np.flatnonzero(_distance(spec.domain, ts, ys) < margin)
     stop = below[0] if len(below) else len(ts)
     return float(ts[stop - 1]) if stop else 0.0
 
@@ -263,18 +344,6 @@ def lambda_threshold(
     """
     horizon = T if spec.L == 0 else min(T, 1.0 / spec.L)
     return (spec.delta + gamma * B) * horizon + (R + x * B) / spec.n
-
-
-def check_lambda_admissible(
-    spec: ProcessSpec,
-    R: float,
-    T: float,
-    gamma: float = 0.0,
-    B: float = 0.0,
-    x: float = 0.0,
-) -> bool:
-    """True iff lambda >= the (possibly truncation-adjusted) threshold."""
-    return spec.lam >= lambda_threshold(spec, R, T, gamma=gamma, B=B, x=x)
 
 
 def range_check(

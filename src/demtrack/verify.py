@@ -30,7 +30,7 @@ from .core import (
     VerificationReport,
     check_initial_condition,
 )
-from .ode import compute_RT, lambda_threshold, solve_ode
+from .ode import anchor_grids, compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin
 from .simulate import run_ensemble
 
@@ -143,7 +143,7 @@ def verify_multi_anchor(
     for idx, anchor in enumerate(anchors):
         try:
             anchored.append(replace(spec, y_hat=tuple(anchor)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"anchor {idx}: {exc}") from exc
     reports = _verify_anchors(spec, plugin, count, base_seed, mode, None, True, jobs, anchored)
     return [replace(r, anchor=s.y_hat) for r, s in zip(reports, anchored)]
@@ -162,9 +162,10 @@ def _verify_anchors(
 ) -> list[VerificationReport]:
     """One unlabelled report per spec in ``anchored``, ``spec`` re-anchored.
 
-    R and T do not depend on the anchor, so the RT scan runs once; each
-    anchor gets its own ODE solve, and one ensemble is checked against all
-    the paths with sigma > 0. An anchor with sigma = 0 gets a vacuous report.
+    R and T do not depend on the anchor, so the RT scan runs once; one RK4
+    run solves all the anchors together, and one ensemble is checked against
+    all the paths with sigma > 0. An anchor with sigma = 0 gets a vacuous
+    report.
     """
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
     y0 = plugin.observables(plugin.initial_state())
@@ -180,7 +181,8 @@ def _verify_anchors(
             f"lambda={spec.lam} < (delta + gamma*B)*min(T, 1/L) + (R + x*B)/n"
             f" = {threshold}"
         )
-    solutions = [solve_ode(anchored_spec, R, T) for anchored_spec in anchored]
+    grids = anchor_grids(anchored, T)
+    solutions = [solve_ode(s, R, T, grid) for s, grid in zip(anchored, grids)]
     tracked = [k for k, sol in enumerate(solutions) if sol.sigma > 0.0]  # path order
     failure_probability = _failure_probability(spec, T, mode, b, gamma, x)
 

@@ -1,18 +1,22 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ode_reference import reference_rk4_grid, reference_solve_ode
 from scan_reference import reference_compute_RT, reference_lipschitz, reference_sigma
 
-from demtrack import Domain, ProcessSpec
+from demtrack import Domain, ProcessSpec, ode
 from demtrack.ode import (
     RT_GRID_BUDGET,
     RT_GRID_RESOLUTION,
     RT_SCAN_CHUNK,
-    check_lambda_admissible,
+    _RK4_BLOCK,
+    anchor_grids,
     compute_RT,
     compute_sigma,
     estimate_lipschitz_lower_bound,
@@ -155,17 +159,17 @@ class TestLambdaAdmissible:
         dom = Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
         spec = make_spec(decay, (1.0,), dom, n=10_000, lam=1e-3)
         assert lambda_threshold(spec, R=1.1, T=2.0) == pytest.approx(1.1e-4, rel=1e-12)
-        assert check_lambda_admissible(spec, R=1.1, T=2.0)
+        assert spec.lam >= lambda_threshold(spec, R=1.1, T=2.0)
 
     def test_equality_is_admissible(self):
         dom = Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
         spec = make_spec(decay, (1.0,), dom, n=10_000, lam=1.1e-4)
-        assert check_lambda_admissible(spec, R=1.1, T=2.0)
+        assert spec.lam >= lambda_threshold(spec, R=1.1, T=2.0)
 
     def test_below_threshold(self):
         dom = Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
         spec = make_spec(decay, (1.0,), dom, n=10_000, lam=1e-5)
-        assert not check_lambda_admissible(spec, R=1.1, T=2.0)
+        assert not spec.lam >= lambda_threshold(spec, R=1.1, T=2.0)
 
     def test_zero_L_uses_T(self):
         dom = Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
@@ -366,3 +370,127 @@ class TestStackedScans:
         ts = np.array([r[0] for r in rows])
         ys = np.array([r[1:] for r in rows])
         assert compute_sigma(ts, ys, spec, margin) == reference_sigma(ts, ys, spec, margin)
+
+
+def brittle(t, y):
+    # takes stacked points; raises past t = 0.55 and within 0.3 of y = 0
+    y = np.asarray(y, dtype=float)
+    if np.any(np.asarray(t) > 0.55) or np.any(np.abs(y) < 0.3):
+        raise FloatingPointError("outside the supported region")
+    return -y
+
+
+def tripwire(t, y):
+    # u' = -u, v' = 0 on stacked points; raises where v > 0.5 and u < 0.1722,
+    # just above u = 0.17217, where TRIP_DOM's bottom face margin begins
+    y = np.asarray(y, dtype=float)
+    u, v = y[..., 0], y[..., 1]
+    if np.any((v > 0.5) & (u < 0.1722)):
+        raise FloatingPointError("tripped")
+    return np.stack([-u, np.zeros_like(v)], axis=-1)
+
+
+TRIP_DOM = Domain(t_lo=-0.5, t_hi=2.0, lo=(0.15, -1.0), hi=(1.1, 1.0))
+DRIVER_CASES = {name: spec for name, spec, _ in scan_cases()}
+DRIVER_CASES["brittle"] = make_spec(brittle, (0.0,), SCAN_DOM)
+DRIVER_CASES["tripwire"] = make_spec(tripwire, (1.0, 0.0), TRIP_DOM)
+# anchor coordinates as fractions of the box; 0.001 lies within every case's
+# margin of the bottom face (sigma = 0)
+FRACTIONS = (0.001, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
+
+
+def anchored(name, fractions):
+    spec = DRIVER_CASES[name]
+    dom = spec.domain
+    y_hat = tuple(lo + f * (hi - lo) for f, lo, hi in zip(fractions, dom.lo, dom.hi))
+    return replace(spec, y_hat=y_hat)
+
+
+@lru_cache(maxsize=256)
+def reference_solution(name, fractions):
+    spec = anchored(name, fractions)
+    return reference_solve_ode(spec, 2.0, spec.domain.t_hi)
+
+
+def assert_driver_matches_reference(name, anchors, block):
+    specs = [anchored(name, fr) for fr in anchors]
+    T = specs[0].domain.t_hi
+    with mock.patch.object(ode, "_RK4_BLOCK", block):
+        grids = anchor_grids(specs, T)
+    for spec, fr, grid in zip(specs, anchors, grids):
+        got, want = solve_ode(spec, 2.0, T, grid), reference_solution(name, fr)
+        assert got.ts.tobytes() == want.ts.tobytes()
+        assert got.ys.tobytes() == want.ys.tobytes()
+        assert got.constants == want.constants
+
+
+class TestDriver:
+    """``anchor_grids`` against the step-by-step loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(DRIVER_CASES)),
+        block=st.sampled_from((1, 2, 3, 7, _RK4_BLOCK)),
+        data=st.data(),
+    )
+    def test_matches_stepwise_reference(self, name, block, data):
+        a = DRIVER_CASES[name].a
+        anchors = data.draw(
+            st.lists(st.tuples(*[st.sampled_from(FRACTIONS)] * a), min_size=1, max_size=4)
+        )
+        assert_driver_matches_reference(name, anchors, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, _RK4_BLOCK])
+    @pytest.mark.parametrize("name", ["balls", "matching"])
+    def test_anchors_halting_apart(self, name, block):
+        anchors = [(0.001,), (0.1,), (0.3,), (0.7,)]
+        rows = {len(reference_solution(name, fr).ts) for fr in anchors}
+        assert len(rows) == 4 and 1 in rows  # four halting rows, one at the anchor
+        assert_driver_matches_reference(name, anchors, block)
+
+    @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
+    @pytest.mark.parametrize("start", [(), ((0.5,),)])
+    def test_half_step_retry_both_ways(self, start, block):
+        # from |y| = 0.8, the step past t = 0.55 is retried at half width and
+        # kept; from 0.4, |y| crosses 0.3 within the step and its retry, so
+        # the anchor halts at its last full row (the grid step is 1/4096).
+        # From 0, the first call raises: the anchors are then not stacked.
+        anchors = [(0.1,), (0.3,), (0.9,), *start]
+        ends = [reference_solution("brittle", fr).ts[-1] * 4096 for fr in anchors]
+        assert ends == [2252.5, 1178.0, 2252.5, *(0.0 for _ in start)]
+        assert_driver_matches_reference("brittle", anchors, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, _RK4_BLOCK])
+    def test_halt_inside_a_redone_block(self, block):
+        # the anchor at v = 0.9 raises two steps before the one at v = 0 halts
+        # on the margin, so that halt happens while its block is redone
+        # (for blocks of 3 and more, which do not split rows 7225..7227)
+        anchors = [(0.9, 0.5), (0.9, 0.95)]
+        ends = [reference_solution("tripwire", fr).ts[-1] * 4096 for fr in anchors]
+        assert ends == [7227.0, 7225.5]
+        assert_driver_matches_reference("tripwire", anchors, block)
+
+    def test_rk4_grid_matches_reference(self):
+        spec = degree_process_spec(1000, max_degree=3)[0]
+        for f, y0, t0, t1, steps in (
+            (decay, np.array([1.0]), 0.0, 1.0, 1000),
+            (decay, [0.5], -0.25, 0.75, 7),
+            (brittle, [1.0], 0.0, 0.5, 100),
+            (spec.drift, np.array([1.0, 0.0, 0.0, 0.0]), 0.0, 0.5, 64),
+        ):
+            got, want = rk4_grid(f, y0, t0, t1, steps), reference_rk4_grid(f, y0, t0, t1, steps)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_rk4_grid_propagates_field_errors(self):
+        with pytest.raises(FloatingPointError, match="supported region"):
+            rk4_grid(brittle, np.array([1.0]), 0.0, 1.0, 100)
+
+    def test_stacked_anchors_cut_drift_calls(self):
+        spec, _ = degree_process_spec(10_000, max_degree=3)
+        specs = [replace(spec, y_hat=(1.0 + f * spec.lam, 0.0, 0.0, 0.0)) for f in (-0.5, 0.0, 0.5)]
+        T = spec.domain.t_hi
+        stacked, stepwise = CallCounter(spec.drift), CallCounter(spec.drift)
+        anchor_grids([replace(s, drift=stacked) for s in specs], T)
+        for s in specs:
+            reference_solve_ode(replace(s, drift=stepwise), 2.0, T)
+        assert 2.8 <= stepwise.calls / stacked.calls <= 3.0

@@ -259,6 +259,11 @@ class TestMultiAnchor:
         with pytest.raises(ValueError, match="anchor 1: y_hat dimension"):
             verify_multi_anchor(spec, plugin, 3, 0, [(1.0,), (1.0, 0.0)])
 
+    def test_non_numeric_anchor_rejected_with_index(self):
+        spec, plugin = degree_process_spec(1000, max_degree=3)
+        with pytest.raises(ValueError, match="anchor 1: must be real number"):
+            verify_multi_anchor(spec, plugin, 3, 0, [(1, 0, 0, 0), ("x", 0, 0, 0)])
+
     def test_anchor_offset_too_large_rejected(self, monkeypatch):
         counters = count_calls(monkeypatch)
         spec, plugin = small_balls(n=1000, lam=0.02)
