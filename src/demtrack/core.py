@@ -60,11 +60,14 @@ class Domain:
 
         Positive iff the point is strictly inside; zero on a face; negative
         outside (then its magnitude is the l-infinity distance to the box).
+        A point with a NaN coordinate lies in no box: its distance is -inf.
         """
         if len(point) != self.dim + 1:
             raise ValueError(
                 f"point has dimension {len(point)}, domain needs {self.dim + 1}"
             )
+        if any(map(math.isnan, point)):
+            return -math.inf
         t = point[0]
         d = min(t - self.t_lo, self.t_hi - t)
         for y, a, b in zip(point[1:], self.lo, self.hi):
@@ -72,8 +75,7 @@ class Domain:
         return d
 
     def contains(self, point: Sequence[float]) -> bool:
-        # a NaN coordinate lies in no box, but boundary_distance's min() skips it
-        return self.boundary_distance(point) > 0.0 and not any(map(math.isnan, point))
+        return self.boundary_distance(point) > 0.0
 
 
 @dataclass(frozen=True)

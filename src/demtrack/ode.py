@@ -12,10 +12,12 @@ for a field that fails ``drift_at``'s check, one anchor at a time (a single
 anchor is always a plain (a,) point at a float time). It writes into a
 preallocated grid and checks the margin once per ``_RK4_BLOCK`` steps, with
 ``compute_sigma``'s vectorised distance rule; each anchor halts at its own
-first row below the margin, which it keeps. A block that raises is redone
-anchor by anchor, step by step, so that a failing step is retried once at
-half width for its own anchor only. The grids equal those of stepping each
-anchor alone and checking the margin after every step, bit for bit.
+first row below the margin, which it keeps. A row with a NaN or infinite
+entry is at distance -inf, so an anchor halts at its first non-finite row
+too. A block that raises is redone anchor by anchor, step by step, so that
+a failing step is retried once at half width for its own anchor only. The
+grids equal those of stepping each anchor alone and checking the margin
+after every step, bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     dimensions to keep the total under RT_GRID_BUDGET (the coarser mesh is
     compensated by a larger inflation, so R stays a valid upper bound).
     The points are taken in row-major grid order, RT_SCAN_CHUNK at a time.
-    A point where some F_k is NaN does not count.
+    A scan point where some F_k is NaN or infinite leaves no usable R: that
+    raises ValueError naming the first such point.
     """
     dom = spec.domain
     T = dom.t_hi
@@ -138,7 +141,11 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
         idx = np.unravel_index(flat, (res,) * ndim)
         points = np.column_stack([g[i] for g, i in zip(grids, idx)])
         per_point = np.abs(drift_at(spec.drift, points)).reshape(len(points), -1).max(axis=1)
-        best = float(np.fmax.reduce(per_point, initial=best))
+        bad = np.flatnonzero(~np.isfinite(per_point))
+        if len(bad):
+            t, *y = points[bad[0]].tolist()
+            raise ValueError(f"drift is not finite at the RT scan point t={t!r}, y={y!r}")
+        best = max(best, float(per_point.max()))
     return max(1.0, best + spec.L * mesh), T
 
 
@@ -184,9 +191,10 @@ def rk4_solve(
     Returns one (ts, ys) pair per row. Without a ``domain`` each takes all
     ``steps`` steps and an exception of ``f`` propagates. With one, each
     keeps its rows up to the first whose boundary distance is below
-    ``margin`` (the initial row included), and a step that raises is
-    retried once at half width: the anchor halts with the half step's row,
-    at t + h/2, or without it when the retry raises too.
+    ``margin`` (the initial row included; a non-finite row is at distance
+    -inf), and a step that raises is retried once at half width: the anchor
+    halts with the half step's row, at t + h/2, or without it when the
+    retry raises too.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -288,10 +296,11 @@ def solve_ode(
     """Integrate the limiting system from the anchor and fix sigma.
 
     The grid halts as ``rk4_solve`` says: at the first grid time whose
-    boundary distance falls below margin, at T, or after a step that raises
-    (retried once at half width). It may include one final point past sigma
-    (the point that triggered the halt). ``grid`` is this spec's entry of
-    ``anchor_grids``, when it was solved together with other anchors.
+    boundary distance falls below margin or whose point is not finite, at
+    T, or after a step that raises (retried once at half width). It may
+    include one final point past sigma (the point that triggered the halt).
+    ``grid`` is this spec's entry of ``anchor_grids``, when it was solved
+    together with other anchors.
     """
     if R is None or T is None:
         R, T = compute_RT(spec)
@@ -305,12 +314,13 @@ def solve_ode(
 def _distance(dom: Domain, ts, ys) -> np.ndarray:
     """l-infinity boundary distance of the points (ts[..., i], ys[..., i, :]).
 
-    ``Domain.boundary_distance``, taken for all points at once; ``np.fmin``
-    skips a NaN face distance as its builtin ``min`` does.
+    ``Domain.boundary_distance``, taken for all points at once: -inf for a
+    point with a NaN coordinate.
     """
-    dist = np.fmin(ts - dom.t_lo, dom.t_hi - ts)
-    faces = np.fmin(ys - np.array(dom.lo), np.array(dom.hi) - ys)
-    return np.fmin(dist, np.fmin.reduce(faces, axis=-1, initial=math.inf))
+    dist = np.minimum(ts - dom.t_lo, dom.t_hi - ts)
+    faces = np.minimum(ys - np.array(dom.lo), np.array(dom.hi) - ys)
+    dist = np.minimum(dist, faces.min(axis=-1, initial=math.inf))
+    return np.where(np.isnan(dist), -math.inf, dist)
 
 
 def compute_sigma(ts: np.ndarray, ys: np.ndarray, spec: ProcessSpec, margin: float) -> float:

@@ -15,9 +15,15 @@ The simulation kernel steps many trajectories (rows) at once through the
 batch methods ``step_batch``, ``observables_batch`` and ``drift_batch``. A
 plugin that declares ``uniforms_per_step = k`` implements them on the int64
 array stacking its scalar states and consumes exactly k uniforms per row and
-step, in the order ``step`` draws them. The ``ProcessPlugin`` defaults loop
-over the rows of an object array instead, calling ``step``, ``observables``
-and ``drift`` with each row's own generator.
+step, in the order ``step`` draws them. Its ``step_batch`` is a pure
+function of each row: row r's next state depends only on ``states[r]`` and
+``u[r]``, and no state is kept between calls. The kernel relies on that to
+step a whole block of steps at once from guessed states (see
+``simulate._step_block``): it passes any number of rows, among them states
+the process may never reach, whose results it discards. The
+``ProcessPlugin`` defaults loop over the rows of an object array instead,
+calling ``step``, ``observables`` and ``drift`` with each row's own
+generator.
 """
 
 from __future__ import annotations
@@ -100,8 +106,12 @@ class ProcessPlugin(ABC):
         """Advance every row one step; returns ``(next_states, failed)``.
 
         ``states`` is left unchanged. With ``uniforms_per_step = k`` it
-        stacks the scalar states as int64, ``u`` has shape (rows, k) and
-        ``failed`` is empty. The default steps each row of the object array
+        stacks the scalar states as int64 (any number of rows), ``u`` has
+        shape (rows, k) and ``failed`` is empty. Row r's next state must
+        depend only on ``states[r]`` and ``u[r]``, with no hidden state kept
+        between calls, and the method must not raise on a state the process
+        cannot reach: the kernel steps guessed states and discards what
+        they give. The default steps each row of the object array
         ``states`` through ``step`` with ``u[r]``, that row's generator;
         ``failed`` lists the rows whose step raised.
         """

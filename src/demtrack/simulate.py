@@ -10,23 +10,29 @@ One lockstep kernel simulates a batch of trajectories, one row per
 trajectory, through the plugin's batch methods, in time blocks of
 ``_UNIFORM_BLOCK`` steps aligned with the blocks of uniforms drawn ahead for
 plugins with ``uniforms_per_step`` (a counter-based Philox stream yields
-them unchanged; each trajectory keeps its own). Within a block, each Python
-pass only steps every live row and stores the new states; a pass in which
-some row's step raised ends the block early. Once per block, on all of its
-steps at once, the kernel then finds each row's stop (the horizon, the first
-exit from the box, or the first step that raised, unless the row left the
-box at or before it), evaluates the drift on the steps taken before each
-stop, and reduces the deviation and martingale sups, the replay chain, the
-hypothesis checks and the stride records, summing along each row one step at
-a time so that every trajectory keeps its order of float operations. Rows
-are stepped and observed to the end of the block even past their stop; what
-they do there, raised exceptions included, is discarded. A row that stopped is
-written out and compacted away. Records are preallocated for a run to the
-horizon, and each Trajectory holds views into them. ``simulate`` is a batch
-of one; ``run_ensemble`` runs one batch per worker. Deviations and the
-replay chain may be tracked against several ODE solutions (reference paths)
-at once, as (rows, K) arrays with one column per path, each column updated
-only up to its own path's cap.
+them unchanged; each trajectory keeps its own). Such a plugin's block is
+stepped in a few whole-block passes: every step starts as a guess, the
+block's start state, and each pass steps all unsettled guesses of all live
+rows in one ``step_batch`` call and rebuilds them from the running sum of
+the moves, until a pass changes nothing. Each pass settles at least one
+more step, and the fixed point is the step-by-step sequence
+(``_step_block``). Rows with their own generators are stepped one Python
+pass per step, and a pass in which some row's step raised ends the block
+early. Once per block, on all of its steps at once, the kernel then finds
+each row's stop (the horizon, the first exit from the box, or the first
+step that raised, unless the row left the box at or before it), evaluates
+the drift on the steps taken before each stop, and reduces the deviation
+and martingale sups, the replay chain, the hypothesis checks and the stride
+records, summing along each row one step at a time so that every trajectory
+keeps its order of float operations. Rows are stepped and observed to the
+end of the block even past their stop; what they do there, raised
+exceptions included, is discarded. A row that stopped is written out and
+compacted away. Records are preallocated for a run to the horizon, and each
+Trajectory holds views into them. ``simulate`` is a batch of one;
+``run_ensemble`` runs one batch per worker. Deviations and the replay chain
+may be tracked against several ODE solutions (reference paths) at once, as
+(rows, K) arrays with one column per path, each column updated only up to
+its own path's cap.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,6 +142,40 @@ def simulate(
     return _simulate_batch(
         plugin, spec, prep, full_paths, event_predicate, replay_check, [int(seed)]
     )[0]
+
+
+def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
+    """Fill ``buf[:, 1:]`` with the states reached from ``buf[:, 0]`` one step at a time.
+
+    ``u`` holds each row's uniforms of the J = buf.shape[1] - 1 steps, shape
+    (rows, J, uniforms_per_step). Every column starts as a guess, the start
+    state. Each pass steps the guesses of the unsettled rows and columns in
+    one ``step_batch`` call and rebuilds them as the last settled state plus
+    the running sum of the moves (exact in int64). If columns 0..p are
+    right, a pass makes every column up to the first one it changes right
+    too, and that is at least p + 1; the next pass starts there. A row that
+    a pass leaves unchanged is settled: each column is the step of the one
+    before. So at most J passes give the step-by-step sequence.
+    """
+    J = buf.shape[1] - 1
+    buf[:, 1:] = buf[:, :1]
+    rows = np.arange(len(buf))  # the rows not yet settled
+    p = 0  # columns 0..p are settled
+    while p < J:
+        cur = buf[rows, p:]
+        guess = cur[:, :-1].reshape((len(rows) * (J - p),) + cur.shape[2:])
+        nxt, _ = plugin.step_batch(guess, u[rows, p:].reshape(len(guess), u.shape[2]))
+        moves = np.subtract(nxt, guess).reshape(cur[:, 1:].shape)
+        np.add.accumulate(moves, axis=1, out=moves)
+        moves += cur[:, :1]
+        changed = (moves != cur[:, 1:]).reshape(len(rows), J - p, -1).any(axis=2)
+        moved = changed.any(axis=1)
+        if not moved.any():
+            return
+        c = int(changed.any(axis=0).argmax())
+        buf[rows, p + 1 + c :] = moves[:, c:]
+        rows = rows[moved]
+        p += 1 + c
 
 
 def _simulate_batch(
@@ -361,26 +400,27 @@ def _simulate_batch(
 
     i0 = 0
     while True:
-        # Step every live row J times, to the end of the uniform block or to
-        # the horizon; a pass in which some row's step raised ends the block.
+        # Step every live row J times, to the end of the block or to the
+        # horizon. Rows with their own generators step one pass per step, and
+        # a pass in which some row's step raised ends the block; with
+        # uniforms, a block always starts at a multiple of the block length.
         live_rows = len(ids)
         J = min(block - i0 % block, m_cap - i0)
         buf = held[:live_rows]
         buf[:, 0] = states
-        if uniforms is None:
-            draws = repeat(gens, J)
-        else:
-            if i0 % block == 0:
-                for r, g in enumerate(gens):
-                    g.random(out=uniforms[r])
-            draws = uniforms.swapaxes(0, 1)[i0 % block : i0 % block + J]
         failed = ()
-        for j, u in enumerate(draws, 1):
-            states, failed = plugin.step_batch(states, u)
-            buf[:, j] = states
-            if len(failed):
-                J = j
-                break
+        if uniforms is None:
+            for j in range(1, J + 1):
+                states, failed = plugin.step_batch(states, gens)
+                buf[:, j] = states
+                if len(failed):
+                    J = j
+                    break
+        else:
+            for r, g in enumerate(gens):
+                g.random(out=uniforms[r])
+            _step_block(plugin, buf[:, : J + 1], uniforms[:, :J])
+            states = buf[:, J]
 
         done = finish_block(i0, J, buf, failed)
         keep = ~done

@@ -2,8 +2,9 @@
 
 These are the loops that ``compute_RT``, ``estimate_lipschitz_lower_bound``
 and ``compute_sigma`` in ``demtrack.ode`` ran before they evaluated all
-points at once, kept verbatim. Tests require the stacked scans to reproduce
-their results exactly.
+points at once, kept verbatim but for one rule added later: the RT scan
+raises at its first point where the drift is not finite. Tests require the
+stacked scans to reproduce their results exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ def reference_compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     best = 0.0
     for point in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, ndim):
         f = np.asarray(spec.drift(point[0], point[1:]), dtype=float)
+        if not np.isfinite(f).all():
+            t, *y = point.tolist()
+            raise ValueError(f"drift is not finite at the RT scan point t={t!r}, y={y!r}")
         best = max(best, float(np.max(np.abs(f))))
     return max(1.0, best + spec.L * mesh), T
 

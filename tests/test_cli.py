@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from demtrack import processes
@@ -13,6 +15,8 @@ from demtrack.processes import (
     register_plugin,
 )
 from demtrack.specio import save_spec, spec_to_dict
+
+verify_module = importlib.import_module("demtrack.verify")
 
 
 @pytest.fixture
@@ -170,6 +174,31 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--count", "2"]) == 2
         assert "lambda" in capsys.readouterr().err
+
+
+class NanFieldBalls(BallsInBins):
+    """Balls-in-bins whose limiting field is NaN for t > 0.3."""
+
+    name = "nan-field-balls"
+
+    def drift_field(self, t, y):
+        y = np.asarray(y, dtype=float)
+        return np.full_like(y, math.nan) if t > 0.3 else -y
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_nan_field_is_refused_before_any_run(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+    register_plugin(NanFieldBalls.name, lambda n, params: NanFieldBalls(n))
+    doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
+    doc["plugin"] = NanFieldBalls.name
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    ran = []
+    monkeypatch.setattr(verify_module, "run_ensemble", lambda *args, **kw: ran.append(1))
+    assert main([command, str(path)]) == 2
+    assert "drift is not finite at the RT scan point t=0.3" in capsys.readouterr().err
+    assert not ran
 
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"

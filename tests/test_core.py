@@ -40,8 +40,9 @@ def test_boundary_distance_dimension_mismatch():
 
 
 def test_nan_coordinate_is_outside():
-    # boundary_distance's min() skips the NaN face distances and keeps its value
-    assert BOX.boundary_distance((0.0, math.nan)) == pytest.approx(0.1)
+    # a NaN coordinate lies in no box, at no known distance from it
+    assert BOX.boundary_distance((0.0, math.nan)) == -math.inf
+    assert BOX.boundary_distance((math.nan, 0.5)) == -math.inf
     assert not BOX.contains((0.0, math.nan))
     assert not BOX.contains((math.nan, 0.5))
 

@@ -7,7 +7,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from demtrack import Domain, ProcessSpec
@@ -376,3 +376,144 @@ def test_paths_tracked_together_match_one_at_a_time(
             dataclasses.replace(traj, **{name: None for name in per_path}, violations=()),
             dataclasses.replace(want, **{name: None for name in per_path}, violations=()),
         )
+
+
+class SharpShift(ProcessPlugin):
+    """Test-only plugin: x -> (2x + b) mod n, with b = 1 when the uniform is < 1/2.
+
+    Its move ((2x + b) mod n) - x = x + b (mod n) differs at any two states:
+    equal moves need x = y (mod n), and such moves differ by y - x. So a
+    pass of the block stepper that starts a step from a wrong guess gets
+    the next step wrong too, and settles just one step, unless a guess is
+    right by chance.
+    """
+
+    name = "sharp-shift"
+    uniforms_per_step = 1
+
+    @property
+    def dim(self):
+        return 1
+
+    def initial_state(self):
+        return 1
+
+    def observables(self, state):
+        return (state,)
+
+    def step(self, state, rng):
+        return (2 * state + (rng.random() < 0.5)) % self.n
+
+    def step_batch(self, states, u):
+        return (2 * states + (u[:, 0] < 0.5)) % self.n, ()
+
+    def observables_batch(self, states):
+        return states[:, None]
+
+    def drift(self, state):
+        return (((2 * state) % self.n + (2 * state + 1) % self.n) / 2 - state,)
+
+    def drift_batch(self, states):
+        return (((2 * states) % self.n + (2 * states + 1) % self.n) / 2 - states)[:, None]
+
+    def drift_field(self, t, y):
+        return np.zeros(np.shape(y))
+
+    def enumerate_transitions(self, state):
+        return [(0.5, (2 * state + b) % self.n) for b in (0, 1)]
+
+
+# plugins with uniforms_per_step: the built-ins, the degree process at every
+# max_degree from 0 to 4, and the sharp test plugin
+STEPPED = ("balls", "matching", *(f"degree{d}" for d in range(5)), "sharp")
+
+
+def stepped_case(kind, n, tight):
+    """(spec, plugin) of a plugin with uniforms_per_step; ``tight`` exits early."""
+    if kind.startswith("degree"):
+        d = int(kind[len("degree"):])
+        dom = Domain(
+            t_lo=-0.3, t_hi=0.5, lo=(0.7 if tight else -0.3,) + (-0.3,) * d, hi=(1.3,) * (d + 1)
+        )
+        return degree_process_spec(max(n, 2), max_degree=d, lam=0.005, domain=dom)
+    if kind == "sharp":
+        # x/n is spread over [0, 1), so a row leaves the box about once in
+        # 1/(1 - hi) steps: mid-block
+        dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(-0.1,), hi=(0.9 if tight else 0.99,))
+        spec = ProcessSpec(
+            n=n, drift=zero_field, L=0.0, delta=0.25 * n, beta=float(n), lam=0.02,
+            y_hat=(0.0,), domain=dom,
+        )
+        return spec, SharpShift(n)
+    return make_case(kind, n, tight)
+
+
+def stepwise_block(plugin, buf, u):
+    """The loop the block passes replaced: one ``step_batch`` call per step."""
+    for j in range(1, buf.shape[1]):
+        buf[:, j] = plugin.step_batch(buf[:, j - 1], u[:, j - 1])[0]
+
+
+def run_recorded(stepper, plugin, *args, **kwargs):
+    """run_ensemble with ``stepper`` as the block stepper; also returns each
+    block's states and (steps, step_batch calls) of each block."""
+    bufs, passes = [], []
+    step_batch = plugin.step_batch
+
+    def counted(states, u):
+        passes[-1][1] += 1
+        return step_batch(states, u)
+
+    def recorded(plugin, buf, u):
+        passes.append([buf.shape[1] - 1, 0])
+        stepper(plugin, buf, u)
+        bufs.append(buf.copy())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_step_block", recorded)
+        mp.setattr(plugin, "step_batch", counted)
+        ens = run_ensemble(plugin, *args, **kwargs)
+    return ens, bufs, passes
+
+
+@pytest.mark.parametrize("block", (1, 2, 3, 7, 128))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(STEPPED),
+    n=st.one_of(st.integers(2, 60), st.integers(900, 2500)),
+    tight=st.booleans(),
+    count=st.integers(1, 9),
+    base_seed=st.integers(0, 2**32 - 1),
+    full_paths=st.booleans(),
+    tracked=st.booleans(),
+)
+@example(kind="sharp", n=1000, tight=False, count=5, base_seed=1, full_paths=False, tracked=True)
+@example(kind="degree4", n=999, tight=True, count=9, base_seed=2, full_paths=True, tracked=True)
+def test_block_passes_match_stepwise(block, kind, n, tight, count, base_seed, full_paths, tracked):
+    """Every block's states and every Trajectory field equal those of stepping
+    one ``step_batch`` call at a time; horizons that are not a multiple of
+    the block and rows that stop mid-block included."""
+    spec, plugin = stepped_case(kind, n, tight)
+    solution = solve_ode(spec, 2.0, spec.domain.t_hi) if tracked else None
+    run = functools.partial(
+        run_recorded, plugin=plugin, spec=spec, count=count, base_seed=base_seed,
+        solution=solution, full_paths=full_paths, replay_check=tracked,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_UNIFORM_BLOCK", block)
+        got, got_bufs, passes = run(simulate._step_block)
+        want, want_bufs, _ = run(stepwise_block)
+    assert len(got_bufs) == len(want_bufs)
+    for x, y in zip(got_bufs, want_bufs):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    for x, y in zip(got.trajectories, want.trajectories):
+        assert_same_trajectory(x, y)
+    assert all(calls <= steps for steps, calls in passes)  # at most one pass per step
+
+
+def test_sharp_plugin_settles_one_step_per_pass():
+    spec, plugin = stepped_case("sharp", 1000, tight=False)
+    ens, _, passes = run_recorded(simulate._step_block, plugin, spec, 6, 3)
+    assert sum(t.stop_index for t in ens.trajectories) > 300
+    steps, calls = np.array(passes).sum(axis=0)
+    assert calls == steps  # no guess was right by chance on this seed

@@ -1,14 +1,20 @@
 import importlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ode_reference import reference_solve_ode
+from scan_reference import reference_compute_RT
 from test_ode import CallCounter
 from test_simulate import DriftLiar
 
 from demtrack import Domain, LambdaNotAdmissible, ProcessSpec
+from demtrack.ode import compute_RT, solve_ode
 from demtrack.processes import (
     BallsInBins,
     balls_in_bins_spec,
@@ -136,24 +142,111 @@ class TestVerifyPlain:
         assert report.trajectories_with_violations > 0
 
 
-class TestNonFinite:
-    def test_nan_drift_past_a_time_never_passes(self):
-        # the ODE path, hence every deviation from it, is NaN for t > 0.3
-        def field(t, y):
-            y = np.asarray(y, dtype=float)
-            return np.full_like(y, math.nan) if t > 0.3 else -y
+POISON = st.sampled_from([math.nan, math.inf, -math.inf])
 
-        spec = ProcessSpec(
-            n=2000, drift=field, L=1.0, delta=0.0, beta=1.0, lam=0.02,
+
+class PoisonedDecay:
+    """y' = -y, replaced by ``value`` from time ``after`` on.
+
+    With ``stacked`` it also takes stacked points; without, a stacked call
+    raises and the scans fall back to one call per point.
+    """
+
+    def __init__(self, after, value, stacked):
+        self.after, self.value, self.stacked = after, value, stacked
+
+    def __call__(self, t, y):
+        out = -np.asarray(y, dtype=float)
+        if self.stacked:
+            return np.where((np.asarray(t) >= self.after)[..., None], self.value, out)
+        return np.full_like(out, self.value) if t >= self.after else out
+
+
+def nan_past_03(t, y):
+    # the balls field, NaN for t > 0.3 (single points only)
+    y = np.asarray(y, dtype=float)
+    return np.full_like(y, math.nan) if t > 0.3 else -y
+
+
+class TestNonFinite:
+    def spec(self):
+        return ProcessSpec(
+            n=2000, drift=nan_past_03, L=1.0, delta=0.0, beta=1.0, lam=0.02,
             y_hat=(1.0,), domain=VERIFY_DOM, plugin_name="balls-in-bins",
         )
-        report = verify(spec, BallsInBins(2000), 5, 0)
-        assert report.constants.sigma > 0.3
-        assert all(math.isnan(d) for d in report.empirical_sup_deviations)
-        assert report.failure_count == report.count
-        assert report.replay_checked > 0
-        assert report.replay_failures == report.replay_checked
-        assert not within_bound(report)
+
+    def test_nan_drift_past_a_time_never_passes(self, monkeypatch):
+        # no R bounds a field that is NaN on part of the box: the spec is
+        # refused before any simulation
+        counters = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"not finite at the RT scan point t=0\.314"):
+            verify(self.spec(), BallsInBins(2000), 5, 0)
+        assert counters["compute_RT"].calls == 1
+        assert counters["run_ensemble"].calls == 0
+
+    def test_nan_path_halts_at_its_first_nan_row(self):
+        # given an R anyway, the ODE path halts at its first NaN row, as at a
+        # margin exit: the step into t > 0.3 evaluates the field there
+        sol = solve_ode(self.spec(), R=2.0, T=1.0)
+        assert np.isfinite(sol.ys[:-1]).all() and np.isnan(sol.ys[-1]).all()
+        assert sol.ts[-2] <= 0.3 < sol.ts[-1]
+        assert sol.sigma == sol.ts[-2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        after=st.floats(-0.3, 1.2),
+        value=POISON,
+        stacked=st.booleans(),
+        count=st.integers(1, 3),
+    )
+    def test_poisoned_field(self, after, value, stacked, count):
+        """A field that is NaN or infinite from time ``after`` on."""
+        field = PoisonedDecay(after, value, stacked)
+        spec = replace(small_balls(n=1000)[0], drift=field)
+        try:
+            reference_compute_RT(spec)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        # the scan's time axis ends at t = 1.0, so it meets the poison iff after <= 1
+        assert (message is None) == (after > 1.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counters = count_calls(monkeypatch)
+            if message is None:
+                verify(spec, BallsInBins(1000), count, 0)
+                assert counters["run_ensemble"].calls == 1
+            else:
+                for run in (compute_RT, lambda s: verify(s, BallsInBins(1000), count, 0)):
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        run(spec)
+                assert counters["run_ensemble"].calls == 0
+        # given an R anyway, the path halts at its first non-finite row, as at a
+        # margin exit, and sigma ends before it
+        got, want = solve_ode(spec, 2.0, 1.0), reference_solve_ode(spec, 2.0, 1.0)
+        assert got.ts.tobytes() == want.ts.tobytes()
+        assert got.ys.tobytes() == want.ys.tobytes()
+        assert got.constants == want.constants
+        finite = np.isfinite(got.ys).all(axis=1)
+        assert finite[:-1].all()
+        if not finite[-1]:
+            assert got.sigma < got.ts[-1] and got.ts[-1] >= after
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(
+            ["L", "delta", "beta", "lam", "y_hat", "avg_step_bound", "trunc_gamma",
+             "trunc_bound", "trunc_x", "t_lo", "t_hi", "lo", "hi"]
+        ),
+        value=POISON,
+    )
+    def test_poisoned_spec_number(self, name, value):
+        spec = small_balls()[0]
+        with pytest.raises(ValueError, match="must be finite"):
+            if name in ("t_lo", "t_hi", "lo", "hi"):
+                replace(spec.domain, **{name: (value,) if name in ("lo", "hi") else value})
+            else:
+                replace(spec, **{name: (value,) if name == "y_hat" else value})
+
 
 
 class TestModes:
