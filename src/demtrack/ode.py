@@ -156,6 +156,8 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     max_k |F_k(x) - F_k(x')| / |x - x'|_inf. The supplied spec.L is never
     replaced; this is a diagnostic, and a warning is emitted when the
     estimate exceeds it (the supplied constant is then certainly too small).
+    A sample point where some F_k is NaN or infinite bounds nothing: that
+    raises ValueError naming the first such point, in sampling order.
     """
     rng = np.random.default_rng(seed)
     dom = spec.domain
@@ -163,7 +165,13 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     hi = np.array((dom.t_hi, *dom.hi))
     pairs = rng.uniform(lo, hi, size=(samples, 2, len(lo)))
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
-    f = drift_at(spec.drift, pairs.reshape(2 * samples, len(lo))).reshape(samples, 2, -1)
+    points = pairs.reshape(2 * samples, len(lo))
+    f = drift_at(spec.drift, points)
+    bad = np.flatnonzero(~np.isfinite(f.reshape(len(points), -1)).all(axis=1))
+    if len(bad):
+        t, *y = points[bad[0]].tolist()
+        raise ValueError(f"drift is not finite at the Lipschitz sample point t={t!r}, y={y!r}")
+    f = f.reshape(samples, 2, -1)
     apart = gaps >= 1e-12
     slopes = np.abs(f[apart, 0] - f[apart, 1]).max(axis=1) / gaps[apart]
     best = float(np.fmax.reduce(slopes, initial=0.0))

@@ -289,8 +289,11 @@ class DegreeProcess(ProcessPlugin):
         # and nondecreasing (the class of u holds at least one vertex, so
         # taking it out keeps them so), and the last one, n (then n - 1),
         # exceeds every draw, so that class is the first position where
-        # ``acc <= draw`` is False: its argmin.
-        acc = states.cumsum(axis=1)
+        # ``acc <= draw`` is False: its argmin. The column adds are the
+        # cumsum along the short class axis, several times faster.
+        acc = states.copy()
+        for k in range(1, acc.shape[1]):
+            acc[:, k] += acc[:, k - 1]
         draws = u * self._scale
         ju = (acc <= draws[:, :1]).argmin(axis=1)
         acc -= self._ge[ju]

@@ -7,32 +7,40 @@ accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
 
 One lockstep kernel simulates a batch of trajectories, one row per
-trajectory, through the plugin's batch methods, in time blocks of
-``_UNIFORM_BLOCK`` steps aligned with the blocks of uniforms drawn ahead for
-plugins with ``uniforms_per_step`` (a counter-based Philox stream yields
-them unchanged; each trajectory keeps its own). Such a plugin's block is
-stepped in a few whole-block passes: every step starts as a guess, the
-block's start state, and each pass steps all unsettled guesses of all live
-rows in one ``step_batch`` call and rebuilds them from the running sum of
-the moves, until a pass changes nothing. Each pass settles at least one
-more step, and the fixed point is the step-by-step sequence
-(``_step_block``). Rows with their own generators are stepped one Python
-pass per step, and a pass in which some row's step raised ends the block
-early. Once per block, on all of its steps at once, the kernel then finds
-each row's stop (the horizon, the first exit from the box, or the first
-step that raised, unless the row left the box at or before it), evaluates
-the drift on the steps taken before each stop, and reduces the deviation
-and martingale sups, the replay chain, the hypothesis checks and the stride
-records, summing along each row one step at a time so that every trajectory
-keeps its order of float operations. Rows are stepped and observed to the
-end of the block even past their stop; what they do there, raised
-exceptions included, is discarded. A row that stopped is written out and
-compacted away. Records are preallocated for a run to the horizon, and each
-Trajectory holds views into them. ``simulate`` is a batch of one;
-``run_ensemble`` runs one batch per worker. Deviations and the replay chain
-may be tracked against several ODE solutions (reference paths) at once, as
-(rows, K) arrays with one column per path, each column updated only up to
-its own path's cap.
+trajectory, through the plugin's batch methods, in time spans of a few
+blocks. A span is the unit of reduction and of drawing uniforms, a block
+the unit of stepping. A block is ``_BLOCK_STEPS`` steps; a span is as many
+whole blocks as fit ``_SPAN_ROW_STEPS`` row-steps for the batch's rows, at
+least one: a batch of few rows pays the reduction's fixed cost as rarely
+per row-step as a large one, and the span's work arrays (state buffer,
+uniforms, reduction temporaries; not the records) stay within that budget
+for any batch whose one block fits it. A plugin with
+``uniforms_per_step`` gets each row's uniforms of a whole span in one draw
+(a counter-based Philox stream yields them unchanged; each trajectory
+keeps its own), and each block of the span is stepped in a few whole-block
+passes: every step starts as a guess, the block's start state, and each
+pass steps all unsettled guesses of all live rows in one ``step_batch``
+call and rebuilds them from the running sum of the moves, until a pass
+changes nothing. Each pass settles at least one more step, and the fixed
+point is the step-by-step sequence (``_step_block``). Rows with their own
+generators are stepped one Python pass per step, and a pass in which some
+row's step raised ends the span early. Once per span, on all of its steps
+at once, the kernel then finds each row's stop (the horizon, the first
+exit from the box, or the first step that raised, unless the row left the
+box at or before it), evaluates the drift on the steps taken before each
+stop, and reduces the deviation and martingale sups, the replay chain, the
+hypothesis checks and the stride records, summing along each row one step
+at a time so that every trajectory keeps its order of float operations.
+Reductions over the a coordinates or a state's width are folded column
+by column (``_fold``), several times faster than numpy reduces a short axis.
+Rows are stepped and observed to the end of the span even past their stop;
+what they do there, raised exceptions included, is discarded. A row that
+stopped is written out and compacted away. Records are preallocated for a
+run to the horizon, and each Trajectory holds views into them.
+``simulate`` is a batch of one; ``run_ensemble`` runs one batch per worker.
+Deviations and the replay chain may be tracked against several ODE
+solutions (reference paths) at once, as (rows, K) arrays with one column
+per path, each column updated only up to its own path's cap.
 """
 
 from __future__ import annotations
@@ -49,9 +57,15 @@ from .core import Ensemble, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution, drift_at
 from .processes import ProcessPlugin
 
-# Steps of uniforms drawn ahead per trajectory, and steps per kernel block;
-# the block's work arrays, (rows, block + 1, .), bound the kernel's memory.
-_UNIFORM_BLOCK = 128
+# Steps per block of the block stepper, and the row-steps of one span: a
+# batch of ``rows`` trajectories draws uniforms and reduces once per span of
+# _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (rows * _BLOCK_STEPS)) steps. The
+# span's state buffer, its uniforms and the reduction's temporaries, each
+# (rows, span + 1, .), then hold at most _SPAN_ROW_STEPS row-steps (more only
+# when one block of all rows does); they bound the kernel's memory besides
+# the records, which grow with the recorded steps.
+_BLOCK_STEPS = 128
+_SPAN_ROW_STEPS = 160 * 128
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -134,7 +148,7 @@ def simulate(
     receives (i, Y) and its first failing index truncates the deviation
     range; it is called once per step i = 0..min(stop, first failure), in
     step order, and not past the stop. The RNG is a counter-based Philox
-    stream keyed by the seed. Steps are taken in time blocks (see the module
+    stream keyed by the seed. Steps are taken in time spans (see the module
     docstring), so the plugin may be stepped past the stop; those steps are
     discarded.
     """
@@ -142,6 +156,19 @@ def simulate(
     return _simulate_batch(
         plugin, spec, prep, full_paths, event_predicate, replay_check, [int(seed)]
     )[0]
+
+
+def _fold(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)``, as a - 1 in-place ``ufunc`` calls on column views.
+
+    numpy reduces along a short last axis (a coordinates, a state's width)
+    many times slower than it applies a ufunc to whole columns. The logical
+    ufuncs take a bool ``x``.
+    """
+    out = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        ufunc(out, x[..., k], out=out)
+    return out
 
 
 def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
@@ -168,7 +195,7 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
         moves = np.subtract(nxt, guess).reshape(cur[:, 1:].shape)
         np.add.accumulate(moves, axis=1, out=moves)
         moves += cur[:, :1]
-        changed = (moves != cur[:, 1:]).reshape(len(rows), J - p, -1).any(axis=2)
+        changed = _fold(np.logical_or, (moves != cur[:, 1:]).reshape(len(rows), J - p, -1))
         moved = changed.any(axis=1)
         if not moved.any():
             return
@@ -201,7 +228,8 @@ def _simulate_batch(
     upf = plugin.uniforms_per_step
     cap = prep.cap if prep is not None else -1
     paths = len(prep.caps) if prep is not None else 0
-    block = max(1, min(_UNIFORM_BLOCK, m_cap))
+    span = _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (count * _BLOCK_STEPS))
+    span = max(1, min(span, m_cap))
 
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before m_cap, then m_cap. A trajectory that stops at i ends at record
@@ -216,19 +244,19 @@ def _simulate_batch(
     out: list[Trajectory | None] = [None] * count
 
     gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
-    uniforms = None  # each row's uniforms of the current block; None when row-wise
+    uniforms = None  # each row's uniforms of the current span; None when row-wise
     start = plugin.initial_state()  # deterministic, so every row starts from it
     if upf is None:
         states = np.empty(count, dtype=object)
         states.fill(start)
     else:
         states = np.array([start] * count, dtype=np.int64)
-        uniforms = np.empty((count, block, upf))
-    # the states at steps i0..i0+J of the current block, one row per live row
-    held = np.empty((count, block + 1) + states.shape[1:], dtype=states.dtype)
+        uniforms = np.empty((count, span, upf))
+    # the states at steps i0..i0+J of the current span, one row per live row
+    held = np.empty((count, span + 1) + states.shape[1:], dtype=states.dtype)
     Y0 = plugin.observables_batch(states[:1])[0]  # Y(0), one (a,) row for all rows
 
-    # Per-row state of the live rows at the start of a block, whose first
+    # Per-row state of the live rows at the start of a span, whose first
     # step is i0; ``ids`` maps a row to its trajectory. chain_sum and
     # prev_dev belong to step i0 - 1.
     ids = np.arange(count)
@@ -244,8 +272,8 @@ def _simulate_batch(
         values = [kind(v) for v in values]
         return values[0] if prep.single else tuple(values)
 
-    def finish_block(i0, J, buf, failed):
-        """Reduce the block of steps i0..i0 + J of every live row.
+    def finish_span(i0, J, buf, failed):
+        """Reduce the span of steps i0..i0 + J of every live row.
 
         Updates the live rows' statistics, writes their records and
         violations, writes out the rows that stopped and returns their mask.
@@ -263,7 +291,7 @@ def _simulate_batch(
         # at an earlier step. ``end`` is the position of the stop, J + 1 for
         # a row that goes on; what a row did past its stop is discarded.
         yn = Y / n
-        outside = ~((lo < yn) & (yn < hi)).all(axis=2)
+        outside = ~_fold(np.logical_and, (lo < yn) & (yn < hi))
         del yn
         if i0 + J >= m_cap:
             outside[:, J] = True
@@ -288,7 +316,7 @@ def _simulate_batch(
 
         # Hypothesis violations, kept per trajectory in (step, trend before
         # bound, coordinate) order. Each (rows, J, .) temporary is deleted
-        # once used, which bounds the block's memory.
+        # once used, which bounds the span's memory.
         found = []
         d = plugin.drift_batch(buf[:, :J][taken])
         if check_trend and len(d):
@@ -306,15 +334,15 @@ def _simulate_batch(
         # stop are overwritten by its last record or lie past its prefix
         on_grid = slice(-i0 % stride, J, stride)
         first = -(-i0 // stride)
-        span = slice(first, first + len(range(J)[on_grid]))
-        rec_y[ids, span] = Y[:, on_grid]
-        rec_d[ids, span] = cum[:, 1:][:, on_grid]
+        kept = slice(first, first + len(range(J)[on_grid]))
+        rec_y[ids, kept] = Y[:, on_grid]
+        rec_d[ids, kept] = cum[:, 1:][:, on_grid]
         cum[:, 0] = drift_cum
         np.add.accumulate(cum, axis=1, out=cum)
         drift_cum[:] = cum[:, J]
         # the martingale part; a NaN propagates through max, so it never passes
         np.subtract(Y - Y0, cum, out=cum)
-        mart = np.abs(cum, out=cum).max(axis=2)
+        mart = _fold(np.maximum, np.abs(cum, out=cum))
         del cum
         np.maximum(sup_mart, mart.max(axis=1, where=seen, initial=0.0), out=sup_mart)
         del mart
@@ -323,7 +351,7 @@ def _simulate_batch(
         if i0 <= cap:
             jd = min(J, cap - i0) + 1
             dev = np.subtract(Y[:, :jd, None], prep.yode[i0 : i0 + jd])
-            dev = np.abs(dev, out=dev).max(axis=3)
+            dev = _fold(np.maximum, np.abs(dev, out=dev))
             # column k counts while i <= caps[k], and the sup up to the event stop
             live = prep.live[i0 : i0 + jd] & seen[:, :jd, None]
             in_range = live
@@ -400,12 +428,13 @@ def _simulate_batch(
 
     i0 = 0
     while True:
-        # Step every live row J times, to the end of the block or to the
+        # Step every live row J times, to the end of the span or to the
         # horizon. Rows with their own generators step one pass per step, and
-        # a pass in which some row's step raised ends the block; with
-        # uniforms, a block always starts at a multiple of the block length.
+        # a pass in which some row's step raised ends the span; with
+        # uniforms, a span always starts at a multiple of the span length and
+        # is stepped one block at a time.
         live_rows = len(ids)
-        J = min(block - i0 % block, m_cap - i0)
+        J = min(span - i0 % span, m_cap - i0)
         buf = held[:live_rows]
         buf[:, 0] = states
         failed = ()
@@ -419,10 +448,12 @@ def _simulate_batch(
         else:
             for r, g in enumerate(gens):
                 g.random(out=uniforms[r])
-            _step_block(plugin, buf[:, : J + 1], uniforms[:, :J])
+            for q in range(0, J, _BLOCK_STEPS):
+                e = min(q + _BLOCK_STEPS, J)
+                _step_block(plugin, buf[:, q : e + 1], uniforms[:, q:e])
             states = buf[:, J]
 
-        done = finish_block(i0, J, buf, failed)
+        done = finish_span(i0, J, buf, failed)
         keep = ~done
         if not keep.any():
             return out

@@ -3,8 +3,9 @@
 These are the loops that ``compute_RT``, ``estimate_lipschitz_lower_bound``
 and ``compute_sigma`` in ``demtrack.ode`` ran before they evaluated all
 points at once, kept verbatim but for one rule added later: the RT scan
-raises at its first point where the drift is not finite. Tests require the
-stacked scans to reproduce their results exactly.
+and the Lipschitz sampling raise at their first point where the drift is
+not finite. Tests require the stacked scans to reproduce their results
+exactly.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ def reference_lipschitz(spec: ProcessSpec, samples: int = 256, seed: int = 0) ->
         x = rng.uniform(lo, hi)
         x2 = rng.uniform(lo, hi)
         gap = float(np.max(np.abs(x - x2)))
-        if gap < 1e-12:
-            continue
         fx = np.asarray(spec.drift(x[0], x[1:]), dtype=float)
         fx2 = np.asarray(spec.drift(x2[0], x2[1:]), dtype=float)
+        for point, f in ((x, fx), (x2, fx2)):
+            if not np.isfinite(f).all():
+                t, *y = point.tolist()
+                raise ValueError(
+                    f"drift is not finite at the Lipschitz sample point t={t!r}, y={y!r}"
+                )
+        if gap < 1e-12:
+            continue
         best = max(best, float(np.max(np.abs(fx - fx2))) / gap)
     return best
 

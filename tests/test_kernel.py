@@ -4,11 +4,13 @@ import collections
 import dataclasses
 import functools
 import importlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demtrack import Domain, ProcessSpec
 from demtrack.ode import compute_RT, solve_ode
@@ -32,10 +34,21 @@ KINDS = ("balls", "degree", "matching", "coin", "liar", "bigstep")
 # plugins whose step raises: inside the box (flaky), only past it (late-crash),
 # and a drift liar that also breaks a beta of 0.5 (crash-liar)
 CRASHING = ("flaky", "late-crash", "crash-liar")
-# block lengths that put every kernel edge on a block boundary: stride > block
-# for n of 900-2500, failures and exits in the first or last pass of a block;
-# then the default and a longer one
-BLOCKS = (1, 2, 3, 7, 128, 256)
+# (block, span) lengths that put every kernel edge on a block or a span
+# boundary: stride > span for n of 900-2500, failures and exits in the first
+# or last pass of a block or a span, horizons inside a span's last block;
+# spans of one block and of several, the default block and a longer span.
+# A case is named by its span, with its block in front when that is not the
+# default min(span, 128).
+SPANS = ((1, 1), (2, 2), (3, 3), (7, 7), (128, 128), (128, 256), (1, 7), (3, 9), (2, 128))
+SPAN_IDS = [str(s) if b == min(s, 128) else f"{b}-{s}" for b, s in SPANS]
+
+
+def set_span(mp, block, span, count):
+    """Make the kernel step ``block`` steps at a time and reduce every ``span``
+    steps in a batch of ``count`` rows; ``block`` divides ``span``."""
+    mp.setattr(simulate, "_BLOCK_STEPS", block)
+    mp.setattr(simulate, "_SPAN_ROW_STEPS", span * count)
 
 
 class StepCutoff:
@@ -169,7 +182,7 @@ predicates = st.one_of(
 )
 
 
-@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
 @settings(
     max_examples=60,
     deadline=None,
@@ -186,9 +199,9 @@ predicates = st.one_of(
     predicate=predicates,
 )
 def test_kernel_matches_scalar_reference(
-    monkeypatch, block, kind, n, tight, count, base_seed, full_paths, tracked, predicate
+    monkeypatch, block, span, kind, n, tight, count, base_seed, full_paths, tracked, predicate
 ):
-    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+    set_span(monkeypatch, block, span, count)
     spec, plugin = make_case(kind, n, tight)
     solution = None
     if tracked != "none":
@@ -232,21 +245,21 @@ def test_failing_rows_leave_the_others_running():
         assert_same_trajectory(traj, reference_simulate(plugin, spec, derive_seed(5, idx)))
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block):
-    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
+def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block, span):
+    set_span(monkeypatch, block, span, 12)
     # the box is |Y| < 5, so every exit is at an odd step
     spec, plugin = make_case("late-crash", 25, tight=True)
     ens = run_ensemble(plugin, spec, 12, 3)
     assert all(t.valid and t.error_step is None for t in ens.trajectories)
     assert any(t.stop_index < 25 for t in ens.trajectories)  # exits, not the horizon
-    # a row is stepped past its exit only when the exit is not a block's last step
-    assert (plugin.raised > 0) == (block > 1)
+    # a row is stepped past its exit only when the exit is not a span's last step
+    assert (plugin.raised > 0) == (span > 1)
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_crash_keeps_its_trend_violation_and_no_bound_violation(monkeypatch, block):
-    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
+def test_crash_keeps_its_trend_violation_and_no_bound_violation(monkeypatch, block, span):
+    set_span(monkeypatch, block, span, 5)
     spec, plugin = make_case("crash-liar", 200, tight=False)
     ens = run_ensemble(plugin, spec, 5, 8)
     for traj in ens.trajectories:
@@ -269,7 +282,7 @@ class LoggedPredicate:
         return i < self.cut
 
 
-@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
 @settings(
     max_examples=20,
     deadline=None,
@@ -284,10 +297,10 @@ class LoggedPredicate:
     cut=st.integers(0, 400),
 )
 def test_predicate_sees_each_step_once_up_to_the_stop(
-    monkeypatch, block, kind, n, tight, count, base_seed, cut
+    monkeypatch, block, span, kind, n, tight, count, base_seed, cut
 ):
     """Each row's calls are i = 0..min(stop, first failure), in step order."""
-    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", block)
+    set_span(monkeypatch, block, span, count)
     spec, plugin = make_case(kind, n, tight)
     predicate = LoggedPredicate(cut)
     ens = run_ensemble(plugin, spec, count, base_seed, predicate, full_paths=True)
@@ -476,7 +489,7 @@ def run_recorded(stepper, plugin, *args, **kwargs):
     return ens, bufs, passes
 
 
-@pytest.mark.parametrize("block", (1, 2, 3, 7, 128))
+@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     kind=st.sampled_from(STEPPED),
@@ -489,7 +502,9 @@ def run_recorded(stepper, plugin, *args, **kwargs):
 )
 @example(kind="sharp", n=1000, tight=False, count=5, base_seed=1, full_paths=False, tracked=True)
 @example(kind="degree4", n=999, tight=True, count=9, base_seed=2, full_paths=True, tracked=True)
-def test_block_passes_match_stepwise(block, kind, n, tight, count, base_seed, full_paths, tracked):
+def test_block_passes_match_stepwise(
+    block, span, kind, n, tight, count, base_seed, full_paths, tracked
+):
     """Every block's states and every Trajectory field equal those of stepping
     one ``step_batch`` call at a time; horizons that are not a multiple of
     the block and rows that stop mid-block included."""
@@ -500,7 +515,7 @@ def test_block_passes_match_stepwise(block, kind, n, tight, count, base_seed, fu
         solution=solution, full_paths=full_paths, replay_check=tracked,
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_UNIFORM_BLOCK", block)
+        set_span(mp, block, span, count)
         got, got_bufs, passes = run(simulate._step_block)
         want, want_bufs, _ = run(stepwise_block)
     assert len(got_bufs) == len(want_bufs)
@@ -508,7 +523,7 @@ def test_block_passes_match_stepwise(block, kind, n, tight, count, base_seed, fu
         assert x.dtype == y.dtype and np.array_equal(x, y)
     for x, y in zip(got.trajectories, want.trajectories):
         assert_same_trajectory(x, y)
-    assert all(calls <= steps for steps, calls in passes)  # at most one pass per step
+    assert all(calls <= steps <= block for steps, calls in passes)  # at most one pass per step
 
 
 def test_sharp_plugin_settles_one_step_per_pass():
@@ -517,3 +532,60 @@ def test_sharp_plugin_settles_one_step_per_pass():
     assert sum(t.stop_index for t in ens.trajectories) > 300
     steps, calls = np.array(passes).sum(axis=0)
     assert calls == steps  # no guess was right by chance on this seed
+
+
+@pytest.mark.parametrize(
+    "count,n,spans",
+    [
+        (1, 25_000, [20_480, 4_520]),  # the whole budget in one row
+        (16, 3_000, [1_280, 1_280, 440]),  # ten blocks per span
+        (160, 300, [128, 128, 44]),  # one block fills the budget
+        (200, 300, [128, 128, 44]),  # one block is over it
+    ],
+)
+def test_default_spans_hold_the_row_step_budget(count, n, spans):
+    """Each span is reduced in one ``observables_batch`` call of its rows and
+    stepped one block of at most 128 steps at a time."""
+    spec, plugin = make_case("balls", n, tight=False)
+    observed, stepped = [], []
+    observables_batch = plugin.observables_batch
+    step_block = simulate._step_block
+
+    def observed_rows(states):
+        observed.append(len(states))
+        return observables_batch(states)
+
+    def stepped_steps(plugin, buf, u):
+        stepped.append(buf.shape[1] - 1)
+        step_block(plugin, buf, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plugin, "observables_batch", observed_rows)
+        mp.setattr(simulate, "_step_block", stepped_steps)
+        ens = run_ensemble(plugin, spec, count, 4)
+    assert all(t.stop_index == n for t in ens.trajectories)
+    # Y(0) of one row, then every row's span, start state included
+    assert observed == [1] + [count * (J + 1) for J in spans]
+    assert stepped == [min(128, J - q) for J in spans for q in range(0, J, 128)]
+
+
+short_axis = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5).flatmap(
+    lambda lead: st.integers(1, 6).map(lambda a: lead + (a,))
+)
+# NaN is the positive quiet NaN that np.abs leaves; of NaNs that differ in
+# sign, a fold and numpy's reduce may keep different ones
+floats_and_specials = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=hnp.arrays(np.float64, short_axis, elements=floats_and_specials),
+    b=hnp.arrays(np.bool_, short_axis),
+)
+def test_fold_is_reduce_over_the_last_axis_bit_for_bit(x, b):
+    for ufunc, arg in ((np.maximum, x), (np.logical_or, b), (np.logical_and, b)):
+        got, want = simulate._fold(ufunc, arg), ufunc.reduce(arg, axis=-1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

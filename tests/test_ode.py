@@ -349,8 +349,25 @@ class TestStackedScans:
     @pytest.mark.parametrize("name,spec,stacked", list(scan_cases()))
     def test_lipschitz_matches_per_point_loop(self, name, spec, stacked):
         for samples, seed in ((256, 0), (33, 7)):
+            if name == "nan-after":
+                # the first sample point past t = 0.3, in sampling order
+                t, y = {0: (0.45544253098218146, [-0.4604265724722594]),
+                        7: (0.4376431999070005, [0.794427601939151])}[seed]
+                message = f"drift is not finite at the Lipschitz sample point t={t!r}, y={y!r}"
+                for scan in (reference_lipschitz, estimate_lipschitz_lower_bound):
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        scan(spec, samples=samples, seed=seed)
+                continue
             got = estimate_lipschitz_lower_bound(spec, samples=samples, seed=seed)
             assert got == reference_lipschitz(spec, samples=samples, seed=seed)
+
+    def test_lipschitz_refuses_an_infinite_field(self):
+        def inf_above(t, y):
+            return np.where(np.asarray(y) > 0.5, math.inf, 0.0)
+
+        spec = make_spec(inf_above, (0.0,), SCAN_DOM)
+        with pytest.raises(ValueError, match="not finite at the Lipschitz sample point"):
+            estimate_lipschitz_lower_bound(spec)
 
     def test_field_errors_propagate(self):
         spec = make_spec(always_fails, (0.0,), SCAN_DOM)
