@@ -239,9 +239,6 @@ class Trajectory:
         """True when every step 0..stop_index was recorded."""
         return len(self.indices) == self.stop_index + 1
 
-    def final_counts(self) -> np.ndarray:
-        return self.steps[-1]
-
 
 @dataclass(frozen=True)
 class Ensemble:

@@ -15,7 +15,9 @@ The simulation kernel steps many trajectories (rows) at once through the
 batch methods ``step_batch``, ``observables_batch`` and ``drift_batch``. A
 plugin that declares ``uniforms_per_step = k`` implements them on the int64
 array stacking its scalar states and consumes exactly k uniforms per row and
-step, in the order ``step`` draws them. Its ``step_batch`` is a pure
+step. It states its dynamics once: each scalar method it does not define
+is a batch of one (``step`` draws ``rng.random((1, k))``) that returns
+plain values. Its ``step_batch`` is a pure
 function of each row: row r's next state depends only on ``states[r]`` and
 ``u[r]``, and no state is kept between calls. The kernel relies on that to
 step a whole block of steps at once from guessed states (see
@@ -28,6 +30,7 @@ generator.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
@@ -43,6 +46,20 @@ _BATCH_TWINS = (
 )
 
 
+def _batch_of_one(plugin, batch: str, state, rng=None):
+    """A scalar method of a plugin with array batch methods: ``state`` run
+    through the batch method ``batch`` as one row, returned as an int or a
+    tuple. The batch method is that of the nearest class with
+    ``uniforms_per_step``, so a variant on the per-row defaults still
+    reaches its parent's array code.
+    """
+    cls = next(c for c in type(plugin).__mro__ if getattr(c, "uniforms_per_step", None) is not None)
+    args = () if rng is None else (rng.random((1, cls.uniforms_per_step)),)
+    out = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)
+    row = (out if rng is None else out[0])[0].tolist()
+    return tuple(row) if isinstance(row, list) else row
+
+
 class ProcessPlugin(ABC):
     """Dynamics of one discrete-time process at a fixed scale n."""
 
@@ -53,12 +70,21 @@ class ProcessPlugin(ABC):
     def __init_subclass__(cls, **kwargs):
         # A variant that overrides a scalar method but not its batch twin
         # (say, a built-in process with another drift) must not run its
-        # parent's batch code: it falls back to the per-row defaults.
+        # parent's batch code: it falls back to the per-row defaults. A
+        # plugin with array batch methods gets each scalar method it lacks
+        # as a batch of one; a method with neither form stays abstract.
         super().__init_subclass__(**kwargs)
         if any(s in vars(cls) and b not in vars(cls) for s, b in _BATCH_TWINS):
             cls.uniforms_per_step = None
             for _, batch in _BATCH_TWINS:
                 setattr(cls, batch, getattr(ProcessPlugin, batch))
+        elif cls.uniforms_per_step is not None:
+            for scalar, batch in _BATCH_TWINS:
+                if (
+                    getattr(cls, scalar) is getattr(ProcessPlugin, scalar)
+                    and getattr(cls, batch) is not getattr(ProcessPlugin, batch)
+                ):
+                    setattr(cls, scalar, functools.partialmethod(_batch_of_one, batch))
 
     def __init__(self, n: int):
         if n < 1:
@@ -85,7 +111,12 @@ class ProcessPlugin(ABC):
 
     @abstractmethod
     def step(self, state, rng: np.random.Generator):
-        """Advance one step; returns the next state."""
+        """Advance one step; returns the next state.
+
+        With ``uniforms_per_step = k`` and an array ``step_batch``, this and
+        ``observables`` and ``drift`` are a batch of one unless the plugin
+        defines them; ``step`` then draws ``rng.random((1, k))``.
+        """
 
     @abstractmethod
     def drift(self, state) -> tuple[float, ...]:
@@ -171,20 +202,11 @@ class BallsInBins(ProcessPlugin):
     def initial_state(self):
         return self.n
 
-    def observables(self, state) -> tuple[int, ...]:
-        return (state,)
-
-    def step(self, state, rng):
-        return state - 1 if rng.random() * self.n < state else state
-
     def step_batch(self, states, u):
         return states - (u[:, 0] * self.n < states), ()
 
     def observables_batch(self, states):
         return states[:, None]
-
-    def drift(self, state) -> tuple[float, ...]:
-        return (-(state / self.n),)
 
     def drift_batch(self, states):
         return -(states / self.n)[:, None]
@@ -239,7 +261,8 @@ class DegreeProcess(ProcessPlugin):
         eye = np.eye(top + 1, dtype=np.int64)
         move = eye[np.minimum(classes + 1, top)] - eye
         self._moves = move[:, None] + move
-        self._scale = np.array([n, n - 1], dtype=float)  # what ``step`` scales u, v by
+        # u picks one of the n vertices, v one of the n - 1 others
+        self._scale = np.array([n, n - 1], dtype=float)
 
     @property
     def dim(self) -> int:
@@ -254,43 +277,17 @@ class DegreeProcess(ProcessPlugin):
         counts[0] = self.n
         return tuple(counts)
 
-    def observables(self, state) -> tuple[int, ...]:
-        return state[: self.max_degree + 1]
-
-    def step(self, state, rng):
-        n = self.n
-        top = self._overflow
-        u = rng.random() * n
-        acc = 0.0
-        ju = top
-        for j, c in enumerate(state):
-            acc += c
-            if u < acc:
-                ju = j
-                break
-        v = rng.random() * (n - 1)
-        acc = 0.0
-        jv = top
-        for j, c in enumerate(state):
-            acc += c - (j == ju)
-            if v < acc:
-                jv = j
-                break
-        out = list(state)
-        out[ju] -= 1
-        out[min(ju + 1, top)] += 1
-        out[jv] -= 1
-        out[min(jv + 1, top)] += 1
-        return tuple(out)
-
     def step_batch(self, states, u):
-        # The scan of ``step`` stops at the first class whose cumulative
-        # count exceeds the draw. The cumulative counts are exact in float64
-        # and nondecreasing (the class of u holds at least one vertex, so
-        # taking it out keeps them so), and the last one, n (then n - 1),
-        # exceeds every draw, so that class is the first position where
-        # ``acc <= draw`` is False: its argmin. The column adds are the
-        # cumsum along the short class axis, several times faster.
+        # With the vertices listed class by class, the first endpoint is
+        # vertex u·n and the second vertex v·(n - 1) of the others: each is
+        # in the first class whose cumulative count, the first endpoint
+        # taken out for the second, exceeds its draw. The cumulative counts
+        # are exact in float64 and nondecreasing (the first endpoint's class
+        # holds at least one vertex, so taking it out keeps them so), and
+        # the last one, n (then n - 1), exceeds every draw, so that class is
+        # the first position where ``acc <= draw`` is False: its argmin. The
+        # column adds are the cumsum along the short class axis, several
+        # times faster.
         acc = states.copy()
         for k in range(1, acc.shape[1]):
             acc[:, k] += acc[:, k - 1]
@@ -302,13 +299,6 @@ class DegreeProcess(ProcessPlugin):
 
     def observables_batch(self, states):
         return states[:, : self.max_degree + 1]
-
-    def drift(self, state) -> tuple[float, ...]:
-        n = self.n
-        return tuple(
-            2.0 * ((state[k - 1] if k else 0) - state[k]) / n
-            for k in range(self.max_degree + 1)
-        )
 
     def drift_batch(self, states):
         counts = states[:, : self.max_degree + 1]
@@ -374,20 +364,11 @@ class GreedyMatching(ProcessPlugin):
     def initial_state(self):
         return self.n
 
-    def observables(self, state) -> tuple[int, ...]:
-        return (state,)
-
-    def step(self, state, rng):
-        return state - 2 if state >= 2 else state
-
     def step_batch(self, states, u):
         return states - 2 * (states >= 2), ()
 
     def observables_batch(self, states):
         return states[:, None]
-
-    def drift(self, state) -> tuple[float, ...]:
-        return (-2.0,) if state >= 2 else (0.0,)
 
     def drift_batch(self, states):
         return np.where(states >= 2, -2.0, 0.0)[:, None]

@@ -5,8 +5,14 @@ replaced, kept verbatim. Property tests require the kernel to reproduce its
 trajectories field for field on finite inputs. The one intended difference:
 this loop drops a NaN deviation (``d > dev_i`` is false), where the kernel
 propagates it so that verification never passes on it.
-"""
 
+The built-in processes state their dynamics once, as array batch methods,
+and get their scalar methods as a batch of one. Their scalar twins below
+keep the scalar bodies those batch methods replaced, verbatim: an
+independent implementation to run this loop on. Being subclasses that
+override the scalar methods only, they fall back to the per-row batch
+defaults.
+"""
 from __future__ import annotations
 
 import math
@@ -16,7 +22,7 @@ import numpy as np
 
 from demtrack.core import ProcessSpec, Trajectory, Violation
 from demtrack.ode import OdeSolution
-from demtrack.processes import ProcessPlugin
+from demtrack.processes import BallsInBins, DegreeProcess, GreedyMatching, ProcessPlugin
 
 
 @dataclass(frozen=True)
@@ -218,3 +224,81 @@ def reference_simulate(
     return _simulate_prepared(
         plugin, spec, int(seed), prep, full_paths, event_predicate, replay_check
     )
+
+
+class ScalarBallsInBins(BallsInBins):
+    """Balls-in-bins through its scalar methods."""
+
+    def observables(self, state) -> tuple[int, ...]:
+        return (state,)
+
+    def step(self, state, rng):
+        return state - 1 if rng.random() * self.n < state else state
+
+    def drift(self, state) -> tuple[float, ...]:
+        return (-(state / self.n),)
+
+
+class ScalarDegreeProcess(DegreeProcess):
+    """The degree process through its scalar methods."""
+
+    def observables(self, state) -> tuple[int, ...]:
+        return state[: self.max_degree + 1]
+
+    def step(self, state, rng):
+        n = self.n
+        top = self._overflow
+        u = rng.random() * n
+        acc = 0.0
+        ju = top
+        for j, c in enumerate(state):
+            acc += c
+            if u < acc:
+                ju = j
+                break
+        v = rng.random() * (n - 1)
+        acc = 0.0
+        jv = top
+        for j, c in enumerate(state):
+            acc += c - (j == ju)
+            if v < acc:
+                jv = j
+                break
+        out = list(state)
+        out[ju] -= 1
+        out[min(ju + 1, top)] += 1
+        out[jv] -= 1
+        out[min(jv + 1, top)] += 1
+        return tuple(out)
+
+    def drift(self, state) -> tuple[float, ...]:
+        n = self.n
+        return tuple(
+            2.0 * ((state[k - 1] if k else 0) - state[k]) / n
+            for k in range(self.max_degree + 1)
+        )
+
+
+class ScalarGreedyMatching(GreedyMatching):
+    """Greedy matching through its scalar methods."""
+
+    def observables(self, state) -> tuple[int, ...]:
+        return (state,)
+
+    def step(self, state, rng):
+        return state - 2 if state >= 2 else state
+
+    def drift(self, state) -> tuple[float, ...]:
+        return (-2.0,) if state >= 2 else (0.0,)
+
+
+SCALAR_TWINS = {
+    BallsInBins: ScalarBallsInBins,
+    DegreeProcess: ScalarDegreeProcess,
+    GreedyMatching: ScalarGreedyMatching,
+}
+
+
+def scalar_twin(plugin: ProcessPlugin) -> ProcessPlugin:
+    """The scalar twin of a built-in plugin, at the same n and parameters."""
+    return SCALAR_TWINS[type(plugin)](plugin.n, **plugin.params)

@@ -17,6 +17,7 @@ from demtrack.ode import compute_RT, solve_ode
 from demtrack.processes import (
     BallsInBins,
     DegreeProcess,
+    GreedyMatching,
     ProcessPlugin,
     balls_in_bins_spec,
     degree_process_spec,
@@ -24,7 +25,7 @@ from demtrack.processes import (
 )
 from demtrack.simulate import derive_seed, run_ensemble
 from demtrack.verify import verify
-from scalar_reference import reference_simulate
+from scalar_reference import SCALAR_TWINS, reference_simulate, scalar_twin
 from test_simulate import DriftLiar, FairCoin, coin_spec
 from test_verify import BigStepPlugin
 
@@ -212,9 +213,11 @@ def test_kernel_matches_scalar_reference(
         solution=solution, full_paths=full_paths, replay_check=replay,
     )
     assert len(ens) == count
+    # the built-ins run their array code in the kernel, their scalar twins here
+    reference = scalar_twin(plugin) if type(plugin) in SCALAR_TWINS else plugin
     for idx, traj in enumerate(ens.trajectories):
         want = reference_simulate(
-            plugin, spec, derive_seed(base_seed, idx), solution=solution,
+            reference, spec, derive_seed(base_seed, idx), solution=solution,
             full_paths=full_paths, event_predicate=predicate, replay_check=replay,
         )
         assert_same_trajectory(traj, want)
@@ -323,12 +326,17 @@ class TestBatchContract:
         assert BallsInBins.uniforms_per_step == 1
         assert DegreeProcess.uniforms_per_step == 2
 
-    @pytest.mark.parametrize("plugin", [BallsInBins(50), DegreeProcess(50, 3)])
+    @pytest.mark.parametrize(
+        "plugin", [BallsInBins(50), DegreeProcess(50, 3), GreedyMatching(50)]
+    )
     def test_batch_step_consumes_the_scalar_draws(self, plugin):
+        """The batch methods against the scalar bodies of the plugin's twin,
+        which take the row's uniforms one ``random()`` call at a time."""
+        twin = scalar_twin(plugin)
         rng = np.random.Generator(np.random.Philox(7))
-        states = [plugin.initial_state()]
+        states = [twin.initial_state()]
         for _ in range(40):
-            states.append(plugin.step(states[-1], rng))
+            states.append(twin.step(states[-1], rng))
         k = plugin.uniforms_per_step
         u = np.random.Generator(np.random.Philox(8)).random((len(states), k))
         stacked = np.array(states, dtype=np.int64)
@@ -342,10 +350,85 @@ class TestBatchContract:
             def random(self):
                 return self.left.pop(0)
 
-        want = [plugin.step(s, Replay(row)) for s, row in zip(states, u)]
+        replays = [Replay(row) for row in u]
+        want = [twin.step(s, r) for s, r in zip(states, replays)]
+        assert not any(r.left for r in replays)
         assert np.array_equal(got, np.array(want, dtype=np.int64))
-        assert np.array_equal(plugin.observables_batch(got), [plugin.observables(s) for s in want])
-        assert np.array_equal(plugin.drift_batch(got), [plugin.drift(s) for s in want])
+        assert np.array_equal(plugin.observables_batch(got), [twin.observables(s) for s in want])
+        assert np.array_equal(plugin.drift_batch(got), [twin.drift(s) for s in want])
+
+    def test_a_method_with_neither_form_is_refused(self):
+        class Skeleton(ProcessPlugin):
+            """Everything but the dynamics."""
+
+            dim = 1
+
+            def initial_state(self):
+                return 0
+
+            def drift_field(self, t, y):
+                return np.zeros(1)
+
+            def enumerate_transitions(self, state):
+                return [(1.0, state)]
+
+        def step_rows(self, states, u):
+            return states + (u[:, 0] < 0.5), ()
+
+        def observe_rows(self, states):
+            return states[:, None]
+
+        def drift_rows(self, states):
+            return np.full((len(states), 1), 0.5)
+
+        class Arrays(Skeleton):
+            uniforms_per_step = 1
+            step_batch, observables_batch, drift_batch = step_rows, observe_rows, drift_rows
+
+        class NoDriftBatch(Skeleton):
+            uniforms_per_step = 1
+            step_batch, observables_batch = step_rows, observe_rows
+
+        class Undeclared(Skeleton):
+            step_batch, observables_batch, drift_batch = step_rows, observe_rows, drift_rows
+
+        class ScalarsWithoutStep(Skeleton):
+            def observables(self, state):
+                return (state,)
+
+            def drift(self, state):
+                return (0.5,)
+
+        class Declared(Skeleton):
+            uniforms_per_step = 1
+
+        plugin = Arrays(10)
+        assert plugin.step(0, np.random.default_rng(0)) in (0, 1)
+        assert plugin.observables(3) == (3,) and plugin.drift(3) == (0.5,)
+        for cls, missing in (
+            (NoDriftBatch, ["drift"]),
+            (Undeclared, ["drift", "observables", "step"]),
+            (ScalarsWithoutStep, ["step"]),
+            (Declared, ["drift", "observables", "step"]),
+        ):
+            with pytest.raises(TypeError) as err:
+                cls(10)
+            named = {m for m in ("drift", "observables", "step") if m in str(err.value)}
+            assert sorted(named) == missing, err.value
+
+    @pytest.mark.parametrize("cls", [CrashingLiar, FlakyCoin, DriftLiar, BigStepPlugin])
+    def test_a_scalar_override_can_call_the_derived_method(self, cls):
+        """Variants on the per-row defaults: ``super().step`` and the
+        inherited scalar methods reach the parent's code, not the per-row
+        defaults that call ``step`` again."""
+        plugin = cls(100)
+        rng = np.random.Generator(np.random.Philox(3))
+        start = plugin.initial_state()
+        support = {s for _, s in plugin.enumerate_transitions(start)}
+        for _ in range(20):
+            assert plugin.step(start, rng) in support
+        assert plugin.observables(start) == (start,)
+        assert isinstance(plugin.drift(start), tuple)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

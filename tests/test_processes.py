@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_utils import oracle_drift, oracle_mean_abs_step, reachable_states
+from scalar_reference import scalar_twin
 
 from demtrack.processes import (
     BallsInBins,
@@ -159,6 +161,84 @@ class TestGreedyMatching:
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError):
             GreedyMatching(5)
+
+
+def assert_same_plain(got, want):
+    """Equal values of the same Python types, hashable to the same hash."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert [type(x) for x in got] == [type(x) for x in want], (got, want)
+    assert got == want and hash(got) == hash(want), (got, want)
+
+
+class Scripted:
+    """A generator that hands out the given uniforms in order, one ``random()``
+    call at a time or a block of them per ``random(size)`` call."""
+
+    def __init__(self, values):
+        self.left = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.left.pop(0)
+        block = [self.left.pop(0) for _ in range(math.prod(size))]
+        return np.array(block, dtype=float).reshape(size)
+
+
+def edge_uniforms(n):
+    """Uniforms at and between the class edges of a draw scaled by n or n - 1."""
+    values = {0.0, 1.0 - 2.0**-53}
+    for m in (n, n - 1):
+        values.update(c / m for c in range(m))
+        values.update((c + 0.5) / m for c in range(m))
+    return sorted(values)
+
+
+def built_ins():
+    for n in range(2, 6):
+        yield BallsInBins(n)
+        for max_degree in range(4):
+            yield DegreeProcess(n, max_degree=max_degree)
+        if n % 2 == 0:
+            yield GreedyMatching(n)
+
+
+class TestBatchOfOne:
+    """The built-ins' scalar methods, a batch of one through their array
+    methods, against the scalar bodies of their twins in scalar_reference."""
+
+    def test_every_reachable_state_and_edge_draw(self):
+        for plugin in built_ins():
+            twin = scalar_twin(plugin)
+            k = plugin.uniforms_per_step
+            draws = list(itertools.product(edge_uniforms(plugin.n), repeat=k))
+            for state in reachable_states(plugin, 4 * plugin.n):
+                assert_same_plain(plugin.observables(state), twin.observables(state))
+                assert_same_plain(plugin.drift(state), twin.drift(state))
+                for u in draws:
+                    # a sentinel after the step's draws: both must leave it
+                    got, want = Scripted([*u, -1.0]), Scripted([*u, -1.0])
+                    assert_same_plain(plugin.step(state, got), twin.step(state, want))
+                    assert got.left == want.left == [-1.0], (plugin.name, state, u)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_philox_streams(self, seed):
+        for plugin in (
+            BallsInBins(50),
+            *(DegreeProcess(50, max_degree=K) for K in range(4)),
+            GreedyMatching(50),
+        ):
+            twin = scalar_twin(plugin)
+            got, want = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+            state = plugin.initial_state()
+            assert_same_plain(state, twin.initial_state())
+            for _ in range(100):
+                nxt = plugin.step(state, got)
+                assert_same_plain(nxt, twin.step(state, want))
+                assert got.random() == want.random()  # as many draws consumed
+                state = nxt
+                assert_same_plain(plugin.observables(state), twin.observables(state))
+                assert_same_plain(plugin.drift(state), twin.drift(state))
 
 
 class TestRegistry:
