@@ -19,7 +19,8 @@ class LambdaNotAdmissible(ValueError):
 
 
 class PluginCrashed(RuntimeError):
-    """Raised when a plugin's step raised during a verification run."""
+    """Raised when a plugin's step raised during a verification run, or an
+    array ``step_batch`` left rows unstepped."""
 
 
 @dataclass(frozen=True)

@@ -217,9 +217,10 @@ def rk4_solve(
     def advance(rows, j0, j1, width=h):
         # one anchor's index (a float time, a point of shape (a,)) or an index array (stacked)
         y = grid[rows, j0]
+        index_array = np.ndim(rows) > 0
         for j in range(j0, j1):
             t = t0 + j * h
-            y = _rk4_step(f, np.full(len(rows), t) if np.ndim(rows) else t, y, width)
+            y = _rk4_step(f, np.full(len(rows), t) if index_array else t, y, width)
             grid[rows, j + 1] = y
 
     def below(rows, j0, j1):

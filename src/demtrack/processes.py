@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Domain, ProcessSpec
+from .core import Domain, PluginCrashed, ProcessSpec
 
 
 _BATCH_TWINS = (
@@ -44,6 +44,19 @@ _BATCH_TWINS = (
     ("observables", "observables_batch"),
     ("drift", "drift_batch"),
 )
+
+
+def refuse_failed_rows(plugin, failed: Sequence[int]) -> None:
+    """Raise ``PluginCrashed`` when an array ``step_batch`` lists failed rows.
+
+    With ``uniforms_per_step`` every row must be stepped; a row that is not
+    would silently keep its state.
+    """
+    if len(failed):
+        raise PluginCrashed(
+            f"{type(plugin).__name__} declares uniforms_per_step, but its step_batch "
+            f"failed {len(failed)} of its rows"
+        )
 
 
 def _batch_of_one(plugin, batch: str, state, rng=None):
@@ -56,7 +69,10 @@ def _batch_of_one(plugin, batch: str, state, rng=None):
     cls = next(c for c in type(plugin).__mro__ if getattr(c, "uniforms_per_step", None) is not None)
     args = () if rng is None else (rng.random((1, cls.uniforms_per_step)),)
     out = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)
-    row = (out if rng is None else out[0])[0].tolist()
+    if rng is not None:
+        out, failed = out
+        refuse_failed_rows(plugin, failed)
+    row = out[0].tolist()
     return tuple(row) if isinstance(row, list) else row
 
 
@@ -138,13 +154,14 @@ class ProcessPlugin(ABC):
 
         ``states`` is left unchanged. With ``uniforms_per_step = k`` it
         stacks the scalar states as int64 (any number of rows), ``u`` has
-        shape (rows, k) and ``failed`` is empty. Row r's next state must
-        depend only on ``states[r]`` and ``u[r]``, with no hidden state kept
-        between calls, and the method must not raise on a state the process
-        cannot reach: the kernel steps guessed states and discards what
-        they give. The default steps each row of the object array
-        ``states`` through ``step`` with ``u[r]``, that row's generator;
-        ``failed`` lists the rows whose step raised.
+        shape (rows, k) and ``failed`` is empty (the kernel and the scalar
+        ``step`` raise ``PluginCrashed`` on a failed row). Row r's next
+        state must depend only on ``states[r]`` and ``u[r]``, with no hidden
+        state kept between calls, and the method must not raise on a state
+        the process cannot reach: the kernel steps guessed states and
+        discards what they give. The default steps each row of the object
+        array ``states`` through ``step`` with ``u[r]``, that row's
+        generator; ``failed`` lists the rows whose step raised.
         """
         out = states.copy()
         failed = []
@@ -253,16 +270,13 @@ class DegreeProcess(ProcessPlugin):
             raise ValueError("max_degree must be nonnegative")
         self.max_degree = max_degree
         self._overflow = top = max_degree + 1  # lumped class index
-        classes = np.arange(top + 1)
-        # _ge[j]: 1 on the classes from j on; _moves[ju, jv]: the change of
-        # the counts when one endpoint leaves class ju and the other jv, each
-        # moving up one class (the overflow class keeps its own)
-        self._ge = (classes >= classes[:, None]).astype(np.int64)
+        # _moves[ju * (top + 1) + jv]: the change of the counts when one
+        # endpoint leaves class ju and the other jv, each moving up one class
+        # (the overflow class keeps its own)
         eye = np.eye(top + 1, dtype=np.int64)
-        move = eye[np.minimum(classes + 1, top)] - eye
-        self._moves = move[:, None] + move
-        # u picks one of the n vertices, v one of the n - 1 others
-        self._scale = np.array([n, n - 1], dtype=float)
+        move = eye[np.minimum(np.arange(top + 1) + 1, top)] - eye
+        self._moves = (move[:, None] + move).reshape(-1, top + 1)
+        self._below = np.arange(top)[:, None]  # the classes below the overflow class
 
     @property
     def dim(self) -> int:
@@ -279,23 +293,29 @@ class DegreeProcess(ProcessPlugin):
 
     def step_batch(self, states, u):
         # With the vertices listed class by class, the first endpoint is
-        # vertex u·n and the second vertex v·(n - 1) of the others: each is
-        # in the first class whose cumulative count, the first endpoint
-        # taken out for the second, exceeds its draw. The cumulative counts
-        # are exact in float64 and nondecreasing (the first endpoint's class
-        # holds at least one vertex, so taking it out keeps them so), and
-        # the last one, n (then n - 1), exceeds every draw, so that class is
-        # the first position where ``acc <= draw`` is False: its argmin. The
-        # column adds are the cumsum along the short class axis, several
-        # times faster.
-        acc = states.copy()
-        for k in range(1, acc.shape[1]):
-            acc[:, k] += acc[:, k - 1]
-        draws = u * self._scale
-        ju = (acc <= draws[:, :1]).argmin(axis=1)
-        acc -= self._ge[ju]
-        jv = (acc <= draws[:, 1:]).argmin(axis=1)
-        return states + self._moves[ju, jv], ()
+        # vertex du = u·n and the second vertex dv = v·(n - 1) of the others:
+        # each is in the first class whose cumulative count (the first
+        # endpoint taken out for the second) exceeds its draw. The counts are
+        # nondecreasing (the first endpoint's class holds at least one
+        # vertex, so taking it out keeps them so), so that class is the
+        # number of cumulative counts at or below the draw: ju = Σ_k [acc_k
+        # <= du] and jv = Σ_k [acc_k - (ju <= k) <= dv]. Both compare exact
+        # int64 counts with float64 draws, so each row gets the classes of a
+        # class-by-class search. The overflow class is never counted: its
+        # cumulative count, n (n - 1 once the first endpoint is out),
+        # exceeds every draw, since u, v <= 1 - 2^-53 give du < n and
+        # dv < n - 1. The counts are built on a transposed copy, one
+        # contiguous row per class, because numpy compares and sums whole
+        # rows many times faster than it gathers or takes argmins along the
+        # short class axis.
+        top = self._overflow
+        acc = states[:, :top].T.copy()
+        for k in range(1, top):
+            acc[k] += acc[k - 1]
+        ju = (acc <= u[:, 0] * self.n).sum(axis=0)
+        acc -= ju <= self._below
+        jv = (acc <= u[:, 1] * (self.n - 1)).sum(axis=0)
+        return states + np.take(self._moves, ju * (top + 1) + jv, axis=0), ()
 
     def observables_batch(self, states):
         return states[:, : self.max_degree + 1]

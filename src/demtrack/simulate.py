@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import Ensemble, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution, drift_at
-from .processes import ProcessPlugin
+from .processes import ProcessPlugin, refuse_failed_rows
 
 # Steps per block of the block stepper, and the row-steps of one span: a
 # batch of ``rows`` trajectories draws uniforms and reduces once per span of
@@ -191,7 +191,8 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
     while p < J:
         cur = buf[rows, p:]
         guess = cur[:, :-1].reshape((len(rows) * (J - p),) + cur.shape[2:])
-        nxt, _ = plugin.step_batch(guess, u[rows, p:].reshape(len(guess), u.shape[2]))
+        nxt, failed = plugin.step_batch(guess, u[rows, p:].reshape(len(guess), u.shape[2]))
+        refuse_failed_rows(plugin, failed)
         moves = np.subtract(nxt, guess).reshape(cur[:, 1:].shape)
         np.add.accumulate(moves, axis=1, out=moves)
         moves += cur[:, :1]
@@ -318,7 +319,13 @@ def _simulate_batch(
         # bound, coordinate) order. Each (rows, J, .) temporary is deleted
         # once used, which bounds the span's memory.
         found = []
-        d = plugin.drift_batch(buf[:, :J][taken])
+        # In a span where every row takes all J steps (every span but each
+        # row's last) the drift's states are a reshape, in the mask's
+        # row-major order and several times cheaper than the mask.
+        whole = taken.all()
+        d = plugin.drift_batch(
+            buf[:, :J].reshape((live_rows * J,) + buf.shape[2:]) if whole else buf[:, :J][taken]
+        )
         if check_trend and len(d):
             r, j = np.nonzero(taken)
             points = np.column_stack(((i0 + j) / n, Y[r, j].astype(float) / n))
@@ -328,7 +335,10 @@ def _simulate_batch(
         # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
         # before the sum, cum[:, j + 1] holds the drift of step i0 + j
         cum = np.zeros((live_rows, J + 1, a))
-        cum[:, 1:][taken] = d
+        if whole:
+            cum[:, 1:] = d.reshape(live_rows, J, a)
+        else:
+            cum[:, 1:][taken] = d
         del d
         # records of the steps on the stride grid; a row's records past its
         # stop are overwritten by its last record or lie past its prefix

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from demtrack import Domain, ProcessSpec
+from demtrack import Domain, PluginCrashed, ProcessSpec
 from demtrack.ode import compute_RT, solve_ode
 from demtrack.processes import (
     BallsInBins,
@@ -429,6 +429,29 @@ class TestBatchContract:
             assert plugin.step(start, rng) in support
         assert plugin.observables(start) == (start,)
         assert isinstance(plugin.drift(start), tuple)
+
+    def test_failed_rows_of_an_array_step_raise(self):
+        """A plugin with ``uniforms_per_step`` must step every row: a failed
+        row raises, in the scalar ``step`` and in the kernel, instead of
+        keeping its state."""
+
+        class RowDefaultBalls(BallsInBins):
+            # the per-row default calls the derived ``step`` with a row of
+            # uniforms for a generator: every row fails
+            step_batch = ProcessPlugin.step_batch
+
+        class DroppingBalls(BallsInBins):
+            def step_batch(self, states, u):
+                return states.copy(), [0]
+
+        spec, _ = balls_in_bins_spec(100)
+        for cls in (RowDefaultBalls, DroppingBalls):
+            plugin = cls(100)
+            assert plugin.uniforms_per_step == 1
+            with pytest.raises(PluginCrashed, match=cls.__name__):
+                plugin.step(10, np.random.default_rng(0))
+            with pytest.raises(PluginCrashed, match=cls.__name__):
+                simulate.simulate(plugin, spec, seed=1)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -241,6 +241,44 @@ class TestBatchOfOne:
                 assert_same_plain(plugin.drift(state), twin.drift(state))
 
 
+def class_edge_states(n, top, rng):
+    """Degree states of n vertices over classes 0..top: all in one class,
+    singletons between empty classes, then random profiles with empty
+    classes and overflow mass, without end."""
+    yield (n,) + (0,) * top
+    yield (0,) * top + (n,)
+    singles = [1 - k % 2 for k in range(top)]
+    yield (*singles, n - sum(singles))
+    while True:
+        weights = rng.random(top + 1) * (rng.random(top + 1) < 0.6)
+        weights[top] += 0.1
+        yield tuple(int(c) for c in rng.multinomial(n, weights / weights.sum()))
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_003])
+@pytest.mark.parametrize("max_degree", range(5))
+def test_degree_step_batch_matches_scalar_on_class_edges(n, max_degree):
+    """The batch step against the scalar twin's class search at large n, on
+    draws that land exactly on and next to every cumulative count, with and
+    without the first endpoint taken out."""
+    plugin = DegreeProcess(n, max_degree=max_degree)
+    twin = scalar_twin(plugin)
+    rows = []
+    profiles = class_edge_states(n, max_degree + 1, np.random.default_rng(n + max_degree))
+    for taken, state in enumerate(profiles):
+        if taken >= 6 and len(rows) >= 2048:
+            break
+        edges = {c for acc in np.cumsum(state).tolist() for c in (acc - 1, acc, acc + 1)}
+        draws = {c / m for c in edges for m in (n, n - 1) if 0 <= c < m} | {0.0, 1.0 - 2.0**-53}
+        rows += [(state, uv) for uv in itertools.product(sorted(draws), repeat=2)]
+    states = np.array([s for s, _ in rows], dtype=np.int64)
+    u = np.array([uv for _, uv in rows])
+    got, failed = plugin.step_batch(states, u)
+    assert not len(failed)
+    want = [twin.step(s, Scripted(uv)) for s, uv in rows]
+    assert np.array_equal(got, np.array(want, dtype=np.int64))
+
+
 class TestRegistry:
     def test_round_trip_names(self):
         for name, kwargs in [
