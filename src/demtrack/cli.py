@@ -12,22 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
 
-from .bounds import (
-    azuma_bound,
-    binomial_tail,
-    binomial_tail_remark_bound,
-    freedman_failure_probability,
-    freedman_two_term_probability,
-    gronwall_continuous_bound,
-    gronwall_discrete_bound,
-    stability_bound,
-    theorem_failure_probability,
-    truncated_failure_probability,
-)
+from . import bounds
 from .core import PluginCrashed
 from .ode import compute_RT, lambda_threshold, solve_ode
 from .simulate import run_ensemble
@@ -153,33 +143,25 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# The functions of ``demtrack bounds``, by subcommand name. Each parameter
+# of a function is a required flag of the same name, typed by its annotation.
+_BOUNDS = {
+    "azuma": bounds.azuma_bound,
+    "theorem": bounds.theorem_failure_probability,
+    "freedman": bounds.freedman_failure_probability,
+    "freedman-two-term": bounds.freedman_two_term_probability,
+    "gronwall-discrete": bounds.gronwall_discrete_bound,
+    "gronwall-continuous": bounds.gronwall_continuous_bound,
+    "stability": bounds.stability_bound,
+    "binomial-tail": bounds.binomial_tail,
+    "binomial-remark": bounds.binomial_tail_remark_bound,
+    "truncated": bounds.truncated_failure_probability,
+}
+
+
 def cmd_bounds(args) -> int:
-    kind = args.kind
-    if kind == "azuma":
-        v = azuma_bound(args.m, args.c, args.t)
-    elif kind == "theorem":
-        v = theorem_failure_probability(args.a, args.n, args.lam, args.T, args.beta)
-    elif kind == "freedman":
-        v = freedman_failure_probability(args.a, args.n, args.lam, args.T, args.beta, args.b)
-    elif kind == "freedman-two-term":
-        v = freedman_two_term_probability(args.a, args.n, args.lam, args.T, args.beta, args.b)
-    elif kind == "gronwall-discrete":
-        v = gronwall_discrete_bound(args.c, args.b, args.a, args.m)
-    elif kind == "gronwall-continuous":
-        v = gronwall_continuous_bound(args.C, args.L, args.t)
-    elif kind == "stability":
-        v = stability_bound(args.lam, args.delta, args.L, args.T)
-    elif kind == "binomial-tail":
-        v = binomial_tail(args.m, args.gamma, args.k)
-    elif kind == "binomial-remark":
-        v = binomial_tail_remark_bound(args.m, args.gamma, args.x)
-    elif kind == "truncated":
-        v = truncated_failure_probability(
-            args.a, args.n, args.lam, args.T, args.beta, args.gamma, args.x
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown bound {kind!r}")
-    print(_fmt(v))
+    fn = _BOUNDS[args.kind]
+    print(_fmt(fn(**{p: getattr(args, p) for p in inspect.signature(fn).parameters})))
     return 0
 
 
@@ -218,62 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate one closed-form bound")
     bsub = p.add_subparsers(dest="kind", required=True)
 
-    q = bsub.add_parser("azuma")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--c", type=float, required=True)
-    q.add_argument("--t", type=float, required=True)
-
-    for name in ("theorem",):
-        q = bsub.add_parser(name)
-        _common_prob_args(q)
-
-    for name in ("freedman", "freedman-two-term"):
-        q = bsub.add_parser(name)
-        _common_prob_args(q)
-        q.add_argument("--b", type=float, required=True)
-
-    q = bsub.add_parser("gronwall-discrete")
-    q.add_argument("--c", type=float, required=True)
-    q.add_argument("--b", type=float, required=True)
-    q.add_argument("--a", type=float, required=True)
-    q.add_argument("--m", type=int, required=True)
-
-    q = bsub.add_parser("gronwall-continuous")
-    q.add_argument("--C", type=float, required=True)
-    q.add_argument("--L", type=float, required=True)
-    q.add_argument("--t", type=float, required=True)
-
-    q = bsub.add_parser("stability")
-    q.add_argument("--lam", type=float, required=True)
-    q.add_argument("--delta", type=float, required=True)
-    q.add_argument("--L", type=float, required=True)
-    q.add_argument("--T", type=float, required=True)
-
-    q = bsub.add_parser("binomial-tail")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--k", type=int, required=True)
-
-    q = bsub.add_parser("binomial-remark")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--x", type=float, required=True)
-
-    q = bsub.add_parser("truncated")
-    _common_prob_args(q)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--x", type=float, required=True)
-
+    for kind, fn in _BOUNDS.items():
+        q = bsub.add_parser(kind)
+        for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+            flags = (f"--{name}", "--lambda") if name == "lam" else (f"--{name}",)
+            q.add_argument(*flags, type=param.annotation, required=True)
     p.set_defaults(func=cmd_bounds)
     return parser
-
-
-def _common_prob_args(q) -> None:
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--T", type=float, required=True)
-    q.add_argument("--beta", type=float, required=True)
 
 
 def main(argv=None) -> int:

@@ -65,7 +65,7 @@ class OdeSolution:
         """Interpolated solution vector at time t within the grid range."""
         if t < self.ts[0] or t > self.ts[-1]:
             raise ValueError(f"t={t} outside solved range [{self.ts[0]}, {self.ts[-1]}]")
-        return np.array([np.interp(t, self.ts, self.ys[:, k]) for k in range(self.ys.shape[1])])
+        return self.values_at([t])[0]
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
         """Interpolated values, shape (len(times), a)."""

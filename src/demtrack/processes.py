@@ -22,7 +22,9 @@ function of each row: row r's next state depends only on ``states[r]`` and
 ``u[r]``, and no state is kept between calls. The kernel relies on that to
 step a whole block of steps at once from guessed states (see
 ``simulate._step_block``): it passes any number of rows, among them states
-the process may never reach, whose results it discards. The
+the process may never reach, whose results it discards.
+``observables_batch`` and ``drift_batch`` see every state the kernel
+stepped, past a trajectory's stop too: all states the chain reaches. The
 ``ProcessPlugin`` defaults loop over the rows of an object array instead,
 calling ``step``, ``observables`` and ``drift`` with each row's own
 generator.
@@ -136,7 +138,12 @@ class ProcessPlugin(ABC):
 
     @abstractmethod
     def drift(self, state) -> tuple[float, ...]:
-        """Exact E(Y_k(i+1) - Y_k(i) | F_i) for each k."""
+        """Exact E(Y_k(i+1) - Y_k(i) | F_i) for each k.
+
+        The kernel calls ``drift_batch``, like ``observables_batch``, on
+        every state it stepped in a span, past a trajectory's stop too
+        (outside the domain, say): these are all states the chain reaches.
+        """
 
     @abstractmethod
     def drift_field(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -429,26 +436,33 @@ register_plugin(
 register_plugin("greedy-matching", lambda n, params: GreedyMatching(n))
 
 
+def _builtin_spec(
+    plugin: ProcessPlugin, L: float, beta: float, lam: float, domain: Domain
+) -> tuple[ProcessSpec, ProcessPlugin]:
+    """A built-in's spec, with its plugin: delta = 0 and anchor (1, 0, ..., 0)."""
+    spec = ProcessSpec(
+        n=plugin.n,
+        drift=plugin.drift_field,
+        L=L,
+        delta=0.0,
+        beta=beta,
+        lam=lam,
+        y_hat=(1.0,) + (0.0,) * (plugin.dim - 1),
+        domain=domain,
+        plugin_name=plugin.name,
+        plugin_params=plugin.params,
+    )
+    return spec, plugin
+
+
 def balls_in_bins_spec(
     n: int,
     lam: float = 1e-3,
     domain: Domain | None = None,
 ) -> tuple[ProcessSpec, BallsInBins]:
     """Standard instance: empty-bin count vs y(t) = e^{-t} on a box."""
-    plugin = BallsInBins(n)
     dom = domain or Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
-    spec = ProcessSpec(
-        n=n,
-        drift=plugin.drift_field,
-        L=1.0,
-        delta=0.0,
-        beta=1.0,
-        lam=lam,
-        y_hat=(1.0,),
-        domain=dom,
-        plugin_name=plugin.name,
-    )
-    return spec, plugin
+    return _builtin_spec(BallsInBins(n), 1.0, 1.0, lam, dom)
 
 
 def degree_process_spec(
@@ -461,19 +475,7 @@ def degree_process_spec(
     plugin = DegreeProcess(n, max_degree=max_degree)
     a = plugin.dim
     dom = domain or Domain(t_lo=-0.3, t_hi=0.5, lo=(-0.3,) * a, hi=(1.3,) * a)
-    spec = ProcessSpec(
-        n=n,
-        drift=plugin.drift_field,
-        L=4.0,
-        delta=0.0,
-        beta=2.0,
-        lam=lam,
-        y_hat=(1.0,) + (0.0,) * (a - 1),
-        domain=dom,
-        plugin_name=plugin.name,
-        plugin_params=plugin.params,
-    )
-    return spec, plugin
+    return _builtin_spec(plugin, 4.0, 2.0, lam, dom)
 
 
 def greedy_matching_spec(
@@ -482,17 +484,5 @@ def greedy_matching_spec(
     domain: Domain | None = None,
 ) -> tuple[ProcessSpec, GreedyMatching]:
     """Unmatched-vertex count vs y(t) = 1 - 2t; constant drift, L = 0."""
-    plugin = GreedyMatching(n)
     dom = domain or Domain(t_lo=-0.1, t_hi=0.45, lo=(0.05,), hi=(1.1,))
-    spec = ProcessSpec(
-        n=n,
-        drift=plugin.drift_field,
-        L=0.0,
-        delta=0.0,
-        beta=2.0,
-        lam=lam,
-        y_hat=(1.0,),
-        domain=dom,
-        plugin_name=plugin.name,
-    )
-    return spec, plugin
+    return _builtin_spec(GreedyMatching(n), 0.0, 2.0, lam, dom)

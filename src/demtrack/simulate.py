@@ -27,14 +27,15 @@ generators are stepped one Python pass per step, and a pass in which some
 row's step raised ends the span early. Once per span, on all of its steps
 at once, the kernel then finds each row's stop (the horizon, the first
 exit from the box, or the first step that raised, unless the row left the
-box at or before it), evaluates the drift on the steps taken before each
-stop, and reduces the deviation and martingale sups, the replay chain, the
+box at or before it), evaluates the drift of every stepped state, and
+reduces the deviation and martingale sups, the replay chain, the
 hypothesis checks and the stride records, summing along each row one step
 at a time so that every trajectory keeps its order of float operations.
 Reductions over the a coordinates or a state's width are folded column
 by column (``_fold``), several times faster than numpy reduces a short axis.
-Rows are stepped and observed to the end of the span even past their stop;
-what they do there, raised exceptions included, is discarded. A row that
+Rows are stepped, observed and given their drift to the end of the span
+even past their stop: these are all states the chain reaches. What their
+steps do there, raised exceptions included, is discarded. A row that
 stopped is written out and compacted away. Records are preallocated for a
 run to the horizon, and each Trajectory holds views into them.
 ``simulate`` is a batch of one; ``run_ensemble`` runs one batch per worker.
@@ -305,7 +306,8 @@ def _simulate_batch(
         done = end <= J
         # steps whose stopping rule, predicate, deviation and martingale part count
         seen = at <= np.where(done, end, J - 1)[:, None]
-        # steps taken, with their drift; a step that raised still had one
+        # steps taken, whose drift the trend check compares; a step that
+        # raised still had one
         taken = at[:J] < (end + error)[:, None]
 
         if event_predicate is not None:
@@ -319,27 +321,20 @@ def _simulate_batch(
         # bound, coordinate) order. Each (rows, J, .) temporary is deleted
         # once used, which bounds the span's memory.
         found = []
-        # In a span where every row takes all J steps (every span but each
-        # row's last) the drift's states are a reshape, in the mask's
-        # row-major order and several times cheaper than the mask.
-        whole = taken.all()
-        d = plugin.drift_batch(
-            buf[:, :J].reshape((live_rows * J,) + buf.shape[2:]) if whole else buf[:, :J][taken]
-        )
-        if check_trend and len(d):
+        # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
+        # before the sum, cum[:, j + 1] holds the drift of step i0 + j. The
+        # drifts at or past a row's stop reach only positions that ``seen``
+        # masks out and records past the stop.
+        cum = np.zeros((live_rows, J + 1, a))
+        cum[:, 1:] = plugin.drift_batch(
+            buf[:, :J].reshape((live_rows * J,) + buf.shape[2:])
+        ).reshape(live_rows, J, a)
+        if check_trend and taken.any():
             r, j = np.nonzero(taken)
             points = np.column_stack(((i0 + j) / n, Y[r, j].astype(float) / n))
-            gap = np.abs(d - drift_at(plugin.drift_field, points))
+            gap = np.abs(cum[r, j + 1] - drift_at(plugin.drift_field, points))
             x, k = np.nonzero(gap > delta)
             found.append((r[x], j[x], np.zeros_like(k), k, gap[x, k]))
-        # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
-        # before the sum, cum[:, j + 1] holds the drift of step i0 + j
-        cum = np.zeros((live_rows, J + 1, a))
-        if whole:
-            cum[:, 1:] = d.reshape(live_rows, J, a)
-        else:
-            cum[:, 1:][taken] = d
-        del d
         # records of the steps on the stride grid; a row's records past its
         # stop are overwritten by its last record or lie past its prefix
         on_grid = slice(-i0 % stride, J, stride)

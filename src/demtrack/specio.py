@@ -27,6 +27,14 @@ from .processes import ProcessPlugin, make_plugin
 
 SCHEMA_VERSION = 1
 
+# (spec-file key under "extensions", ProcessSpec field) of each optional mode parameter
+_EXTENSIONS = (
+    ("b", "avg_step_bound"),
+    ("gamma", "trunc_gamma"),
+    ("B", "trunc_bound"),
+    ("x", "trunc_x"),
+)
+
 
 def spec_to_dict(spec: ProcessSpec) -> dict:
     if spec.plugin_name is None:
@@ -46,15 +54,7 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
             "y": [[lo, hi] for lo, hi in zip(spec.domain.lo, spec.domain.hi)],
         },
     }
-    ext = {}
-    for key, value in (
-        ("b", spec.avg_step_bound),
-        ("gamma", spec.trunc_gamma),
-        ("B", spec.trunc_bound),
-        ("x", spec.trunc_x),
-    ):
-        if value is not None:
-            ext[key] = value
+    ext = {key: getattr(spec, f) for key, f in _EXTENSIONS if getattr(spec, f) is not None}
     if ext:
         out["extensions"] = ext
     return out
@@ -84,13 +84,21 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         lam = float(doc["lambda"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed spec document: {exc!r}") from exc
-    params = doc.get("params", {}) or {}
-    plugin = make_plugin(name, n, params)
+    if not isinstance(name, str):
+        raise ValueError(f"plugin must be a string, got {name!r}")
+    for key in ("params", "extensions"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            raise ValueError(f"{key} must be a JSON object, got {doc[key]!r}")
+    params = doc.get("params") or {}
+    try:
+        plugin = make_plugin(name, n, params)
+    except TypeError as exc:
+        raise ValueError(f"bad params for plugin {name!r}: {exc}") from exc
     if plugin.dim != len(y_hat):
         raise ValueError(
             f"plugin {name!r} tracks {plugin.dim} variables, spec lists {len(y_hat)}"
         )
-    ext = doc.get("extensions", {}) or {}
+    ext = doc.get("extensions") or {}
     spec = ProcessSpec(
         n=n,
         drift=plugin.drift_field,
@@ -102,16 +110,18 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         domain=domain,
         plugin_name=name,
         plugin_params=dict(params),
-        avg_step_bound=_opt_float(ext, "b"),
-        trunc_gamma=_opt_float(ext, "gamma"),
-        trunc_bound=_opt_float(ext, "B"),
-        trunc_x=_opt_float(ext, "x"),
+        **{f: _opt_float(ext, key) for key, f in _EXTENSIONS},
     )
     return spec, plugin
 
 
 def _opt_float(ext: dict, key: str) -> float | None:
-    return float(ext[key]) if key in ext else None
+    if key not in ext:
+        return None
+    try:
+        return float(ext[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"extensions.{key} must be a number, got {ext[key]!r}") from exc
 
 
 def load_spec(path) -> tuple[ProcessSpec, ProcessPlugin]:

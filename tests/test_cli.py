@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demtrack import processes
-from demtrack.cli import main
+from demtrack import bounds, processes
+from demtrack.cli import _fmt, main
 from demtrack.processes import (
     BallsInBins,
     balls_in_bins_spec,
+    degree_process_spec,
     greedy_matching_spec,
     register_plugin,
 )
@@ -201,6 +202,28 @@ def test_nan_field_is_refused_before_any_run(command, tmp_path, capsys, monkeypa
     assert not ran
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("params", [1]),
+        ("params", {"max_degree": [1]}),
+        ("extensions", "bx"),
+        ("extensions", ["x"]),
+        ("extensions", {"b": [1]}),
+        ("plugin", ["x"]),
+    ],
+)
+def test_malformed_field_exits_2(command, key, value, tmp_path, capsys):
+    """A one-field edit of a valid spec is a schema error, not a crash."""
+    doc = spec_to_dict(degree_process_spec(1000)[0])
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
@@ -211,7 +234,50 @@ def test_shipped_spec_solves(name):
     assert main(["solve", str(SPECS / name)]) == 0
 
 
+# One call of every bounds kind: (kind, function, keyword arguments). The
+# CLI flag of each argument is its parameter name.
+BOUND_CASES = [
+    ("azuma", bounds.azuma_bound, {"m": 50, "c": 1.5, "t": 12.0}),
+    ("theorem", bounds.theorem_failure_probability,
+     {"a": 2, "n": 100000, "lam": 0.02, "T": 1.5, "beta": 1.0}),
+    ("freedman", bounds.freedman_failure_probability,
+     {"a": 3, "n": 50000, "lam": 0.02, "T": 1.0, "beta": 2.0, "b": 0.5}),
+    ("freedman-two-term", bounds.freedman_two_term_probability,
+     {"a": 3, "n": 50000, "lam": 0.02, "T": 1.0, "beta": 2.0, "b": 0.5}),
+    ("gronwall-discrete", bounds.gronwall_discrete_bound,
+     {"c": 1.0, "b": 0.25, "a": 0.1, "m": 7}),
+    ("gronwall-continuous", bounds.gronwall_continuous_bound,
+     {"C": 0.5, "L": 2.0, "t": 1.25}),
+    ("stability", bounds.stability_bound, {"lam": 0.01, "delta": 0.002, "L": 3.0, "T": 0.5}),
+    ("binomial-tail", bounds.binomial_tail, {"m": 40, "gamma": 0.1, "k": 7}),
+    ("binomial-remark", bounds.binomial_tail_remark_bound, {"m": 40, "gamma": 0.01, "x": 2.5}),
+    ("truncated", bounds.truncated_failure_probability,
+     {"a": 2, "n": 1000, "lam": 0.1, "T": 1.0, "beta": 1.0, "gamma": 0.001, "x": 1.0}),
+]
+
+
+def _bounds_argv(kind, kwargs, lam_flag="--lam"):
+    argv = ["bounds", kind]
+    for name, value in kwargs.items():
+        argv += [lam_flag if name == "lam" else f"--{name}", str(value)]
+    return argv
+
+
 class TestBounds:
+    @pytest.mark.parametrize("kind,fn,kwargs", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+    def test_every_kind_prints_its_function(self, kind, fn, kwargs, capsys):
+        assert main(_bounds_argv(kind, kwargs)) == 0
+        assert capsys.readouterr().out == _fmt(fn(**kwargs)) + "\n"
+
+    @pytest.mark.parametrize(
+        "kind,fn,kwargs",
+        [c for c in BOUND_CASES if "lam" in c[2]],
+        ids=[c[0] for c in BOUND_CASES if "lam" in c[2]],
+    )
+    def test_every_lam_kind_takes_lambda(self, kind, fn, kwargs, capsys):
+        assert main(_bounds_argv(kind, kwargs, "--lambda")) == 0
+        assert capsys.readouterr().out == _fmt(fn(**kwargs)) + "\n"
+
     @pytest.mark.parametrize(
         "argv,expected",
         [
