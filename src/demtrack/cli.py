@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 when verification finds more envelope failures
 than the bound (plus sampling slack) allows, 2 on usage or schema errors
-(including a mode parameter that neither the spec's ``extensions`` nor the
-plugin supplies, and a bad initial condition), 3 when a plugin step raises
-during verification.
+(including an unknown spec key or plugin parameter, a mode parameter that
+neither the spec's ``extensions`` nor the plugin supplies, and a bad initial
+condition), 3 when a plugin method raises during verification.
 All printed numbers carry 12 significant digits.
 """
 

@@ -19,8 +19,8 @@ class LambdaNotAdmissible(ValueError):
 
 
 class PluginCrashed(RuntimeError):
-    """Raised when a plugin's step raised during a verification run, or an
-    array ``step_batch`` left rows unstepped."""
+    """Raised when a plugin method raised during a simulation or verification
+    run, or an array ``step_batch`` left rows unstepped."""
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,14 @@ class Domain:
             raise ValueError(
                 f"point has dimension {len(point)}, domain needs {self.dim + 1}"
             )
-        if any(map(math.isnan, point)):
-            return -math.inf
-        t = point[0]
-        d = min(t - self.t_lo, self.t_hi - t)
-        for y, a, b in zip(point[1:], self.lo, self.hi):
-            d = min(d, y - a, b - y)
-        return d
+        return float(self.distance(point[0], np.asarray(point[1:], dtype=float)))
+
+    def distance(self, ts, ys) -> np.ndarray:
+        """``boundary_distance`` of every point (ts[...], ys[..., :]) at once."""
+        dist = np.minimum(ts - self.t_lo, self.t_hi - ts)
+        faces = np.minimum(ys - np.array(self.lo), np.array(self.hi) - ys)
+        dist = np.minimum(dist, faces.min(axis=-1, initial=math.inf))
+        return np.where(np.isnan(dist), -math.inf, dist)
 
     def contains(self, point: Sequence[float]) -> bool:
         return self.boundary_distance(point) > 0.0
@@ -182,6 +183,10 @@ class Constants:
             raise ValueError("R must be at least 1")
         if not 0.0 <= self.sigma <= self.T:
             raise ValueError("sigma must lie in [0, T]")
+
+    def steps(self, n: int) -> int:
+        """Last step of the envelope's range: min(floor(T*n), floor(sigma*n + 1e-9))."""
+        return min(math.floor(self.T * n), math.floor(self.sigma * n + 1e-9))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,15 @@ def drift_at(field, points: np.ndarray) -> np.ndarray:
     return np.array([np.asarray(field(p[0], p[1:]), dtype=float) for p in points])
 
 
+def _finite_drift(field, points: np.ndarray, what: str) -> np.ndarray:
+    """``drift_at(field, points)``, or ValueError at the first point where it is not finite."""
+    f = drift_at(field, points)
+    if not np.isfinite(f).all():
+        t, *y = points[np.isfinite(f.reshape(len(points), -1)).all(axis=1).argmin()].tolist()
+        raise ValueError(f"drift is not finite at the {what} t={t!r}, y={y!r}")
+    return f
+
+
 def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     """Drift bound R and time horizon T for the spec's domain.
 
@@ -140,12 +149,8 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
         flat = np.arange(start, min(start + RT_SCAN_CHUNK, total))
         idx = np.unravel_index(flat, (res,) * ndim)
         points = np.column_stack([g[i] for g, i in zip(grids, idx)])
-        per_point = np.abs(drift_at(spec.drift, points)).reshape(len(points), -1).max(axis=1)
-        bad = np.flatnonzero(~np.isfinite(per_point))
-        if len(bad):
-            t, *y = points[bad[0]].tolist()
-            raise ValueError(f"drift is not finite at the RT scan point t={t!r}, y={y!r}")
-        best = max(best, float(per_point.max()))
+        f = _finite_drift(spec.drift, points, "RT scan point")
+        best = max(best, float(np.abs(f).max()))
     return max(1.0, best + spec.L * mesh), T
 
 
@@ -166,12 +171,7 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     pairs = rng.uniform(lo, hi, size=(samples, 2, len(lo)))
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
     points = pairs.reshape(2 * samples, len(lo))
-    f = drift_at(spec.drift, points)
-    bad = np.flatnonzero(~np.isfinite(f.reshape(len(points), -1)).all(axis=1))
-    if len(bad):
-        t, *y = points[bad[0]].tolist()
-        raise ValueError(f"drift is not finite at the Lipschitz sample point t={t!r}, y={y!r}")
-    f = f.reshape(samples, 2, -1)
+    f = _finite_drift(spec.drift, points, "Lipschitz sample point").reshape(samples, 2, -1)
     apart = gaps >= 1e-12
     slopes = np.abs(f[apart, 0] - f[apart, 1]).max(axis=1) / gaps[apart]
     best = float(np.fmax.reduce(slopes, initial=0.0))
@@ -226,7 +226,7 @@ def rk4_solve(
     def below(rows, j0, j1):
         if domain is None:
             return np.zeros((len(rows), j1 - j0), dtype=bool)
-        return _distance(domain, ts[j0:j1], grid[rows, j0:j1]) < margin
+        return domain.distance(ts[j0:j1], grid[rows, j0:j1]) < margin
 
     def stepwise(k, j0, j1):
         # steps j0..j1-1 of anchor k one at a time; False once it halts
@@ -282,8 +282,8 @@ def grid_steps(spec: ProcessSpec, T: float) -> int:
     return max(MIN_GRID_STEPS, min(math.ceil(T * spec.n), MAX_GRID_STEPS))
 
 
-def _margin(spec: ProcessSpec, T: float) -> float:
-    return 3.0 * math.exp(spec.L * T) * spec.lam
+def _margin(L: float, T: float, lam: float) -> float:
+    return 3.0 * math.exp(L * T) * lam
 
 
 def anchor_grids(specs: list[ProcessSpec], T: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -293,7 +293,7 @@ def anchor_grids(specs: list[ProcessSpec], T: float) -> list[tuple[np.ndarray, n
     """
     s = specs[0]
     y0s = [spec.y_hat for spec in specs]
-    return rk4_solve(s.drift, y0s, 0.0, T, grid_steps(s, T), s.domain, _margin(s, T))
+    return rk4_solve(s.drift, y0s, 0.0, T, grid_steps(s, T), s.domain, _margin(s.L, T, s.lam))
 
 
 def solve_ode(
@@ -314,22 +314,10 @@ def solve_ode(
     if R is None or T is None:
         R, T = compute_RT(spec)
     ts, ys = anchor_grids([spec], T)[0] if grid is None else grid
-    margin = _margin(spec, T)
+    margin = _margin(spec.L, T, spec.lam)
     sigma = compute_sigma(ts, ys, spec, margin)
     constants = Constants(R=R, T=T, sigma=sigma, margin=margin)
     return OdeSolution(spec=spec, ts=ts, ys=ys, constants=constants)
-
-
-def _distance(dom: Domain, ts, ys) -> np.ndarray:
-    """l-infinity boundary distance of the points (ts[..., i], ys[..., i, :]).
-
-    ``Domain.boundary_distance``, taken for all points at once: -inf for a
-    point with a NaN coordinate.
-    """
-    dist = np.minimum(ts - dom.t_lo, dom.t_hi - ts)
-    faces = np.minimum(ys - np.array(dom.lo), np.array(dom.hi) - ys)
-    dist = np.minimum(dist, faces.min(axis=-1, initial=math.inf))
-    return np.where(np.isnan(dist), -math.inf, dist)
 
 
 def compute_sigma(ts: np.ndarray, ys: np.ndarray, spec: ProcessSpec, margin: float) -> float:
@@ -338,11 +326,11 @@ def compute_sigma(ts: np.ndarray, ys: np.ndarray, spec: ProcessSpec, margin: flo
     Conservative: sigma is rounded down to the grid, which only narrows the
     range on which the envelope is claimed. Returns 0.0 when already the
     initial point sits within margin of the boundary (the guarantee is then
-    vacuous). Distances are those of ``_distance``.
+    vacuous). Distances are those of ``Domain.distance``.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float).reshape(len(ts), -1)
-    below = np.flatnonzero(_distance(spec.domain, ts, ys) < margin)
+    below = np.flatnonzero(spec.domain.distance(ts, ys) < margin)
     stop = below[0] if len(below) else len(ts)
     return float(ts[stop - 1]) if stop else 0.0
 
@@ -379,7 +367,7 @@ def range_check(
         )
     if len(bounds) != sol.ys.shape[1]:
         raise ValueError("one (A_k, B_k) interval per tracked coordinate required")
-    tol = 3.0 * math.exp(sol.spec.L * sol.constants.T) * lam
+    tol = _margin(sol.spec.L, sol.constants.T, lam)
     mask = sol.ts <= sol.constants.sigma
     for k, (a_k, b_k) in enumerate(bounds):
         vals = sol.ys[mask, k]

@@ -24,7 +24,9 @@ step a whole block of steps at once from guessed states (see
 ``simulate._step_block``): it passes any number of rows, among them states
 the process may never reach, whose results it discards.
 ``observables_batch`` and ``drift_batch`` see every state the kernel
-stepped, past a trajectory's stop too: all states the chain reaches. The
+stepped, past a trajectory's stop too: all states the chain reaches. An
+exception of theirs, of an array ``step_batch`` or of the field in the
+kernel's trend check ends the run with ``PluginCrashed``. The
 ``ProcessPlugin`` defaults loop over the rows of an object array instead,
 calling ``step``, ``observables`` and ``drift`` with each row's own
 generator.
@@ -428,12 +430,13 @@ def make_plugin(name: str, n: int, params: dict | None = None) -> ProcessPlugin:
     return _REGISTRY[name](n, params or {})
 
 
-register_plugin("balls-in-bins", lambda n, params: BallsInBins(n))
+# a parameter that the constructor does not take raises TypeError
+register_plugin("balls-in-bins", lambda n, params: BallsInBins(n, **params))
 register_plugin(
     "degree-process",
-    lambda n, params: DegreeProcess(n, max_degree=int(params.get("max_degree", 3))),
+    lambda n, params: DegreeProcess(n, **dict(params, max_degree=int(params.get("max_degree", 3)))),
 )
-register_plugin("greedy-matching", lambda n, params: GreedyMatching(n))
+register_plugin("greedy-matching", lambda n, params: GreedyMatching(n, **params))
 
 
 def _builtin_spec(

@@ -35,7 +35,9 @@ Reductions over the a coordinates or a state's width are folded column
 by column (``_fold``), several times faster than numpy reduces a short axis.
 Rows are stepped, observed and given their drift to the end of the span
 even past their stop: these are all states the chain reaches. What their
-steps do there, raised exceptions included, is discarded. A row that
+steps do there, a row-wise ``step``'s exceptions included, is discarded;
+an exception of any other plugin method, there too, ends the run with
+``PluginCrashed`` (``_guard``). A row that
 stopped is written out and compacted away. Records are preallocated for a
 run to the horizon, and each Trajectory holds views into them.
 ``simulate`` is a batch of one; ``run_ensemble`` runs one batch per worker.
@@ -48,13 +50,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Ensemble, ProcessSpec, Trajectory, Violation
+from .core import Ensemble, PluginCrashed, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution, drift_at
 from .processes import ProcessPlugin, refuse_failed_rows
 
@@ -86,7 +89,7 @@ class _SimPrep:
     """Per-spec data shared by every trajectory of an ensemble: K reference paths."""
 
     yode: np.ndarray       # n * y_k(i/n) of each path, shape (cap+1, K, a)
-    caps: np.ndarray       # per path min(floor(T*n), floor(sigma*n)), shape (K,)
+    caps: np.ndarray       # per path Constants.steps(n), shape (K,)
     live: np.ndarray       # live[i] = i <= caps, shape (cap+1, K)
     cap: int               # max(caps)
     two_lam_n: float
@@ -113,9 +116,7 @@ def _prepare(
     if not solutions:
         raise ValueError("need at least one ODE solution")
     consts = [s.constants for s in solutions]
-    caps = np.array(
-        [min(math.floor(c.T * n), math.floor(c.sigma * n + 1e-9)) for c in consts]
-    )
+    caps = np.array([c.steps(n) for c in consts])
     cap = int(caps.max())
     # a path is interpolated past its own cap too; those rows are never used
     return _SimPrep(
@@ -157,6 +158,20 @@ def simulate(
     return _simulate_batch(
         plugin, spec, prep, full_paths, event_predicate, replay_check, [int(seed)]
     )[0]
+
+
+@contextmanager
+def _guard(plugin: ProcessPlugin, method: str, i0: int, J: int):
+    """Re-raise what a plugin method called in the span of steps i0..i0 + J
+    raises as ``PluginCrashed`` naming the class, the method and the span."""
+    try:
+        yield
+    except PluginCrashed:
+        raise
+    except Exception as exc:
+        raise PluginCrashed(
+            f"{type(plugin).__name__}.{method} raised {exc!r} in the span of steps {i0}..{i0 + J}"
+        ) from exc
 
 
 def _fold(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -256,17 +271,17 @@ def _simulate_batch(
         uniforms = np.empty((count, span, upf))
     # the states at steps i0..i0+J of the current span, one row per live row
     held = np.empty((count, span + 1) + states.shape[1:], dtype=states.dtype)
-    Y0 = plugin.observables_batch(states[:1])[0]  # Y(0), one (a,) row for all rows
+    with _guard(plugin, "observables_batch", 0, 0):
+        Y0 = plugin.observables_batch(states[:1])[0]  # Y(0), one (a,) row for all rows
 
     # Per-row state of the live rows at the start of a span, whose first
-    # step is i0; ``ids`` maps a row to its trajectory. chain_sum and
-    # prev_dev belong to step i0 - 1.
+    # step is i0; ``ids`` maps a row to its trajectory. drift_cum and
+    # carry are their sums at step i0.
     ids = np.arange(count)
     drift_cum = np.zeros((count, a))
     sup_mart = np.zeros(count)
     sup_dev = np.zeros((count, paths))
-    chain_sum = np.zeros((count, paths))
-    prev_dev = np.zeros((count, paths))
+    carry = np.zeros((count, paths))
     replay_ok = np.ones((count, paths), dtype=bool)
     event_stop = np.full(count, -1, dtype=np.int64)
 
@@ -283,9 +298,10 @@ def _simulate_batch(
         live_rows = len(ids)
         # Block position j is step i0 + j, and Y[:, j] its counts.
         at = np.arange(J + 1)
-        Y = plugin.observables_batch(
-            buf[:, : J + 1].reshape((live_rows * (J + 1),) + buf.shape[2:])
-        ).reshape(live_rows, J + 1, a)
+        with _guard(plugin, "observables_batch", i0, J):
+            Y = plugin.observables_batch(
+                buf[:, : J + 1].reshape((live_rows * (J + 1),) + buf.shape[2:])
+            ).reshape(live_rows, J + 1, a)
 
         # Stopping rule: the first step at the horizon or with the rescaled
         # state outside the open box (the time axis cannot bind earlier
@@ -326,13 +342,16 @@ def _simulate_batch(
         # drifts at or past a row's stop reach only positions that ``seen``
         # masks out and records past the stop.
         cum = np.zeros((live_rows, J + 1, a))
-        cum[:, 1:] = plugin.drift_batch(
-            buf[:, :J].reshape((live_rows * J,) + buf.shape[2:])
-        ).reshape(live_rows, J, a)
+        with _guard(plugin, "drift_batch", i0, J):
+            cum[:, 1:] = plugin.drift_batch(
+                buf[:, :J].reshape((live_rows * J,) + buf.shape[2:])
+            ).reshape(live_rows, J, a)
         if check_trend and taken.any():
             r, j = np.nonzero(taken)
             points = np.column_stack(((i0 + j) / n, Y[r, j].astype(float) / n))
-            gap = np.abs(cum[r, j + 1] - drift_at(plugin.drift_field, points))
+            with _guard(plugin, "drift_field", i0, J):
+                field = drift_at(plugin.drift_field, points)
+            gap = np.abs(cum[r, j + 1] - field)
             x, k = np.nonzero(gap > delta)
             found.append((r[x], j[x], np.zeros_like(k), k, gap[x, k]))
         # records of the steps on the stride grid; a row's records past its
@@ -365,16 +384,14 @@ def _simulate_batch(
                 in_range = live & before[:, :, None]
             np.maximum(sup_dev, dev.max(axis=1, where=in_range, initial=0.0), out=sup_dev)
             if replay_check:
-                # chain[:, j + 1] is chain_sum at step i0 + j, summed one step at a time
+                # chain[:, j] is the chain's sum at step i0 + j, summed one step at a time
                 chain = np.empty((live_rows, jd + 1, paths))
-                chain[:, 0] = chain_sum
-                chain[:, 1] = prep.L_over_n * prev_dev + prep.step_term if i0 else 0.0
-                np.multiply(dev[:, :-1], prep.L_over_n, out=chain[:, 2:])
-                chain[:, 2:] += prep.step_term
+                chain[:, 0] = carry
+                np.multiply(dev, prep.L_over_n, out=chain[:, 1:])
+                chain[:, 1:] += prep.step_term
                 np.add.accumulate(chain, axis=1, out=chain)
-                last = min(J, jd) - 1
-                chain_sum[:], prev_dev[:] = chain[:, last + 1], dev[:, last]
-                bound = np.add(chain[:, 1:], prep.two_lam_n, out=chain[:, 1:])
+                carry[:] = chain[:, min(J, jd)]
+                bound = np.add(chain[:, :jd], prep.two_lam_n, out=chain[:, :jd])
                 ok = np.less(dev, bound).all(axis=1, where=live)
                 np.logical_and(replay_ok, ok, out=replay_ok)
                 del chain, bound
@@ -443,29 +460,29 @@ def _simulate_batch(
         buf = held[:live_rows]
         buf[:, 0] = states
         failed = ()
-        if uniforms is None:
-            for j in range(1, J + 1):
-                states, failed = plugin.step_batch(states, gens)
-                buf[:, j] = states
-                if len(failed):
-                    J = j
-                    break
-        else:
-            for r, g in enumerate(gens):
-                g.random(out=uniforms[r])
-            for q in range(0, J, _BLOCK_STEPS):
-                e = min(q + _BLOCK_STEPS, J)
-                _step_block(plugin, buf[:, q : e + 1], uniforms[:, q:e])
-            states = buf[:, J]
+        with _guard(plugin, "step_batch", i0, J):
+            if uniforms is None:
+                for j in range(1, J + 1):
+                    states, failed = plugin.step_batch(states, gens)
+                    buf[:, j] = states
+                    if len(failed):
+                        J = j
+                        break
+            else:
+                for r, g in enumerate(gens):
+                    g.random(out=uniforms[r])
+                for q in range(0, J, _BLOCK_STEPS):
+                    e = min(q + _BLOCK_STEPS, J)
+                    _step_block(plugin, buf[:, q : e + 1], uniforms[:, q:e])
+                states = buf[:, J]
 
         done = finish_span(i0, J, buf, failed)
         keep = ~done
         if not keep.any():
             return out
         ids, states, drift_cum = ids[keep], states[keep], drift_cum[keep]
-        sup_mart, sup_dev, chain_sum, prev_dev, replay_ok, event_stop = (
-            sup_mart[keep], sup_dev[keep], chain_sum[keep], prev_dev[keep],
-            replay_ok[keep], event_stop[keep],
+        sup_mart, sup_dev, carry, replay_ok, event_stop = (
+            sup_mart[keep], sup_dev[keep], carry[keep], replay_ok[keep], event_stop[keep]
         )
         gens = [g for g, k in zip(gens, keep) if k]
         if uniforms is not None:

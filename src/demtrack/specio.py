@@ -14,7 +14,9 @@ Schema version 1::
     }
 
 The drift functions are resolved through the plugin registry; loading a
-spec therefore returns the plugin instance alongside the spec.
+spec therefore returns the plugin instance alongside the spec. A key not
+listed above, at the top level, under "domain" or under "extensions", is
+refused by name, and so is a parameter the plugin's factory does not take.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ _EXTENSIONS = (
     ("B", "trunc_bound"),
     ("x", "trunc_x"),
 )
+# the keys of a spec document, and of its "domain"
+_KEYS = (
+    "schema", "plugin", "params", "n", "L", "delta", "beta", "lambda", "y_hat", "domain",
+    "extensions",
+)
+_DOMAIN_KEYS = ("t", "y")
 
 
 def spec_to_dict(spec: ProcessSpec) -> dict:
@@ -65,6 +73,7 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         raise ValueError("spec document must be a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema')!r}")
+    _refuse_unknown(doc, _KEYS, "")
     try:
         name = doc["plugin"]
         n = int(doc["n"])
@@ -84,6 +93,7 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         lam = float(doc["lambda"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed spec document: {exc!r}") from exc
+    _refuse_unknown(dom_doc, _DOMAIN_KEYS, "domain.")
     if not isinstance(name, str):
         raise ValueError(f"plugin must be a string, got {name!r}")
     for key in ("params", "extensions"):
@@ -99,6 +109,7 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
             f"plugin {name!r} tracks {plugin.dim} variables, spec lists {len(y_hat)}"
         )
     ext = doc.get("extensions") or {}
+    _refuse_unknown(ext, [key for key, _ in _EXTENSIONS], "extensions.")
     spec = ProcessSpec(
         n=n,
         drift=plugin.drift_field,
@@ -113,6 +124,12 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         **{f: _opt_float(ext, key) for key, f in _EXTENSIONS},
     )
     return spec, plugin
+
+
+def _refuse_unknown(doc: dict, known, prefix: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown spec key {prefix + str(key)!r} (known: {', '.join(known)})")
 
 
 def _opt_float(ext: dict, key: str) -> float | None:

@@ -15,8 +15,6 @@ import math
 from dataclasses import replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .bounds import (
     freedman_failure_probability,
     theorem_failure_probability,
@@ -30,7 +28,7 @@ from .core import (
     VerificationReport,
     check_initial_condition,
 )
-from .ode import anchor_grids, compute_RT, lambda_threshold, solve_ode
+from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin
 from .simulate import run_ensemble
 
@@ -76,15 +74,14 @@ def _failure_probability(spec: ProcessSpec, T: float, mode: str, b, gamma, x) ->
 
 
 def _gw_final_inequality(spec: ProcessSpec, c: Constants) -> bool:
-    """(2*lam*n + [R + delta*min(Tn, n/L)]) * exp(L*m/n) <= 3*lam*n*exp(L*T) at all m <= sigma*n."""
-    n = spec.n
-    horizon_n = T_n = c.T * n
-    if spec.L > 0:
-        horizon_n = min(T_n, n / spec.L)
-    lhs_base = 2.0 * spec.lam * n + (c.R + spec.delta * horizon_n)
-    rhs = 3.0 * spec.lam * n * math.exp(spec.L * c.T)
-    ms = np.arange(math.floor(c.sigma * n + 1e-9) + 1)
-    return bool(np.all(lhs_base * np.exp(spec.L * ms / n) <= rhs))
+    """(2*lam + lambda_threshold) * exp(L*m/n) <= margin at every step m of the envelope's range.
+
+    The left side grows with m: this checks m = c.steps(n), as 2*lam + threshold <=
+    the margin left at m, which holds whenever lam >= threshold, in floating point too.
+    """
+    m = c.steps(spec.n)
+    lhs = 2.0 * spec.lam + lambda_threshold(spec, c.R, c.T)
+    return lhs <= _margin(spec.L, c.T - m / spec.n, spec.lam)
 
 
 def verify(
@@ -108,7 +105,7 @@ def verify(
     parameters and the initial condition max_k |Y_k(0) - y_hat_k*n| <=
     lambda*n, Y(0) from ``plugin.initial_state()``, are checked before any
     work starts, even when sigma = 0. Raises :class:`PluginCrashed` when a
-    plugin step raises.
+    plugin method raises.
     """
     return _verify_anchors(
         spec, plugin, count, base_seed, mode, event_predicate, replay_check, jobs, [spec]

@@ -2,7 +2,8 @@
 
 These are ``rk4_grid`` and the loop of ``solve_ode`` in ``demtrack.ode`` as
 they were before one driver replaced both, kept verbatim: the margin is
-checked with ``Domain.boundary_distance`` after every step, and a step that
+checked with the scalar ``boundary_distance`` of ``scan_reference`` (the
+loop ``Domain.boundary_distance`` ran) after every step, and a step that
 raises is retried once at half width. Tests require the driver to reproduce
 their grids and constants byte for byte.
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 from demtrack.core import Constants, ProcessSpec
 from demtrack.ode import OdeSolution, compute_RT, compute_sigma, grid_steps
+from scan_reference import boundary_distance
 
 
 def reference_rk4_grid(f, y0: np.ndarray, t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,7 +54,7 @@ def reference_solve_ode(spec: ProcessSpec, R: float | None = None, T: float | No
     y = np.array(spec.y_hat, dtype=float)
     ts = [0.0]
     ys = [y.copy()]
-    if spec.domain.boundary_distance((0.0, *y)) >= margin:
+    if boundary_distance(spec.domain, (0.0, *y)) >= margin:
         for j in range(steps):
             t = j * h
             try:
@@ -70,7 +72,7 @@ def reference_solve_ode(spec: ProcessSpec, R: float | None = None, T: float | No
             ts.append(t_next)
             ys.append(y_next)
             y = y_next
-            if spec.domain.boundary_distance((t_next, *y)) < margin:
+            if boundary_distance(spec.domain, (t_next, *y)) < margin:
                 break
 
     ts_arr = np.array(ts)

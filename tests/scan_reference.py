@@ -6,14 +6,37 @@ points at once, kept verbatim but for one rule added later: the RT scan
 and the Lipschitz sampling raise at their first point where the drift is
 not finite. Tests require the stacked scans to reproduce their results
 exactly.
+
+``boundary_distance`` is the one-point loop that ``Domain.boundary_distance``
+ran before it became the one-point case of ``Domain.distance``, kept
+verbatim: the geometry of these references and of ``ode_reference``, so
+that neither shares the code it checks.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
-from demtrack.core import ProcessSpec
+from demtrack.core import Domain, ProcessSpec
 from demtrack.ode import RT_GRID_BUDGET, RT_GRID_RESOLUTION
+
+
+def boundary_distance(dom: Domain, point: Sequence[float]) -> float:
+    """Signed l-infinity distance of (t, y_1..y_a) to the box; -inf with a NaN coordinate."""
+    if len(point) != dom.dim + 1:
+        raise ValueError(
+            f"point has dimension {len(point)}, domain needs {dom.dim + 1}"
+        )
+    if any(map(math.isnan, point)):
+        return -math.inf
+    t = point[0]
+    d = min(t - dom.t_lo, dom.t_hi - t)
+    for y, a, b in zip(point[1:], dom.lo, dom.hi):
+        d = min(d, y - a, b - y)
+    return d
 
 
 def reference_compute_RT(spec: ProcessSpec) -> tuple[float, float]:
@@ -62,7 +85,7 @@ def reference_lipschitz(spec: ProcessSpec, samples: int = 256, seed: int = 0) ->
 def reference_sigma(ts, ys, spec: ProcessSpec, margin: float) -> float:
     sigma = 0.0
     for t, y in zip(ts, ys):
-        if spec.domain.boundary_distance((t, *y)) < margin:
+        if boundary_distance(spec.domain, (t, *y)) < margin:
             break
         sigma = float(t)
     return sigma

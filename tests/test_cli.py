@@ -16,6 +16,7 @@ from demtrack.processes import (
     register_plugin,
 )
 from demtrack.specio import save_spec, spec_to_dict
+from test_kernel import GUARDED, RaisingBalls
 
 verify_module = importlib.import_module("demtrack.verify")
 
@@ -167,6 +168,29 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory 0 failed at step 0")
 
+    @pytest.mark.parametrize("method", GUARDED)
+    def test_a_raising_plugin_method_exits_3(self, method, tmp_path, capsys, monkeypatch):
+        def make(n, params):
+            plugin = RaisingBalls(n)
+            plugin.raising, plugin.armed = method, False
+            return plugin
+
+        def armed_run(plugin, *args, **kwargs):
+            plugin.armed = True
+            return run_ensemble(plugin, *args, **kwargs)
+
+        monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+        register_plugin(RaisingBalls.name, make)
+        run_ensemble = verify_module.run_ensemble
+        monkeypatch.setattr(verify_module, "run_ensemble", armed_run)
+        doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
+        doc["plugin"] = RaisingBalls.name
+        path = tmp_path / "raising.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--count", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: RaisingBalls.{method} raised ZeroDivisionError")
+
     def test_inadmissible_lambda_exits_2(self, tmp_path, capsys):
         spec, _ = balls_in_bins_spec(2000, lam=1e-3)
         doc = spec_to_dict(spec)
@@ -222,6 +246,33 @@ def test_malformed_field_exits_2(command, key, value, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# (plugin, edit of its spec document, the key the error names)
+UNKNOWN_KEYS = [
+    ("degree-process", lambda doc: doc.update(extensions={"gama": 0.5, "x": 0}), "gama"),
+    ("degree-process", lambda doc: doc.update(extension={"x": 0}), "extension"),
+    ("degree-process", lambda doc: doc["domain"].update(z=[0, 1]), "domain.z"),
+    ("degree-process", lambda doc: doc["params"].update(max_degre=5), "max_degre"),
+    ("balls-in-bins", lambda doc: doc["params"].update(max_degree=3), "max_degree"),
+    ("greedy-matching", lambda doc: doc["params"].update(seed=1), "seed"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("plugin,edit,named", UNKNOWN_KEYS, ids=[c[2] for c in UNKNOWN_KEYS])
+def test_unknown_key_exits_2(command, plugin, edit, named, tmp_path, capsys):
+    """A misspelt or unknown key, or a parameter the plugin does not take, is
+    refused by name instead of being ignored."""
+    make = {"degree-process": degree_process_spec, "balls-in-bins": balls_in_bins_spec,
+            "greedy-matching": greedy_matching_spec}[plugin]
+    doc = spec_to_dict(make(1000, lam=0.05)[0])
+    edit(doc)
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), *(["--count", "2"] if command == "verify" else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from demtrack import Domain, ProcessSpec, check_initial_condition
 from demtrack.processes import balls_in_bins_spec
+from scan_reference import boundary_distance
 
 BOX = Domain(t_lo=-0.1, t_hi=2.0, lo=(0.05,), hi=(1.1,))
 
@@ -106,6 +107,35 @@ def test_inner_ball_stays_inside(drawn, data):
     ):
         corner = tuple(x + s * r for x, s in zip(p, signs))
         assert dom.contains(corner)
+
+
+@given(boxes, st.integers(1, 3), st.integers(1, 4), st.data())
+@settings(max_examples=100)
+def test_distance_matches_the_scalar_loop(drawn, K, B, data):
+    """``Domain.distance`` on a (K, B, a) stack of points, as ``rk4_solve``
+    passes them, and ``boundary_distance`` on each point equal the scalar
+    loop, on points anywhere, on faces, and with NaN or infinite coordinates."""
+    dom = _mk_domain(drawn)
+    ends = [(dom.t_lo, dom.t_hi), *zip(dom.lo, dom.hi)]
+
+    def coord(axis):
+        special = (*ends[axis], math.nan, math.inf, -math.inf)
+        return st.one_of(st.floats(-10, 10), st.sampled_from(special))
+
+    ts = np.array(data.draw(st.lists(coord(0), min_size=B, max_size=B)))
+    ys = np.array([
+        [data.draw(st.tuples(*(coord(k) for k in range(1, dom.dim + 1)))) for _ in range(B)]
+        for _ in range(K)
+    ])
+    got = dom.distance(ts, ys)
+    assert got.shape == (K, B)
+    for q in range(K):
+        for b in range(B):
+            point = (float(ts[b]), *ys[q, b].tolist())
+            want = boundary_distance(dom, point)
+            single = dom.boundary_distance(point)
+            assert type(single) is float
+            assert got[q, b] == want and single == want, point
 
 
 class TestInitialCondition:

@@ -695,3 +695,72 @@ def test_fold_is_reduce_over_the_last_axis_bit_for_bit(x, b):
         got, want = simulate._fold(ufunc, arg), ufunc.reduce(arg, axis=-1)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class RaisingBalls(BallsInBins):
+    """Balls-in-bins whose method ``raising`` raises ZeroDivisionError on a state
+    with fewer than 0.95 n empty bins, a few dozen steps in, while ``armed``.
+
+    Its drift is not declared exact, so that the kernel's trend check calls
+    ``drift_field``. The ODE scans call that field too when the spec is built
+    from this plugin; ``armed = False`` holds the raise back there.
+    """
+
+    name = "raising-balls"
+    exact_drift = False
+    raising = None
+    armed = True
+
+    def _check(self, method, filled):
+        if method == self.raising and self.armed and np.any(filled):
+            raise ZeroDivisionError(f"{method} divided by zero")
+
+    def step_batch(self, states, u):
+        self._check("step_batch", states < 0.95 * self.n)
+        return super().step_batch(states, u)
+
+    def observables_batch(self, states):
+        self._check("observables_batch", states < 0.95 * self.n)
+        return super().observables_batch(states)
+
+    def drift_batch(self, states):
+        self._check("drift_batch", states < 0.95 * self.n)
+        return super().drift_batch(states)
+
+    def drift_field(self, t, y):
+        self._check("drift_field", np.asarray(y) < 0.95)
+        return super().drift_field(t, y)
+
+
+# the plugin methods the kernel calls besides a row-wise ``step``
+GUARDED = ("observables_batch", "drift_batch", "step_batch", "drift_field")
+
+
+@pytest.mark.parametrize("method", GUARDED)
+def test_a_raising_plugin_method_is_a_crash(method):
+    """A batch method or the field that raises stops the run with
+    ``PluginCrashed`` naming the class, the method and the span's steps."""
+    spec, _ = balls_in_bins_spec(2000, lam=1e-3)
+    plugin = RaisingBalls(2000)
+    plugin.raising = method
+    named = (
+        rf"^RaisingBalls\.{method} raised ZeroDivisionError\(.*\) in the span of steps 0\.\.\d+$"
+    )
+    with pytest.raises(PluginCrashed, match=named) as err:
+        simulate.simulate(plugin, spec, seed=1, solution=solve_ode(spec), replay_check=True)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    with pytest.raises(PluginCrashed, match=named):
+        verify(spec, plugin, 3, 0)
+
+
+def test_a_raising_scalar_drift_of_a_row_wise_variant_is_a_crash():
+    """A variant that overrides the scalar ``drift`` runs on the per-row
+    defaults; its raise comes out of their ``drift_batch``."""
+
+    class RaisingDrift(BallsInBins):
+        def drift(self, state):
+            return (1 / 0,) if state < 0.95 * self.n else super().drift(state)
+
+    spec, _ = balls_in_bins_spec(2000, lam=1e-3)
+    with pytest.raises(PluginCrashed, match=r"^RaisingDrift\.drift_batch raised ZeroDivisionError"):
+        simulate.simulate(RaisingDrift(2000), spec, seed=1)

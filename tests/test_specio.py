@@ -61,6 +61,25 @@ def test_dimension_mismatch_rejected():
         spec_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "where,key,message",
+    [
+        (None, "extension", "unknown spec key 'extension'"),
+        ("domain", "tt", "unknown spec key 'domain.tt'"),
+        ("extensions", "gama", "unknown spec key 'extensions.gama'"),
+        ("params", "max_degre", "bad params for plugin 'degree-process'.*'max_degre'"),
+    ],
+)
+def test_unknown_key_rejected(where, key, message):
+    doc = spec_to_dict(degree_process_spec(100, lam=0.05)[0])
+    doc.setdefault("extensions", {"x": 0.0})
+    (doc if where is None else doc[where])[key] = 1
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict(doc)
+    (doc if where is None else doc[where]).pop(key)
+    spec_from_dict(doc)
+
+
 def test_invalid_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -13,8 +13,8 @@ from scan_reference import reference_compute_RT
 from test_ode import CallCounter
 from test_simulate import DriftLiar
 
-from demtrack import Domain, LambdaNotAdmissible, ProcessSpec
-from demtrack.ode import compute_RT, solve_ode
+from demtrack import Constants, Domain, LambdaNotAdmissible, ProcessSpec
+from demtrack.ode import _margin, compute_RT, lambda_threshold, solve_ode
 from demtrack.processes import (
     BallsInBins,
     balls_in_bins_spec,
@@ -435,3 +435,77 @@ def test_each_anchor_report_equals_verify(kind, jobs, monkeypatch):
     for anchor, report in zip(anchors, reports):
         want = verify(replace(spec, y_hat=anchor), plugin, 5, 8, jobs=jobs)
         assert report.to_dict() == {**want.to_dict(), "anchor": list(anchor)}
+
+
+def all_m_gw_final_inequality(spec: ProcessSpec, c: Constants) -> bool:
+    """The Gronwall check as it was first written: in counts, at every m <= sigma*n."""
+    n = spec.n
+    horizon_n = T_n = c.T * n
+    if spec.L > 0:
+        horizon_n = min(T_n, n / spec.L)
+    lhs_base = 2.0 * spec.lam * n + (c.R + spec.delta * horizon_n)
+    rhs = 3.0 * spec.lam * n * math.exp(spec.L * c.T)
+    ms = np.arange(math.floor(c.sigma * n + 1e-9) + 1)
+    return bool(np.all(lhs_base * np.exp(spec.L * ms / n) <= rhs))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        small_balls()[0],
+        small_balls(n=20_000, lam=0.005)[0],
+        balls_in_bins_spec(10_000)[0],
+        degree_process_spec(1000, max_degree=3, lam=0.05)[0],
+        degree_process_spec(10_000)[0],
+        greedy_matching_spec(500, lam=0.05)[0],
+        anchored_case("degree")[0],
+        anchored_case("balls")[0],
+    ],
+    ids=lambda spec: f"{spec.plugin_name}-{spec.n}",
+)
+def test_gw_final_inequality_equals_the_all_m_form_on_builtins(spec):
+    c = solve_ode(spec).constants
+    assert verify_module._gw_final_inequality(spec, c) == all_m_gw_final_inequality(spec, c)
+
+
+def gw_case(n, L, delta, R, T, sigma_frac, lam_factor):
+    """(spec, constants) with lam = lam_factor * threshold and sigma = sigma_frac * T."""
+    dom = Domain(t_lo=-0.1, t_hi=T, lo=(0.0,), hi=(1.0,))
+    spec = ProcessSpec(
+        n=n, drift=lambda t, y: -y, L=L, delta=delta, beta=1.0, lam=1.0, y_hat=(0.5,),
+        domain=dom,
+    )
+    lam = lambda_threshold(spec, R, T) * lam_factor
+    spec = replace(spec, lam=lam)
+    return spec, Constants(R=R, T=T, sigma=sigma_frac * T, margin=_margin(L, T, lam))
+
+
+gw_params = dict(
+    n=st.integers(1, 10**6),
+    L=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    delta=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    R=st.floats(1.0, 10.0),
+    T=st.floats(0.01, 3.0),
+    sigma_frac=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
+)
+
+
+@given(lam_factor=st.floats(1.0 + 1e-6, 10.0), **gw_params)
+@settings(max_examples=100, deadline=None)
+def test_gw_final_inequality_equals_the_all_m_form_when_admissible(lam_factor, **params):
+    spec, c = gw_case(lam_factor=lam_factor, **params)
+    holds = verify_module._gw_final_inequality(spec, c)
+    assert holds == all_m_gw_final_inequality(spec, c)
+    assert holds
+
+
+@given(**gw_params)
+@settings(max_examples=100, deadline=None)
+def test_gw_final_inequality_holds_at_the_threshold(**params):
+    """At lam = threshold the last step's inequality holds with equality when
+    L*(T - m/n) = 0. There the all-m form decides by the rounding of its
+    products, either way; wherever the exponent leaves room, the two agree."""
+    spec, c = gw_case(lam_factor=1.0, **params)
+    assert verify_module._gw_final_inequality(spec, c)
+    if spec.L * (c.T - c.steps(spec.n) / spec.n) > 1e-9:
+        assert all_m_gw_final_inequality(spec, c)
