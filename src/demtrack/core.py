@@ -19,8 +19,7 @@ class LambdaNotAdmissible(ValueError):
 
 
 class PluginCrashed(RuntimeError):
-    """Raised when a plugin method raised during a simulation or verification
-    run, or an array ``step_batch`` left rows unstepped."""
+    """Raised when a plugin method raised during a simulation or verification run."""
 
 
 @dataclass(frozen=True)

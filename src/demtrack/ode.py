@@ -114,11 +114,26 @@ def drift_at(field, points: np.ndarray) -> np.ndarray:
 
 
 def _finite_drift(field, points: np.ndarray, what: str) -> np.ndarray:
-    """``drift_at(field, points)``, or ValueError at the first point where it is not finite."""
-    f = drift_at(field, points)
+    """``drift_at(field, points)``, or ValueError naming the first point where the
+    field raises (chained from the field's exception) or, if it raises
+    nowhere, the first where it is not finite."""
+
+    def at(r):
+        t, *y = points[r].tolist()
+        return f"the {what} t={t!r}, y={y!r}"
+
+    f = _stacked_drift(field, points[:, 0], points[:, 1:])
+    if f is None:  # drift_at's one call per point
+        f = []
+        for r, p in enumerate(points):
+            try:
+                f.append(np.asarray(field(p[0], p[1:]), dtype=float))
+            except Exception as exc:
+                raise ValueError(f"drift raised {exc!r} at {at(r)}") from exc
+        f = np.array(f)
     if not np.isfinite(f).all():
-        t, *y = points[np.isfinite(f.reshape(len(points), -1)).all(axis=1).argmin()].tolist()
-        raise ValueError(f"drift is not finite at the {what} t={t!r}, y={y!r}")
+        r = np.isfinite(f.reshape(len(points), -1)).all(axis=1).argmin()
+        raise ValueError(f"drift is not finite at {at(r)}")
     return f
 
 
@@ -132,8 +147,9 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     dimensions to keep the total under RT_GRID_BUDGET (the coarser mesh is
     compensated by a larger inflation, so R stays a valid upper bound).
     The points are taken in row-major grid order, RT_SCAN_CHUNK at a time.
-    A scan point where some F_k is NaN or infinite leaves no usable R: that
-    raises ValueError naming the first such point.
+    A scan point where the field raises, or some F_k is NaN or infinite,
+    leaves no usable R: that raises ValueError naming the first point that
+    raises or, if none does, the first that is not finite.
     """
     dom = spec.domain
     T = dom.t_hi
@@ -161,8 +177,9 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     max_k |F_k(x) - F_k(x')| / |x - x'|_inf. The supplied spec.L is never
     replaced; this is a diagnostic, and a warning is emitted when the
     estimate exceeds it (the supplied constant is then certainly too small).
-    A sample point where some F_k is NaN or infinite bounds nothing: that
-    raises ValueError naming the first such point, in sampling order.
+    A sample point where the field raises, or some F_k is NaN or infinite,
+    bounds nothing: that raises ValueError naming the first point that raises
+    or, if none does, the first that is not finite, in sampling order.
     """
     rng = np.random.default_rng(seed)
     dom = spec.domain

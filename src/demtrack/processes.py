@@ -11,32 +11,27 @@ trend condition can never be violated.
 States must be cheap plain values (ints or tuples) and hashable, so that
 small instances can be exhaustively enumerated for oracle tests.
 
-The simulation kernel steps many trajectories (rows) at once through the
-batch methods ``step_batch``, ``observables_batch`` and ``drift_batch``. A
-plugin that declares ``uniforms_per_step = k`` implements them on the int64
-array stacking its scalar states and consumes exactly k uniforms per row and
-step. It states its dynamics once: each scalar method it does not define
-is a batch of one (``step`` draws ``rng.random((1, k))``) that returns
-plain values. Its ``step_batch`` is a pure
-function of each row: row r's next state depends only on ``states[r]`` and
-``u[r]``, and no state is kept between calls. The kernel relies on that to
-step a whole block of steps at once from guessed states (see
-``simulate._step_block``): it passes any number of rows, among them states
-the process may never reach, whose results it discards.
-``observables_batch`` and ``drift_batch`` see every state the kernel
-stepped, past a trajectory's stop too: all states the chain reaches. An
-exception of theirs, of an array ``step_batch`` or of the field in the
-kernel's trend check ends the run with ``PluginCrashed``. The
-``ProcessPlugin`` defaults loop over the rows of an object array instead,
-calling ``step``, ``observables`` and ``drift`` with each row's own
-generator.
+A plugin states each part of its dynamics once. A row-wise plugin defines
+only the scalar methods ``step``, ``observables`` and ``drift``: the kernel
+steps each row through ``step`` with the row's own generator, and the
+``observables_batch`` and ``drift_batch`` defaults call the scalar methods
+row by row. An array plugin sets ``uniforms_per_step = k`` and defines the
+batch methods on the int64 array that stacks its states; its
+``step_batch(states, u)`` returns the next states, and each scalar method
+it lacks is a batch of one. A variant falls back per method: one that
+overrides ``step`` is row-wise, and one that overrides only ``observables``
+or ``drift`` keeps its parent's array ``step_batch`` and gets that method's
+per-row batch default. An exception of a batch method, or of the field in
+the kernel's trend check, ends the run with ``PluginCrashed`` (``_guard``);
+one of a row-wise ``step`` ends only its row's trajectory.
 """
 
 from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable
 
 import numpy as np
 
@@ -50,34 +45,35 @@ _BATCH_TWINS = (
 )
 
 
-def refuse_failed_rows(plugin, failed: Sequence[int]) -> None:
-    """Raise ``PluginCrashed`` when an array ``step_batch`` lists failed rows.
-
-    With ``uniforms_per_step`` every row must be stepped; a row that is not
-    would silently keep its state.
-    """
-    if len(failed):
-        raise PluginCrashed(
-            f"{type(plugin).__name__} declares uniforms_per_step, but its step_batch "
-            f"failed {len(failed)} of its rows"
-        )
+@contextmanager
+def _guard(plugin, method: str, where: str):
+    """Re-raise what the plugin's ``method`` raises as ``PluginCrashed`` naming
+    the class, the method and ``where`` it was called."""
+    try:
+        yield
+    except PluginCrashed:
+        raise
+    except Exception as exc:
+        raise PluginCrashed(f"{type(plugin).__name__}.{method} raised {exc!r} {where}") from exc
 
 
 def _batch_of_one(plugin, batch: str, state, rng=None):
-    """A scalar method of a plugin with array batch methods: ``state`` run
-    through the batch method ``batch`` as one row, returned as an int or a
-    tuple. The batch method is that of the nearest class with
-    ``uniforms_per_step``, so a variant on the per-row defaults still
-    reaches its parent's array code.
+    """A scalar method of an array plugin: ``state`` run through the batch
+    method ``batch`` as one row, returned as an int or a tuple. The batch
+    method is that of the nearest class that defines its own, so a variant's
+    ``super()`` call reaches its parent's array code, not a per-row default
+    that calls the variant again.
     """
-    cls = next(c for c in type(plugin).__mro__ if getattr(c, "uniforms_per_step", None) is not None)
+    default = getattr(ProcessPlugin, batch)
+    cls = next(c for c in type(plugin).__mro__ if vars(c).get(batch, default) is not default)
     args = () if rng is None else (rng.random((1, cls.uniforms_per_step)),)
-    out = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)
-    if rng is not None:
-        out, failed = out
-        refuse_failed_rows(plugin, failed)
-    row = out[0].tolist()
+    row = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)[0].tolist()
     return tuple(row) if isinstance(row, list) else row
+
+
+def _rows(states: np.ndarray) -> list:
+    """The rows of ``states`` as the scalar methods take them: ints or tuples."""
+    return [tuple(s) if isinstance(s, list) else s for s in states.tolist()]
 
 
 class ProcessPlugin(ABC):
@@ -88,23 +84,26 @@ class ProcessPlugin(ABC):
     uniforms_per_step: int | None = None
 
     def __init_subclass__(cls, **kwargs):
-        # A variant that overrides a scalar method but not its batch twin
-        # (say, a built-in process with another drift) must not run its
-        # parent's batch code: it falls back to the per-row defaults. A
-        # plugin with array batch methods gets each scalar method it lacks
-        # as a batch of one; a method with neither form stays abstract.
+        # Fall back per method: a variant that overrides ``step`` without
+        # ``step_batch`` is row-wise, with every batch default; one that
+        # overrides ``observables`` or ``drift`` without its twin gets that
+        # twin's default only. An array plugin gets each scalar method it
+        # lacks as a batch of one; a method with neither form stays abstract.
         super().__init_subclass__(**kwargs)
-        if any(s in vars(cls) and b not in vars(cls) for s, b in _BATCH_TWINS):
+        own = vars(cls)
+        row_wise = "step" in own and "step_batch" not in own
+        if row_wise:
             cls.uniforms_per_step = None
-            for _, batch in _BATCH_TWINS:
-                setattr(cls, batch, getattr(ProcessPlugin, batch))
-        elif cls.uniforms_per_step is not None:
-            for scalar, batch in _BATCH_TWINS:
-                if (
-                    getattr(cls, scalar) is getattr(ProcessPlugin, scalar)
-                    and getattr(cls, batch) is not getattr(ProcessPlugin, batch)
-                ):
-                    setattr(cls, scalar, functools.partialmethod(_batch_of_one, batch))
+        for scalar, batch in _BATCH_TWINS:
+            default = getattr(ProcessPlugin, batch)
+            if row_wise or (scalar in own and batch not in own):
+                setattr(cls, batch, default)
+            elif (
+                cls.uniforms_per_step is not None
+                and getattr(cls, scalar) is getattr(ProcessPlugin, scalar)
+                and getattr(cls, batch) is not default
+            ):
+                setattr(cls, scalar, functools.partialmethod(_batch_of_one, batch))
 
     def __init__(self, n: int):
         if n < 1:
@@ -133,9 +132,8 @@ class ProcessPlugin(ABC):
     def step(self, state, rng: np.random.Generator):
         """Advance one step; returns the next state.
 
-        With ``uniforms_per_step = k`` and an array ``step_batch``, this and
-        ``observables`` and ``drift`` are a batch of one unless the plugin
-        defines them; ``step`` then draws ``rng.random((1, k))``.
+        An array plugin that does not define it gets a batch of one, which
+        draws ``rng.random((1, uniforms_per_step))``.
         """
 
     @abstractmethod
@@ -158,38 +156,28 @@ class ProcessPlugin(ABC):
         the ODE scans then evaluate their points in a few stacked calls.
         """
 
-    def step_batch(self, states: np.ndarray, u) -> tuple[np.ndarray, Sequence[int]]:
-        """Advance every row one step; returns ``(next_states, failed)``.
+    def step_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Advance every row one step; returns the next states.
 
-        ``states`` is left unchanged. With ``uniforms_per_step = k`` it
-        stacks the scalar states as int64 (any number of rows), ``u`` has
-        shape (rows, k) and ``failed`` is empty (the kernel and the scalar
-        ``step`` raise ``PluginCrashed`` on a failed row). Row r's next
-        state must depend only on ``states[r]`` and ``u[r]``, with no hidden
-        state kept between calls, and the method must not raise on a state
-        the process cannot reach: the kernel steps guessed states and
-        discards what they give. The default steps each row of the object
-        array ``states`` through ``step`` with ``u[r]``, that row's
-        generator; ``failed`` lists the rows whose step raised.
+        Array plugins only: ``states`` stacks the scalar states as int64 (any
+        number of rows) and is left unchanged, and ``u`` has shape (rows, k)
+        for k = ``uniforms_per_step``. Row r's next state must depend only
+        on ``states[r]`` and ``u[r]``, with no hidden state kept between
+        calls, and the method must not raise on a state the process cannot
+        reach: the kernel steps guessed states and discards what they give.
+        The kernel steps a row-wise plugin through ``step`` instead.
         """
-        out = states.copy()
-        failed = []
-        for r, rng in enumerate(u):
-            try:
-                out[r] = self.step(states[r], rng)
-            except Exception:
-                failed.append(r)
-        return out, failed
+        raise NotImplementedError(f"{type(self).__name__} steps row by row, through step")
 
     def observables_batch(self, states: np.ndarray) -> np.ndarray:
         """Y(i) of every row, int64 of shape (rows, dim)."""
         return np.array(
-            [self.observables(s) for s in states], dtype=np.int64
+            [self.observables(s) for s in _rows(states)], dtype=np.int64
         ).reshape(len(states), self.dim)
 
     def drift_batch(self, states: np.ndarray) -> np.ndarray:
         """Exact drift of every row, float of shape (rows, dim)."""
-        return np.array([self.drift(s) for s in states], dtype=float).reshape(
+        return np.array([self.drift(s) for s in _rows(states)], dtype=float).reshape(
             len(states), self.dim
         )
 
@@ -229,7 +217,7 @@ class BallsInBins(ProcessPlugin):
         return self.n
 
     def step_batch(self, states, u):
-        return states - (u[:, 0] * self.n < states), ()
+        return states - (u[:, 0] * self.n < states)
 
     def observables_batch(self, states):
         return states[:, None]
@@ -324,7 +312,7 @@ class DegreeProcess(ProcessPlugin):
         ju = (acc <= u[:, 0] * self.n).sum(axis=0)
         acc -= ju <= self._below
         jv = (acc <= u[:, 1] * (self.n - 1)).sum(axis=0)
-        return states + np.take(self._moves, ju * (top + 1) + jv, axis=0), ()
+        return states + np.take(self._moves, ju * (top + 1) + jv, axis=0)
 
     def observables_batch(self, states):
         return states[:, : self.max_degree + 1]
@@ -394,7 +382,7 @@ class GreedyMatching(ProcessPlugin):
         return self.n
 
     def step_batch(self, states, u):
-        return states - 2 * (states >= 2), ()
+        return states - 2 * (states >= 2)
 
     def observables_batch(self, states):
         return states[:, None]

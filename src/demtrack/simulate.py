@@ -7,27 +7,25 @@ accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
 
 One lockstep kernel simulates a batch of trajectories, one row per
-trajectory, through the plugin's batch methods, in time spans of a few
-blocks. A span is the unit of reduction and of drawing uniforms, a block
-the unit of stepping. A block is ``_BLOCK_STEPS`` steps; a span is as many
-whole blocks as fit ``_SPAN_ROW_STEPS`` row-steps for the batch's rows, at
-least one: a batch of few rows pays the reduction's fixed cost as rarely
-per row-step as a large one, and the span's work arrays (state buffer,
-uniforms, reduction temporaries; not the records) stay within that budget
-for any batch whose one block fits it. A plugin with
-``uniforms_per_step`` gets each row's uniforms of a whole span in one draw
-(a counter-based Philox stream yields them unchanged; each trajectory
-keeps its own), and each block of the span is stepped in a few whole-block
-passes: every step starts as a guess, the block's start state, and each
-pass steps all unsettled guesses of all live rows in one ``step_batch``
-call and rebuilds them from the running sum of the moves, until a pass
-changes nothing. Each pass settles at least one more step, and the fixed
-point is the step-by-step sequence (``_step_block``). Rows with their own
-generators are stepped one Python pass per step, and a pass in which some
-row's step raised ends the span early. Once per span, on all of its steps
-at once, the kernel then finds each row's stop (the horizon, the first
-exit from the box, or the first step that raised, unless the row left the
-box at or before it), evaluates the drift of every stepped state, and
+trajectory, in time spans of a few blocks. A span is the unit of reduction
+and of drawing uniforms, a block the unit of stepping. A block is
+``_BLOCK_STEPS`` steps; a span is as many whole blocks as fit
+``_SPAN_ROW_STEPS`` row-steps for the batch's rows, at least one: a batch of
+few rows pays the reduction's fixed cost as rarely per row-step as a large
+one, and the span's work arrays (state buffer, uniforms, reduction
+temporaries; not the records) stay within that budget for any batch whose
+one block fits it. The plugin contract is in ``demtrack.processes``. An
+array plugin's ``step_batch`` returns the next states: each row's uniforms
+of a whole span are drawn at once (a counter-based Philox stream yields
+them unchanged; each trajectory keeps its own), and each block is stepped
+in a few whole-block passes, each one ``step_batch`` call on all unsettled
+guesses of all live rows, until a pass changes nothing (``_step_block``).
+A row-wise plugin is stepped here, one pass per step that calls each row's
+``step`` with the row's own generator; a pass in which some row's step
+raised ends the span early. Once per span, on all of its steps at once,
+the kernel then finds each row's stop (the horizon, the first exit from
+the box, or the first step that raised, unless the row left the box at or
+before it), evaluates the drift of every stepped state, and
 reduces the deviation and martingale sups, the replay chain, the
 hypothesis checks and the stride records, summing along each row one step
 at a time so that every trajectory keeps its order of float operations.
@@ -36,10 +34,10 @@ by column (``_fold``), several times faster than numpy reduces a short axis.
 Rows are stepped, observed and given their drift to the end of the span
 even past their stop: these are all states the chain reaches. What their
 steps do there, a row-wise ``step``'s exceptions included, is discarded;
-an exception of any other plugin method, there too, ends the run with
-``PluginCrashed`` (``_guard``). A row that
-stopped is written out and compacted away. Records are preallocated for a
-run to the horizon, and each Trajectory holds views into them.
+an exception of a batch method or of the field, there too, ends the run
+with ``PluginCrashed``. A row that stopped is written out and compacted
+away. Records are preallocated for a run to the horizon, and each
+Trajectory holds views into them.
 ``simulate`` is a batch of one; ``run_ensemble`` runs one batch per worker.
 Deviations and the replay chain may be tracked against several ODE
 solutions (reference paths) at once, as (rows, K) arrays with one column
@@ -50,16 +48,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Ensemble, PluginCrashed, ProcessSpec, Trajectory, Violation
+from .core import Ensemble, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution, drift_at
-from .processes import ProcessPlugin, refuse_failed_rows
+from .processes import ProcessPlugin, _guard
 
 # Steps per block of the block stepper, and the row-steps of one span: a
 # batch of ``rows`` trajectories draws uniforms and reduces once per span of
@@ -160,20 +157,6 @@ def simulate(
     )[0]
 
 
-@contextmanager
-def _guard(plugin: ProcessPlugin, method: str, i0: int, J: int):
-    """Re-raise what a plugin method called in the span of steps i0..i0 + J
-    raises as ``PluginCrashed`` naming the class, the method and the span."""
-    try:
-        yield
-    except PluginCrashed:
-        raise
-    except Exception as exc:
-        raise PluginCrashed(
-            f"{type(plugin).__name__}.{method} raised {exc!r} in the span of steps {i0}..{i0 + J}"
-        ) from exc
-
-
 def _fold(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(x, axis=-1)``, as a - 1 in-place ``ufunc`` calls on column views.
 
@@ -207,8 +190,7 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
     while p < J:
         cur = buf[rows, p:]
         guess = cur[:, :-1].reshape((len(rows) * (J - p),) + cur.shape[2:])
-        nxt, failed = plugin.step_batch(guess, u[rows, p:].reshape(len(guess), u.shape[2]))
-        refuse_failed_rows(plugin, failed)
+        nxt = plugin.step_batch(guess, u[rows, p:].reshape(len(guess), u.shape[2]))
         moves = np.subtract(nxt, guess).reshape(cur[:, 1:].shape)
         np.add.accumulate(moves, axis=1, out=moves)
         moves += cur[:, :1]
@@ -271,7 +253,7 @@ def _simulate_batch(
         uniforms = np.empty((count, span, upf))
     # the states at steps i0..i0+J of the current span, one row per live row
     held = np.empty((count, span + 1) + states.shape[1:], dtype=states.dtype)
-    with _guard(plugin, "observables_batch", 0, 0):
+    with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
         Y0 = plugin.observables_batch(states[:1])[0]  # Y(0), one (a,) row for all rows
 
     # Per-row state of the live rows at the start of a span, whose first
@@ -296,9 +278,10 @@ def _simulate_batch(
         violations, writes out the rows that stopped and returns their mask.
         """
         live_rows = len(ids)
+        where = f"in the span of steps {i0}..{i0 + J}"
         # Block position j is step i0 + j, and Y[:, j] its counts.
         at = np.arange(J + 1)
-        with _guard(plugin, "observables_batch", i0, J):
+        with _guard(plugin, "observables_batch", where):
             Y = plugin.observables_batch(
                 buf[:, : J + 1].reshape((live_rows * (J + 1),) + buf.shape[2:])
             ).reshape(live_rows, J + 1, a)
@@ -315,7 +298,7 @@ def _simulate_batch(
             outside[:, J] = True
         end = np.where(outside.any(axis=1), outside.argmax(axis=1), J + 1)
         error = np.zeros(live_rows, dtype=bool)
-        if len(failed):
+        if failed:
             failed = np.asarray(failed)
             error[failed] = end[failed] > J - 1
             end[failed] = np.minimum(end[failed], J - 1)
@@ -342,14 +325,14 @@ def _simulate_batch(
         # drifts at or past a row's stop reach only positions that ``seen``
         # masks out and records past the stop.
         cum = np.zeros((live_rows, J + 1, a))
-        with _guard(plugin, "drift_batch", i0, J):
+        with _guard(plugin, "drift_batch", where):
             cum[:, 1:] = plugin.drift_batch(
                 buf[:, :J].reshape((live_rows * J,) + buf.shape[2:])
             ).reshape(live_rows, J, a)
         if check_trend and taken.any():
             r, j = np.nonzero(taken)
             points = np.column_stack(((i0 + j) / n, Y[r, j].astype(float) / n))
-            with _guard(plugin, "drift_field", i0, J):
+            with _guard(plugin, "drift_field", where):
                 field = drift_at(plugin.drift_field, points)
             gap = np.abs(cum[r, j + 1] - field)
             x, k = np.nonzero(gap > delta)
@@ -459,22 +442,26 @@ def _simulate_batch(
         J = min(span - i0 % span, m_cap - i0)
         buf = held[:live_rows]
         buf[:, 0] = states
-        failed = ()
-        with _guard(plugin, "step_batch", i0, J):
-            if uniforms is None:
-                for j in range(1, J + 1):
-                    states, failed = plugin.step_batch(states, gens)
-                    buf[:, j] = states
-                    if len(failed):
-                        J = j
-                        break
-            else:
+        failed = []
+        if uniforms is None:
+            for j in range(1, J + 1):
+                for r, g in enumerate(gens):
+                    try:
+                        states[r] = plugin.step(states[r], g)
+                    except Exception:
+                        failed.append(r)
+                buf[:, j] = states
+                if failed:
+                    J = j
+                    break
+        else:
+            with _guard(plugin, "step_batch", f"in the span of steps {i0}..{i0 + J}"):
                 for r, g in enumerate(gens):
                     g.random(out=uniforms[r])
                 for q in range(0, J, _BLOCK_STEPS):
                     e = min(q + _BLOCK_STEPS, J)
                     _step_block(plugin, buf[:, q : e + 1], uniforms[:, q:e])
-                states = buf[:, J]
+            states = buf[:, J]
 
         done = finish_span(i0, J, buf, failed)
         keep = ~done

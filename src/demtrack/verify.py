@@ -29,7 +29,7 @@ from .core import (
     check_initial_condition,
 )
 from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
-from .processes import ProcessPlugin
+from .processes import ProcessPlugin, _guard
 from .simulate import run_ensemble
 
 MODES = ("plain", "averaged", "truncated")
@@ -165,7 +165,9 @@ def _verify_anchors(
     report.
     """
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
-    y0 = plugin.observables(plugin.initial_state())
+    start = plugin.initial_state()
+    with _guard(plugin, "observables", "on the initial state"):
+        y0 = plugin.observables(start)
     for idx, anchored_spec in enumerate(anchored):
         if not check_initial_condition(anchored_spec, y0):
             raise ValueError(

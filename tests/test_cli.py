@@ -191,6 +191,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: RaisingBalls.{method} raised ZeroDivisionError")
 
+    def test_raising_initial_observables_exit_3(self, tmp_path, capsys, monkeypatch):
+        """verify takes Y(0) under the same guard as the kernel."""
+
+        class NoCountsBalls(BallsInBins):
+            name = "no-counts-balls"
+
+            def observables_batch(self, states):
+                raise KeyError("no counts")
+
+        monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+        register_plugin(NoCountsBalls.name, lambda n, params: NoCountsBalls(n))
+        doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
+        doc["plugin"] = NoCountsBalls.name
+        path = tmp_path / "no_counts.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--count", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: NoCountsBalls.observables raised KeyError('no counts') on the initial state\n"
+        )
+
     def test_inadmissible_lambda_exits_2(self, tmp_path, capsys):
         spec, _ = balls_in_bins_spec(2000, lam=1e-3)
         doc = spec_to_dict(spec)
@@ -224,6 +244,31 @@ def test_nan_field_is_refused_before_any_run(command, tmp_path, capsys, monkeypa
     assert main([command, str(path)]) == 2
     assert "drift is not finite at the RT scan point t=0.3" in capsys.readouterr().err
     assert not ran
+
+
+class RaisingFieldBalls(BallsInBins):
+    """Balls-in-bins whose limiting field takes single points only and raises for t > 0.5."""
+
+    name = "raising-field-balls"
+
+    def drift_field(self, t, y):
+        if t > 0.5:
+            raise ZeroDivisionError("t past 0.5")
+        return -np.asarray(y, dtype=float)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_raising_field_exits_2(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+    register_plugin(RaisingFieldBalls.name, lambda n, params: RaisingFieldBalls(n))
+    doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
+    doc["plugin"] = RaisingFieldBalls.name
+    path = tmp_path / "raising_field.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: drift raised ZeroDivisionError('t past 0.5') at the RT scan point t=0.53"
+    )
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

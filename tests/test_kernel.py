@@ -319,7 +319,13 @@ def test_predicate_sees_each_step_once_up_to_the_stop(
 
 class TestBatchContract:
     def test_variants_fall_back_to_row_defaults(self):
-        for cls in (DriftLiar, BigStepPlugin, FairCoin):
+        """Variants fall back per method: one that overrides only ``drift``
+        keeps its parent's array step, one that overrides ``step`` is row-wise."""
+        assert DriftLiar.uniforms_per_step == 1
+        assert DriftLiar.step_batch is BallsInBins.step_batch
+        assert DriftLiar.observables_batch is BallsInBins.observables_batch
+        assert DriftLiar.drift_batch is ProcessPlugin.drift_batch
+        for cls in (BigStepPlugin, CrashingLiar, FairCoin):
             assert cls.uniforms_per_step is None
             for name in ("step_batch", "observables_batch", "drift_batch"):
                 assert getattr(cls, name) is getattr(ProcessPlugin, name)
@@ -340,8 +346,7 @@ class TestBatchContract:
         k = plugin.uniforms_per_step
         u = np.random.Generator(np.random.Philox(8)).random((len(states), k))
         stacked = np.array(states, dtype=np.int64)
-        got, failed = plugin.step_batch(stacked, u)
-        assert not len(failed)
+        got = plugin.step_batch(stacked, u)
 
         class Replay:
             def __init__(self, row):
@@ -373,7 +378,7 @@ class TestBatchContract:
                 return [(1.0, state)]
 
         def step_rows(self, states, u):
-            return states + (u[:, 0] < 0.5), ()
+            return states + (u[:, 0] < 0.5)
 
         def observe_rows(self, states):
             return states[:, None]
@@ -431,26 +436,23 @@ class TestBatchContract:
         assert isinstance(plugin.drift(start), tuple)
 
     def test_failed_rows_of_an_array_step_raise(self):
-        """A plugin with ``uniforms_per_step`` must step every row: a failed
-        row raises, in the scalar ``step`` and in the kernel, instead of
-        keeping its state."""
+        """An array ``step_batch`` returns the next states: one that returns
+        anything else, or the base class's, which steps nothing, ends the
+        run with ``PluginCrashed`` naming it."""
 
         class RowDefaultBalls(BallsInBins):
-            # the per-row default calls the derived ``step`` with a row of
-            # uniforms for a generator: every row fails
             step_batch = ProcessPlugin.step_batch
 
-        class DroppingBalls(BallsInBins):
+        class TupleBalls(BallsInBins):
+            # the next states with an empty list of failed rows
             def step_batch(self, states, u):
-                return states.copy(), [0]
+                return super().step_batch(states, u), ()
 
         spec, _ = balls_in_bins_spec(100)
-        for cls in (RowDefaultBalls, DroppingBalls):
+        for cls in (RowDefaultBalls, TupleBalls):
             plugin = cls(100)
             assert plugin.uniforms_per_step == 1
-            with pytest.raises(PluginCrashed, match=cls.__name__):
-                plugin.step(10, np.random.default_rng(0))
-            with pytest.raises(PluginCrashed, match=cls.__name__):
+            with pytest.raises(PluginCrashed, match=rf"^{cls.__name__}\.step_batch raised "):
                 simulate.simulate(plugin, spec, seed=1)
 
 
@@ -524,7 +526,7 @@ class SharpShift(ProcessPlugin):
         return (2 * state + (rng.random() < 0.5)) % self.n
 
     def step_batch(self, states, u):
-        return (2 * states + (u[:, 0] < 0.5)) % self.n, ()
+        return (2 * states + (u[:, 0] < 0.5)) % self.n
 
     def observables_batch(self, states):
         return states[:, None]
@@ -570,7 +572,7 @@ def stepped_case(kind, n, tight):
 def stepwise_block(plugin, buf, u):
     """The loop the block passes replaced: one ``step_batch`` call per step."""
     for j in range(1, buf.shape[1]):
-        buf[:, j] = plugin.step_batch(buf[:, j - 1], u[:, j - 1])[0]
+        buf[:, j] = plugin.step_batch(buf[:, j - 1], u[:, j - 1])
 
 
 def run_recorded(stepper, plugin, *args, **kwargs):
@@ -754,8 +756,9 @@ def test_a_raising_plugin_method_is_a_crash(method):
 
 
 def test_a_raising_scalar_drift_of_a_row_wise_variant_is_a_crash():
-    """A variant that overrides the scalar ``drift`` runs on the per-row
-    defaults; its raise comes out of their ``drift_batch``."""
+    """A variant that overrides the scalar ``drift`` gets the per-row
+    ``drift_batch`` default; its raise comes out of that default, and its
+    ``super().drift`` reaches the parent's array code."""
 
     class RaisingDrift(BallsInBins):
         def drift(self, state):

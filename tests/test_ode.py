@@ -370,11 +370,18 @@ class TestStackedScans:
             estimate_lipschitz_lower_bound(spec)
 
     def test_field_errors_propagate(self):
+        """A field that raises is refused with ValueError naming the first
+        point, chained from the field's exception."""
         spec = make_spec(always_fails, (0.0,), SCAN_DOM)
-        with pytest.raises(ZeroDivisionError, match="undefined"):
-            compute_RT(spec)
-        with pytest.raises(ZeroDivisionError, match="undefined"):
-            estimate_lipschitz_lower_bound(spec)
+        first = np.random.default_rng(0).uniform((-0.5, -1.0), (1.0, 1.0), size=(256, 2, 2))[0, 0].tolist()
+        for scan, where in (
+            (compute_RT, "RT scan point t=-0.5, y=[-1.0]"),
+            (estimate_lipschitz_lower_bound, f"Lipschitz sample point t={first[0]!r}, y=[{first[1]!r}]"),
+        ):
+            message = f"drift raised ZeroDivisionError('field undefined') at the {where}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+                scan(spec)
+            assert isinstance(err.value.__cause__, ZeroDivisionError)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -273,8 +273,7 @@ def test_degree_step_batch_matches_scalar_on_class_edges(n, max_degree):
         rows += [(state, uv) for uv in itertools.product(sorted(draws), repeat=2)]
     states = np.array([s for s, _ in rows], dtype=np.int64)
     u = np.array([uv for _, uv in rows])
-    got, failed = plugin.step_batch(states, u)
-    assert not len(failed)
+    got = plugin.step_batch(states, u)
     want = [twin.step(s, Scripted(uv)) for s, uv in rows]
     assert np.array_equal(got, np.array(want, dtype=np.int64))
 
