@@ -17,7 +17,10 @@ entry is at distance -inf, so an anchor halts at its first non-finite row
 too. A block that raises is redone anchor by anchor, step by step, so that
 a failing step is retried once at half width for its own anchor only. The
 grids equal those of stepping each anchor alone and checking the margin
-after every step, bit for bit.
+after every step, bit for bit. An anchor stepped alone whose state has one
+coordinate is stepped on Python floats (``_rk4_floats``): the same IEEE-754
+double operations as ``_rk4_step``'s on one-element arrays, in the same
+order, without numpy's per-call cost, so its grid is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -232,7 +235,10 @@ def rk4_solve(
     halves = {}  # anchor -> time of its half-width last row
 
     def advance(rows, j0, j1, width=h):
-        # one anchor's index (a float time, a point of shape (a,)) or an index array (stacked)
+        # one anchor's index (a float time, a point of shape (a,), Python floats
+        # for a = 1) or an index array (stacked)
+        if np.ndim(rows) == 0 and grid.shape[2] == 1:
+            return _rk4_floats(f, grid[rows, :, 0], t0, h, j0, j1, width)
         y = grid[rows, j0]
         index_array = np.ndim(rows) > 0
         for j in range(j0, j1):
@@ -292,6 +298,27 @@ def _rk4_step(f, t, y: np.ndarray, h: float) -> np.ndarray:
     k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
     k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:
+    """``_rk4_step`` for steps j0..j1-1 of a one-coordinate anchor, on Python
+    floats: the same IEEE operations in the same order, each new row written
+    to ``col``. The field gets a float ``t`` and one reused ``(1,)`` array."""
+    point = np.empty(1)
+
+    def field(t, y):
+        point[0] = y
+        return np.asarray(f(t, point), dtype=float).item()
+
+    y = col[j0].item()
+    for j in range(j0, j1):
+        t = t0 + j * h
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * width, y + (0.5 * width) * k1)
+        k3 = field(t + 0.5 * width, y + (0.5 * width) * k2)
+        k4 = field(t + width, y + width * k3)
+        y = y + (width / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        col[j + 1] = y
 
 
 def grid_steps(spec: ProcessSpec, T: float) -> int:

@@ -67,7 +67,14 @@ def _batch_of_one(plugin, batch: str, state, rng=None):
     default = getattr(ProcessPlugin, batch)
     cls = next(c for c in type(plugin).__mro__ if vars(c).get(batch, default) is not default)
     args = () if rng is None else (rng.random((1, cls.uniforms_per_step)),)
-    row = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)[0].tolist()
+    out = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)
+    if not (isinstance(out, np.ndarray) and out.shape[:1] == (1,)):
+        got = f"an array of shape {out.shape}" if isinstance(out, np.ndarray) else repr(out)
+        raise PluginCrashed(
+            f"{type(plugin).__name__}.{batch} returned {got} for a batch of one row,"
+            " not an array of one row"
+        )
+    row = out[0].tolist()
     return tuple(row) if isinstance(row, list) else row
 
 
@@ -154,6 +161,8 @@ class ProcessPlugin(ABC):
         (N,), ``y`` of shape (N, a)) and return shape (N, a), each row equal
         bit for bit to its single-point call; the built-in fields do, and
         the ODE scans then evaluate their points in a few stacked calls.
+        A field must neither write to nor keep its ``y`` argument: the RK4
+        driver passes the same array again with new values.
         """
 
     def step_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:

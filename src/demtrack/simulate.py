@@ -47,7 +47,6 @@ per path, each column updated only up to its own path's cap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -509,6 +508,9 @@ def run_ensemble(
         _simulate_batch, plugin, spec, prep, full_paths, event_predicate, replay_check
     )
     if jobs > 1:
+        # imported here: it loads multiprocessing, which a jobs=1 run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         edges = [count * k // jobs for k in range(jobs + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(edges, edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

@@ -455,6 +455,36 @@ class TestBatchContract:
             with pytest.raises(PluginCrashed, match=rf"^{cls.__name__}\.step_batch raised "):
                 simulate.simulate(plugin, spec, seed=1)
 
+    def test_a_scalar_method_refuses_a_batch_result_without_one_row(self):
+        """The scalar methods of an array plugin are batches of one: a batch
+        method that gives anything but an array of one row is refused, as the
+        kernel refuses it, instead of being read as the state."""
+
+        class TupleBalls(BallsInBins):
+            def step_batch(self, states, u):
+                return super().step_batch(states, u), ()
+
+        class TwoRowObservables(BallsInBins):
+            def observables_batch(self, states):
+                return np.repeat(super().observables_batch(states), 2, axis=0)
+
+        class ScalarDrift(BallsInBins):
+            def drift_batch(self, states):
+                return np.float64(-1.0)
+
+        rng = np.random.Generator(np.random.Philox(3))
+        for call, method in (
+            (lambda: TupleBalls(100).step(10, rng), "step_batch"),
+            (lambda: TwoRowObservables(100).observables(10), "observables_batch"),
+            (lambda: ScalarDrift(100).drift(10), "drift_batch"),
+        ):
+            with pytest.raises(PluginCrashed, match=rf"\.{method} returned .* not an array of one row$"):
+                call()
+        with pytest.raises(PluginCrashed, match=r"^TupleBalls\.step_batch returned \(array\(\[10\]\), \(\)\) "):
+            TupleBalls(100).step(10, rng)
+        with pytest.raises(PluginCrashed, match=r"^TwoRowObservables\.observables_batch returned an array of shape \(2, 1\) "):
+            TwoRowObservables(100).observables(10)
+
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(

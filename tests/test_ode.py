@@ -526,3 +526,95 @@ class TestDriver:
         for s in specs:
             reference_solve_ode(replace(s, drift=stepwise), 2.0, T)
         assert 2.8 <= stepwise.calls / stacked.calls <= 3.0
+
+
+def late_field(thr, late):
+    """``decay`` up to time ``thr``; past it, ``late(y)`` (which may raise)."""
+
+    def field(t, y):
+        return late(y) if t > thr else decay(t, y)
+
+    return field
+
+
+def raise_late(y):
+    raise FloatingPointError("past the supported time")
+
+
+def widen_late(y):
+    return np.full(2, -y[0])  # shape (2,) for a one-coordinate state
+
+
+class Recorder:
+    """``decay``, recording the type of each call's ``t`` and ``y``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, t, y):
+        self.calls.append((type(t), type(y), np.shape(y), np.asarray(y).dtype))
+        return decay(t, y)
+
+
+class TestOneCoordinate:
+    """A single one-coordinate anchor steps on Python floats; its grids, halts
+    and retries equal the reference's, whatever size-1 shape the field gives."""
+
+    @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
+    @pytest.mark.parametrize("shape", [(), (1, 1)])
+    def test_size_one_outputs_give_the_reference_grids(self, shape, block):
+        # balls' field -y reshaped; it takes single points only, so several
+        # anchors are stepped one at a time, each on floats
+        def reshaped(t, y):
+            return np.reshape(-np.asarray(y, dtype=float), shape)
+
+        anchors = [(0.001,), (0.1,), (0.3,), (0.7,)]
+        specs = [replace(anchored("balls", fr), drift=reshaped) for fr in anchors]
+        T = specs[0].domain.t_hi
+        with mock.patch.object(ode, "_RK4_BLOCK", block):
+            together = anchor_grids(specs, T)
+            alone = [anchor_grids([s], T)[0] for s in specs]
+        for spec, fr, *got in zip(specs, anchors, together, alone):
+            want = reference_solution("balls", fr)
+            for grid in got:
+                sol = solve_ode(spec, 2.0, T, grid)
+                assert sol.ts.tobytes() == want.ts.tobytes()
+                assert sol.ys.tobytes() == want.ys.tobytes()
+                assert sol.constants == want.constants
+        got = rk4_grid(reshaped, [0.9], 0.0, 1.5, 1000)
+        want = reference_rk4_grid(decay, np.array([0.9]), 0.0, 1.5, 1000)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # 1228 = 19 * 64 + 12 lies inside a block. The full step from row 1228
+    # passes thr; its half-width retry stays below 1228.75 / 4096 (kept) and
+    # passes 1228.1 / 4096 (the anchor halts at its last full row).
+    @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
+    @pytest.mark.parametrize("late", [raise_late, widen_late])
+    @pytest.mark.parametrize("frac,end", [(0.75, 1228.5), (0.1, 1228.0)])
+    def test_a_failing_step_halts_where_the_reference_halts(self, frac, end, late, block):
+        thr = (1228 + frac) / 4096
+        want = reference_solve_ode(make_spec(late_field(thr, raise_late), (0.9,), SCAN_DOM), 2.0, 1.0)
+        assert want.ts[-1] * 4096 == end
+        spec = make_spec(late_field(thr, late), (0.9,), SCAN_DOM)
+        with mock.patch.object(ode, "_RK4_BLOCK", block):
+            got = solve_ode(spec, 2.0, 1.0)
+        assert got.ts.tobytes() == want.ts.tobytes()
+        assert got.ys.tobytes() == want.ys.tobytes()
+        assert got.constants == want.constants
+        # without a domain the error propagates
+        error = FloatingPointError if late is raise_late else ValueError
+        with pytest.raises(error):
+            rk4_grid(late_field(thr, late), [0.9], 0.0, 1.0, 4096)
+
+    def test_the_field_gets_a_float_time_and_a_one_element_array(self):
+        each = {(float, np.ndarray, (1,), np.dtype(float))}
+        rec = Recorder()
+        rk4_grid(rec, [0.9], 0.0, 1.0, 10)
+        assert len(rec.calls) == 4 * 10 and set(rec.calls) == each
+        spec = make_spec(rec, (0.9,), SCAN_DOM)
+        for block, steps in ((1, 4063), (_RK4_BLOCK, 4096)):  # whole blocks are stepped
+            rec.calls.clear()
+            with mock.patch.object(ode, "_RK4_BLOCK", block):
+                ts, _ = anchor_grids([spec], 1.0)[0]
+            assert len(ts) == 4064  # halted within the margin 3e/1000 of the time face
+            assert len(rec.calls) == 4 * steps and set(rec.calls) == each

@@ -1,5 +1,9 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,21 @@ class TestDeterminism:
         for a, b in zip(seq.trajectories, par.trajectories):
             assert np.array_equal(a.steps, b.steps)
             assert a.sup_martingale == b.sup_martingale
+
+    def test_the_worker_pool_is_imported_only_for_jobs_above_one(self):
+        # ``concurrent.futures.process`` loads multiprocessing, socket and
+        # subprocess, which a jobs=1 run never uses
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys, demtrack\n"
+            f"demtrack.load_spec({str(root / 'scripts/specs/matching.json')!r})\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_seed_derivation_is_stable(self):
         assert derive_seed(42, 0) == derive_seed(42, 0)
