@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ode_reference import reference_solve_ode
 from scan_reference import reference_compute_RT
@@ -438,14 +438,14 @@ def test_each_anchor_report_equals_verify(kind, jobs, monkeypatch):
 
 
 def all_m_gw_final_inequality(spec: ProcessSpec, c: Constants) -> bool:
-    """The Gronwall check as it was first written: in counts, at every m <= sigma*n."""
+    """The Gronwall check as it was first written: in counts, at every m <= min(T, sigma)*n."""
     n = spec.n
     horizon_n = T_n = c.T * n
     if spec.L > 0:
         horizon_n = min(T_n, n / spec.L)
     lhs_base = 2.0 * spec.lam * n + (c.R + spec.delta * horizon_n)
     rhs = 3.0 * spec.lam * n * math.exp(spec.L * c.T)
-    ms = np.arange(math.floor(c.sigma * n + 1e-9) + 1)
+    ms = np.arange(min(math.floor(T_n), math.floor(c.sigma * n + 1e-9)) + 1)
     return bool(np.all(lhs_base * np.exp(spec.L * ms / n) <= rhs))
 
 
@@ -500,6 +500,8 @@ def test_gw_final_inequality_equals_the_all_m_form_when_admissible(lam_factor, *
 
 
 @given(**gw_params)
+# sigma = T just below 2: sigma*n + 1e-9 passes 2, T*n does not
+@example(n=1, L=1.0, delta=0.0, R=1.0, T=1.9999999999999996, sigma_frac=1.0)
 @settings(max_examples=100, deadline=None)
 def test_gw_final_inequality_holds_at_the_threshold(**params):
     """At lam = threshold the last step's inequality holds with equality when
