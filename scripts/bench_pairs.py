@@ -2,24 +2,25 @@
 """Benchmark the working tree against a parent commit in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent HEAD --out BENCH_14.json
-    python3 scripts/bench_pairs.py --parent main --workloads balls-ensemble --pairs 10
 
 Run from the repository root. The parent's committed files are unpacked
 with ``git archive <rev> | tar -x`` into a temporary directory, which is
 removed at the end; no worktree is made, so ``.git`` is left unchanged. The
 other side is this working tree, uncommitted changes included.
 
-For each workload, pair i runs ``perfbench/run.py --trace 0`` with seed
-``--seed0 + i`` once in each tree, the parent first when i is even. The
-output records, per workload and metric, every run's value, the medians,
+For each workload of ``BENCHMARK.json``, pair i = 0..9 runs
+``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` with
+seed i + 1 once in each tree, the parent first when i is even. The output
+records, per workload and metric, every run's value, the medians,
 the quartiles (``statistics.quantiles(n=4)``) and the number of pairs in
 which the change was better, with the unscaled wall times that run.py
 prints next to its reference-speed metrics, and the per-layer metrics of
 one ``--trace 1`` run per side on the first seed. It also times
 ``ode.anchor_grids`` in each tree on the two acceptance instances (the
 balls-ensemble spec at n = 100,000 and the degree-anchors spec with its
-three anchors), in alternating fresh interpreters, and records a SHA-256 of
-their grids, which must agree. The layout is that of ``BENCH_10.json``.
+three anchors), in six alternating fresh interpreters per tree, and
+records a SHA-256 of their grids, which must agree. The layout is that of
+``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # unscaled wall times; speed_scale has no better side
 DIRECTION = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]}
 DIRECTION.update(wall_run_s=("s", "lower"), wall_setup_s=("s", "lower"), speed_scale=("ratio", None))
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10  # per workload, on seeds 1..PAIRS
+GRID_REPEATS = 6  # fresh interpreters per tree timing anchor_grids
 
 # anchor_grids on the acceptance instances, best of three calls each; prints JSON
 GRIDS_CODE = """
@@ -75,11 +79,11 @@ print(json.dumps(out))
 """
 
 
-def run_workload(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its metrics by name, with
     ``correct`` and ``failed``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr}")
@@ -111,17 +115,17 @@ def summary(parent: list[float], change: list[float], unit: str, better: str | N
     return out
 
 
-def bench_workload(trees: dict, workload: str, pairs: int, seed0: int, seconds: float) -> dict:
+def bench_workload(trees: dict, workload: str) -> dict:
     runs = {"parent": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_workload(trees[side], workload, seed0 + i, seconds))
-            print(f"{workload} seed {seed0 + i} {side}: {runs[side][-1]}", file=sys.stderr)
+            runs[side].append(run_workload(trees[side], workload, i + 1))
+            print(f"{workload} seed {i + 1} {side}: {runs[side][-1]}", file=sys.stderr)
     every = runs["parent"] + runs["change"]
     doc = {
-        "pairs": pairs,
-        "seeds": [seed0, seed0 + pairs - 1],
+        "pairs": PAIRS,
+        "seeds": [1, PAIRS],
         "all_correct": all(r["correct"] is True for r in every),
         "failed": sum(r["failed"] for r in every),
     }
@@ -130,15 +134,15 @@ def bench_workload(trees: dict, workload: str, pairs: int, seed0: int, seconds: 
         doc[name] = summary(parent, change, unit, better)
     # one traced run per side on the first seed, for the per-layer metrics
     doc["trace"] = {
-        side: run_workload(trees[side], workload, seed0, seconds, trace=1)
+        side: run_workload(trees[side], workload, 1, trace=1)
         for side in ("parent", "change")
     }
     return doc
 
 
-def bench_grids(trees: dict, repeats: int) -> dict:
+def bench_grids(trees: dict) -> dict:
     runs = {"parent": [], "change": []}
-    for i in range(repeats):
+    for i in range(GRID_REPEATS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             out = subprocess.run([sys.executable, "-c", GRIDS_CODE], cwd=trees[side],
                                  capture_output=True, text=True, check=True)
@@ -160,11 +164,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in BENCHMARK["workloads"]])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
-    ap.add_argument("--grid-repeats", type=int, default=6)
     args = ap.parse_args(argv)
 
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
@@ -181,28 +180,27 @@ def main(argv=None) -> int:
         doc = {
             "what": (
                 f"perfbench/run.py --trace 0 on the parent commit {rev} (unpacked by git archive)"
-                f" and on this tree, {args.pairs} pairs per workload on seeds {args.seed0}-"
-                f"{args.seed0 + args.pairs - 1}, one pair per seed, the parent first on even"
-                " pairs. Medians over the runs; quartiles by statistics.quantiles(n=4)."
+                f" and on this tree, {PAIRS} pairs per workload on seeds 1-{PAIRS}, one pair"
+                " per seed, the parent first on even pairs. Medians over the runs;"
+                " quartiles by statistics.quantiles(n=4)."
                 " wall_run_s and wall_setup_s are run.py's unscaled wall times."
             ),
             "command": (
-                f"python3 perfbench/run.py --workload <w> --seed <s> --trace 0 --seconds {args.seconds:g}"
+                f"python3 perfbench/run.py --workload <w> --seed <s> --trace 0 --seconds {SECONDS:g}"
             ),
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "workloads": {
-                w: bench_workload(trees, w, args.pairs, args.seed0, args.seconds)
-                for w in args.workloads
+                w["name"]: bench_workload(trees, w["name"]) for w in BENCHMARK["workloads"]
             },
             "anchor_grids": {
                 "what": (
                     "ode.anchor_grids wall time, best of 3 calls in a fresh interpreter,"
-                    f" {args.grid_repeats} interpreters per tree"
+                    f" {GRID_REPEATS} interpreters per tree"
                     " alternating; sha256 over every grid's ts and ys bytes"
                 ),
-                **bench_grids(trees, args.grid_repeats),
+                **bench_grids(trees),
             },
             "elapsed_s": time.time() - started,
         }
