@@ -15,12 +15,14 @@ records, per workload and metric, every run's value, the medians,
 the quartiles (``statistics.quantiles(n=4)``) and the number of pairs in
 which the change was better, with the unscaled wall times that run.py
 prints next to its reference-speed metrics, and the per-layer metrics of
-one ``--trace 1`` run per side on the first seed. It also times
-``ode.anchor_grids`` in each tree on the two acceptance instances (the
-balls-ensemble spec at n = 100,000 and the degree-anchors spec with its
-three anchors), in six alternating fresh interpreters per tree, and
-records a SHA-256 of their grids, which must agree. The layout is that of
-``BENCH_10.json``.
+one ``--trace 1`` run per side on the first seed. It also times two layers
+in each tree on the two acceptance instances (the balls-ensemble spec at
+n = 100,000 with 200 trajectories and the degree-anchors spec with its
+three anchors and 100 trajectories), in six alternating fresh interpreters
+per tree: ``ode.anchor_grids``, with a SHA-256 of the grids, and
+``simulate.run_ensemble`` as ``verify`` calls it, with a SHA-256 of every
+trajectory's statistics and records. The digests must agree between the
+trees. The layout is that of ``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -47,34 +49,74 @@ DIRECTION = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["end_to_end"
 DIRECTION.update(wall_run_s=("s", "lower"), wall_setup_s=("s", "lower"), speed_scale=("ratio", None))
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10  # per workload, on seeds 1..PAIRS
-GRID_REPEATS = 6  # fresh interpreters per tree timing anchor_grids
+REPEATS = 6  # fresh interpreters per tree for each layer timed on the acceptance instances
 
-# anchor_grids on the acceptance instances, best of three calls each; prints JSON
-GRIDS_CODE = """
+# The acceptance instances, (name, workload, trajectories), and a timer of
+# best of three calls; each layer's code below prints JSON, per instance the
+# time, a SHA-256 of the outputs and what else it records
+ACCEPTANCE = """
 import dataclasses, hashlib, json, sys, time
 sys.path[:0] = ["src", "perfbench"]
-from demtrack.ode import anchor_grids, compute_RT
+from demtrack.ode import anchor_grids, compute_RT, solve_ode
+from demtrack.simulate import run_ensemble
 from demtrack.specio import spec_from_dict
 from workloads import WORKLOADS
 
-out = {}
-for name, w in (
-    ("balls n=100000", dataclasses.replace(WORKLOADS["balls-ensemble"], n=100_000)),
-    ("degree n=10000, K=3", WORKLOADS["degree-anchors"]),
-):
-    spec, _ = spec_from_dict(w.spec_doc())
-    specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
-    T = compute_RT(spec)[1]
+INSTANCES = (
+    ("balls n=100000", dataclasses.replace(WORKLOADS["balls-ensemble"], n=100_000), 200),
+    ("degree n=10000, K=3", WORKLOADS["degree-anchors"], 100),
+)
+
+
+def best_of_three(call):
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
-        grids = anchor_grids(specs, T)
+        result = call()
         times.append(time.perf_counter() - t0)
+    return min(times), result
+"""
+
+GRIDS_CODE = ACCEPTANCE + """
+out = {}
+for name, w, _ in INSTANCES:
+    spec, _ = spec_from_dict(w.spec_doc())
+    specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
+    T = compute_RT(spec)[1]
+    s, grids = best_of_three(lambda: anchor_grids(specs, T))
     digest = hashlib.sha256()
     for ts, ys in grids:
         digest.update(ts.tobytes())
         digest.update(ys.tobytes())
-    out[name] = {"s": min(times), "rows": [len(ts) for ts, _ in grids], "sha256": digest.hexdigest()}
+    out[name] = {"s": s, "rows": [len(ts) for ts, _ in grids], "sha256": digest.hexdigest()}
+print(json.dumps(out))
+"""
+
+# run_ensemble with every anchor's solution and the replay check, as verify
+# calls it; the digest covers each Trajectory field, arrays by dtype, shape
+# and bytes, the rest by repr
+ENSEMBLE_CODE = ACCEPTANCE + """
+import numpy as np
+
+out = {}
+for name, w, count in INSTANCES:
+    spec, plugin = spec_from_dict(w.spec_doc())
+    specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
+    R, T = compute_RT(spec)
+    solutions = [solve_ode(s, R, T, g) for s, g in zip(specs, anchor_grids(specs, T))]
+    s, ens = best_of_three(
+        lambda: run_ensemble(plugin, spec, count, 1, solution=solutions, replay_check=True)
+    )
+    digest = hashlib.sha256()
+    for traj in ens.trajectories:
+        for f in dataclasses.fields(traj):
+            v = getattr(traj, f.name)
+            if isinstance(v, np.ndarray):
+                digest.update(f"{v.dtype.str}{v.shape}".encode() + v.tobytes())
+            else:
+                digest.update(repr(v).encode())
+    out[name] = {"s": s, "steps": sum(t.stop_index for t in ens.trajectories),
+                 "sha256": digest.hexdigest()}
 print(json.dumps(out))
 """
 
@@ -140,21 +182,24 @@ def bench_workload(trees: dict, workload: str) -> dict:
     return doc
 
 
-def bench_grids(trees: dict) -> dict:
+def bench_fresh(trees: dict, code: str) -> dict:
+    """``code`` in REPEATS fresh interpreters per tree, alternating which tree
+    goes first: per instance, the summary of its times, whether its digests
+    agree, and what else the change tree's first run recorded."""
     runs = {"parent": [], "change": []}
-    for i in range(GRID_REPEATS):
+    for i in range(REPEATS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            out = subprocess.run([sys.executable, "-c", GRIDS_CODE], cwd=trees[side],
+            out = subprocess.run([sys.executable, "-c", code], cwd=trees[side],
                                  capture_output=True, text=True, check=True)
             runs[side].append(json.loads(out.stdout))
     doc = {}
-    for name in runs["parent"][0]:
+    for name, first in runs["change"][0].items():
         parent, change = ([r[name]["s"] for r in runs[s]] for s in ("parent", "change"))
-        digests = {s: {r[name]["sha256"] for r in runs[s]} for s in runs}
+        digests = {r[name]["sha256"] for s in runs for r in runs[s]}
         doc[name] = {
-            "rows": runs["change"][0][name]["rows"],
-            "identical_grids": len(digests["parent"] | digests["change"]) == 1,
-            "sha256": sorted(digests["parent"] | digests["change"]),
+            **{k: v for k, v in first.items() if k not in ("s", "sha256")},
+            "identical": len(digests) == 1,
+            "sha256": sorted(digests),
             **summary(parent, change, "s", "lower"),
         }
     return doc
@@ -197,10 +242,19 @@ def main(argv=None) -> int:
             "anchor_grids": {
                 "what": (
                     "ode.anchor_grids wall time, best of 3 calls in a fresh interpreter,"
-                    f" {GRID_REPEATS} interpreters per tree"
+                    f" {REPEATS} interpreters per tree"
                     " alternating; sha256 over every grid's ts and ys bytes"
                 ),
-                **bench_grids(trees),
+                **bench_fresh(trees, GRIDS_CODE),
+            },
+            "run_ensemble": {
+                "what": (
+                    "simulate.run_ensemble wall time with every anchor's solution and"
+                    " replay_check, as verify calls it, on base seed 1; best of 3 calls"
+                    f" in a fresh interpreter, {REPEATS} interpreters per tree alternating;"
+                    " sha256 over every Trajectory field of every trajectory"
+                ),
+                **bench_fresh(trees, ENSEMBLE_CODE),
             },
             "elapsed_s": time.time() - started,
         }

@@ -9,8 +9,10 @@ not a concern.
 One driver, ``rk4_solve``, integrates all K anchors of a run together: as
 one (K, a) state through the stacked-field contract of ``ProcessSpec``, or,
 for a field that fails ``drift_at``'s check, one anchor at a time (a single
-anchor is always a plain (a,) point at a float time). It writes into a
-preallocated grid and checks the margin once per ``_RK4_BLOCK`` steps, with
+anchor is always a plain (a,) point at a float time; each stage's output
+is read in the point's shape, so a field that returns (1, a) for a point
+still gets (a,) points). It writes into a preallocated grid and checks the
+margin once per ``_RK4_BLOCK`` steps, with
 ``compute_sigma``'s vectorised distance rule; each anchor halts at its own
 first row below the margin, which it keeps. A row with a NaN or infinite
 entry is at distance -inf, so an anchor halts at its first non-finite row
@@ -293,11 +295,23 @@ def rk4_solve(
 
 
 def _rk4_step(f, t, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = np.asarray(f(t, y), dtype=float)
-    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
+    k1 = _stage(f, t, y)
+    k2 = _stage(f, t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = _stage(f, t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = _stage(f, t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stage(f, t, y: np.ndarray) -> np.ndarray:
+    """The field at (t, y) in ``y``'s shape, as the grid write would bring it:
+    a (1, a) output for an (a,) point is read as that point's derivative, and
+    an output the grid cannot take raises here."""
+    k = np.asarray(f(t, y), dtype=float)
+    if k.shape == y.shape:
+        return k
+    out = np.empty(y.shape)
+    out[...] = k
+    return out
 
 
 def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:

@@ -169,8 +169,9 @@ class ProcessPlugin(ABC):
         """Advance every row one step; returns the next states.
 
         Array plugins only: ``states`` stacks the scalar states as int64 (any
-        number of rows) and is left unchanged, and ``u`` has shape (rows, k)
-        for k = ``uniforms_per_step``. Row r's next state must depend only
+        number of rows), ``u`` has shape (rows, k) for k =
+        ``uniforms_per_step``, and both are left unchanged (the kernel may
+        pass views of its own buffers). Row r's next state must depend only
         on ``states[r]`` and ``u[r]``, with no hidden state kept between
         calls, and the method must not raise on a state the process cannot
         reach: the kernel steps guessed states and discards what they give.
@@ -327,10 +328,11 @@ class DegreeProcess(ProcessPlugin):
         return states[:, : self.max_degree + 1]
 
     def drift_batch(self, states):
-        counts = states[:, : self.max_degree + 1]
+        # on a transposed copy, one contiguous row per class, as in step_batch
+        counts = states[:, : self.max_degree + 1].T.copy()
         diff = -counts
-        diff[:, 1:] += counts[:, :-1]
-        return 2.0 * diff / self.n
+        diff[1:] += counts[:-1]
+        return (2.0 * diff / self.n).T
 
     def drift_field(self, t, y):
         y = np.asarray(y, dtype=float)

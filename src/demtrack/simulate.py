@@ -7,19 +7,23 @@ accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
 
 One lockstep kernel simulates a batch of trajectories, one row per
-trajectory, in time spans of a few blocks. A span is the unit of reduction
-and of drawing uniforms, a block the unit of stepping. A block is
-``_BLOCK_STEPS`` steps; a span is as many whole blocks as fit
-``_SPAN_ROW_STEPS`` row-steps for the batch's rows, at least one: a batch of
-few rows pays the reduction's fixed cost as rarely per row-step as a large
-one, and the span's work arrays (state buffer, uniforms, reduction
-temporaries; not the records) stay within that budget for any batch whose
-one block fits it. The plugin contract is in ``demtrack.processes``. An
-array plugin's ``step_batch`` returns the next states: each row's uniforms
-of a whole span are drawn at once (a counter-based Philox stream yields
-them unchanged; each trajectory keeps its own), and each block is stepped
-in a few whole-block passes, each one ``step_batch`` call on all unsettled
-guesses of all live rows, until a pass changes nothing (``_step_block``).
+trajectory, in time spans of a few blocks. A span is the unit of reduction,
+a block the unit of stepping. A block is ``_BLOCK_STEPS`` steps; a span is
+as many whole blocks as fit ``_SPAN_ROW_STEPS`` row-steps for the batch's
+rows, at least one: a batch of few rows pays the reduction's fixed cost as
+rarely per row-step as a large one, and the span's state buffer and
+reduction temporaries (not the records) stay within that budget for any
+batch whose one block fits it. The plugin contract is in
+``demtrack.processes``. An array plugin's ``step_batch`` returns the next
+states: each row's uniforms are drawn for as many whole spans as fit
+``_DRAW_STEPS`` steps, at least one, into a reservoir of at most rows x
+max(span, _DRAW_STEPS) x uniforms_per_step doubles outside the row-step
+budget (a counter-based Philox stream yields them unchanged however they
+are chunked; each trajectory keeps its own). Each block is stepped in a few
+whole-block passes (``_step_block``): pass 1 steps the start state with
+every step's uniforms, and each later pass steps the guesses of the
+unsettled rows in one ``step_batch`` call and compares the next states
+with the guesses one step on, until they all agree.
 A row-wise plugin is stepped here, one pass per step that calls each row's
 ``step`` with the row's own generator; a pass in which some row's step
 raised ends the span early. Once per span, on all of its steps at once,
@@ -58,14 +62,19 @@ from .ode import OdeSolution, drift_at
 from .processes import ProcessPlugin, _guard
 
 # Steps per block of the block stepper, and the row-steps of one span: a
-# batch of ``rows`` trajectories draws uniforms and reduces once per span of
+# batch of ``rows`` trajectories reduces once per span of
 # _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (rows * _BLOCK_STEPS)) steps. The
-# span's state buffer, its uniforms and the reduction's temporaries, each
-# (rows, span + 1, .), then hold at most _SPAN_ROW_STEPS row-steps (more only
-# when one block of all rows does); they bound the kernel's memory besides
-# the records, which grow with the recorded steps.
+# span's state buffer and the reduction's temporaries, each (rows, span + 1,
+# .), then hold at most _SPAN_ROW_STEPS row-steps (more only when one block
+# of all rows does); they bound the kernel's memory besides the records,
+# which grow with the recorded steps, and the uniforms. Those are drawn for
+# span * max(1, _DRAW_STEPS // span) steps of every row at once, so their
+# reservoir holds at most rows * max(span, _DRAW_STEPS) * uniforms_per_step
+# doubles: 1.3 MB for 160 rows of one uniform, where drawing one span at a
+# time would make eight times as many calls of each row's generator.
 _BLOCK_STEPS = 128
 _SPAN_ROW_STEPS = 160 * 128
+_DRAW_STEPS = 1024
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -173,33 +182,47 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
     """Fill ``buf[:, 1:]`` with the states reached from ``buf[:, 0]`` one step at a time.
 
     ``u`` holds each row's uniforms of the J = buf.shape[1] - 1 steps, shape
-    (rows, J, uniforms_per_step). Every column starts as a guess, the start
-    state. Each pass steps the guesses of the unsettled rows and columns in
-    one ``step_batch`` call and rebuilds them as the last settled state plus
-    the running sum of the moves (exact in int64). If columns 0..p are
-    right, a pass makes every column up to the first one it changes right
-    too, and that is at least p + 1; the next pass starts there. A row that
-    a pass leaves unchanged is settled: each column is the step of the one
-    before. So at most J passes give the step-by-step sequence.
+    (rows, J, uniforms_per_step). Pass 1 steps the start state with the
+    uniforms of every column in one ``step_batch`` call and builds each
+    column as the start state plus the running sum of the moves (exact in
+    int64), which makes column 1 right. If columns 0..p are right, each
+    later pass steps the guesses in columns p..J-1 of the unsettled rows in
+    one call and compares the next states with the guesses one column on.
+    A row that agrees everywhere is settled: each column is the step of the
+    one before. The rows that disagree are rebuilt from the first column
+    past p where some row disagrees, as the next state there plus the
+    running sum of the later moves, which makes that column right; the next
+    pass starts there. Every pass after the first settles at least one more
+    column, so at most J passes give the step-by-step sequence, and a pass
+    over all rows takes slices of ``buf``, not copies by index.
     """
     J = buf.shape[1] - 1
-    buf[:, 1:] = buf[:, :1]
-    rows = np.arange(len(buf))  # the rows not yet settled
-    p = 0  # columns 0..p are settled
+    k = u.shape[2]
+    guess = np.repeat(buf[:, 0], J, axis=0)
+    nxt = plugin.step_batch(guess, u.reshape(len(guess), k))
+    moves = np.subtract(nxt, guess).reshape(buf[:, 1:].shape)
+    np.add.accumulate(moves, axis=1, out=moves)
+    np.add(moves, buf[:, :1], out=buf[:, 1:], casting="unsafe")  # cast as assignments are
+    rows = slice(None)  # the rows not yet settled: all of them, or an index array
+    p = 1  # columns 0..p are settled
     while p < J:
         cur = buf[rows, p:]
-        guess = cur[:, :-1].reshape((len(rows) * (J - p),) + cur.shape[2:])
-        nxt = plugin.step_batch(guess, u[rows, p:].reshape(len(guess), u.shape[2]))
-        moves = np.subtract(nxt, guess).reshape(cur[:, 1:].shape)
-        np.add.accumulate(moves, axis=1, out=moves)
-        moves += cur[:, :1]
-        changed = _fold(np.logical_or, (moves != cur[:, 1:]).reshape(len(rows), J - p, -1))
-        moved = changed.any(axis=1)
+        guess = cur[:, :-1].reshape((-1,) + buf.shape[2:])
+        nxt = np.reshape(
+            plugin.step_batch(guess, u[rows, p:].reshape(len(guess), k)), cur[:, 1:].shape
+        )
+        wrong = _fold(np.logical_or, (nxt != cur[:, 1:]).reshape(nxt.shape[:2] + (-1,)))
+        moved = wrong.any(axis=1)
         if not moved.any():
             return
-        c = int(changed.any(axis=0).argmax())
-        buf[rows, p + 1 + c :] = moves[:, c:]
-        rows = rows[moved]
+        c = int(wrong.any(axis=0).argmax())
+        if not moved.all():
+            rows = np.arange(len(buf))[rows][moved]
+            nxt, cur = nxt[moved], cur[moved]
+        moves = np.subtract(nxt[:, c:], cur[:, c:-1])
+        moves[:, 0] = nxt[:, c]
+        np.add.accumulate(moves, axis=1, out=moves)
+        buf[rows, p + 1 + c :] = moves
         p += 1 + c
 
 
@@ -228,6 +251,7 @@ def _simulate_batch(
     paths = len(prep.caps) if prep is not None else 0
     span = _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (count * _BLOCK_STEPS))
     span = max(1, min(span, m_cap))
+    draw = span * max(1, _DRAW_STEPS // span)  # steps of uniforms drawn at once
 
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before m_cap, then m_cap. A trajectory that stops at i ends at record
@@ -242,14 +266,14 @@ def _simulate_batch(
     out: list[Trajectory | None] = [None] * count
 
     gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
-    uniforms = None  # each row's uniforms of the current span; None when row-wise
+    uniforms = None  # each row's uniforms of the current draw; None when row-wise
     start = plugin.initial_state()  # deterministic, so every row starts from it
     if upf is None:
         states = np.empty(count, dtype=object)
         states.fill(start)
     else:
         states = np.array([start] * count, dtype=np.int64)
-        uniforms = np.empty((count, span, upf))
+        uniforms = np.empty((count, draw, upf))
     # the states at steps i0..i0+J of the current span, one row per live row
     held = np.empty((count, span + 1) + states.shape[1:], dtype=states.dtype)
     with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
@@ -435,8 +459,9 @@ def _simulate_batch(
         # Step every live row J times, to the end of the span or to the
         # horizon. Rows with their own generators step one pass per step, and
         # a pass in which some row's step raised ends the span; with
-        # uniforms, a span always starts at a multiple of the span length and
-        # is stepped one block at a time.
+        # uniforms, a span always starts at a multiple of the span length,
+        # takes its uniforms from the same offset of the current draw and is
+        # stepped one block at a time.
         live_rows = len(ids)
         J = min(span - i0 % span, m_cap - i0)
         buf = held[:live_rows]
@@ -454,25 +479,28 @@ def _simulate_batch(
                     J = j
                     break
         else:
-            with _guard(plugin, "step_batch", f"in the span of steps {i0}..{i0 + J}"):
+            d = i0 % draw
+            if d == 0:
                 for r, g in enumerate(gens):
                     g.random(out=uniforms[r])
+            with _guard(plugin, "step_batch", f"in the span of steps {i0}..{i0 + J}"):
                 for q in range(0, J, _BLOCK_STEPS):
                     e = min(q + _BLOCK_STEPS, J)
-                    _step_block(plugin, buf[:, q : e + 1], uniforms[:, q:e])
+                    _step_block(plugin, buf[:, q : e + 1], uniforms[:, d + q : d + e])
             states = buf[:, J]
 
         done = finish_span(i0, J, buf, failed)
-        keep = ~done
-        if not keep.any():
+        if done.all():
             return out
-        ids, states, drift_cum = ids[keep], states[keep], drift_cum[keep]
-        sup_mart, sup_dev, carry, replay_ok, event_stop = (
-            sup_mart[keep], sup_dev[keep], carry[keep], replay_ok[keep], event_stop[keep]
-        )
-        gens = [g for g, k in zip(gens, keep) if k]
-        if uniforms is not None:
-            uniforms = uniforms[keep]
+        if done.any():
+            keep = ~done
+            ids, states, drift_cum = ids[keep], states[keep], drift_cum[keep]
+            sup_mart, sup_dev, carry, replay_ok, event_stop = (
+                sup_mart[keep], sup_dev[keep], carry[keep], replay_ok[keep], event_stop[keep]
+            )
+            gens = [g for g, k in zip(gens, keep) if k]
+            if uniforms is not None:
+                uniforms = uniforms[keep]
         i0 += J
 
 

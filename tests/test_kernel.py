@@ -35,21 +35,31 @@ KINDS = ("balls", "degree", "matching", "coin", "liar", "bigstep")
 # plugins whose step raises: inside the box (flaky), only past it (late-crash),
 # and a drift liar that also breaks a beta of 0.5 (crash-liar)
 CRASHING = ("flaky", "late-crash", "crash-liar")
-# (block, span) lengths that put every kernel edge on a block or a span
-# boundary: stride > span for n of 900-2500, failures and exits in the first
-# or last pass of a block or a span, horizons inside a span's last block;
-# spans of one block and of several, the default block and a longer span.
-# A case is named by its span, with its block in front when that is not the
-# default min(span, 128).
-SPANS = ((1, 1), (2, 2), (3, 3), (7, 7), (128, 128), (128, 256), (1, 7), (3, 9), (2, 128))
-SPAN_IDS = [str(s) if b == min(s, 128) else f"{b}-{s}" for b, s in SPANS]
+# (block, span, draw) lengths that put every kernel edge on a block, a span
+# or a draw boundary: stride > span for n of 900-2500, failures and exits in
+# the first or last pass of a block or a span, horizons inside a span's last
+# block; spans of one block and of several, the default block and a longer
+# span; uniforms drawn one span at a time, and several spans at a time with
+# horizons and rows' stops inside a draw (whose rows are then compacted). A
+# case is named by its span, with its block in front when that is not the
+# default min(span, 128), and the spans per draw behind when more than one.
+SPANS = (
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (7, 7, 7), (128, 128, 128), (128, 256, 256),
+    (1, 7, 7), (3, 9, 9), (2, 128, 128), (1, 1, 5), (3, 9, 27), (2, 128, 512),
+)
+SPAN_IDS = [
+    (str(s) if b == min(s, 128) else f"{b}-{s}") + (f"x{d // s}" if d > s else "")
+    for b, s, d in SPANS
+]
 
 
-def set_span(mp, block, span, count):
-    """Make the kernel step ``block`` steps at a time and reduce every ``span``
-    steps in a batch of ``count`` rows; ``block`` divides ``span``."""
+def set_span(mp, block, span, count, draw):
+    """Make the kernel step ``block`` steps at a time, reduce every ``span``
+    steps in a batch of ``count`` rows and draw uniforms for ``draw`` steps at
+    a time; ``block`` divides ``span`` and ``span`` divides ``draw``."""
     mp.setattr(simulate, "_BLOCK_STEPS", block)
     mp.setattr(simulate, "_SPAN_ROW_STEPS", span * count)
+    mp.setattr(simulate, "_DRAW_STEPS", draw)
 
 
 class StepCutoff:
@@ -183,7 +193,7 @@ predicates = st.one_of(
 )
 
 
-@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
+@pytest.mark.parametrize("block,span,draw", SPANS, ids=SPAN_IDS)
 @settings(
     max_examples=60,
     deadline=None,
@@ -200,9 +210,9 @@ predicates = st.one_of(
     predicate=predicates,
 )
 def test_kernel_matches_scalar_reference(
-    monkeypatch, block, span, kind, n, tight, count, base_seed, full_paths, tracked, predicate
+    monkeypatch, block, span, draw, kind, n, tight, count, base_seed, full_paths, tracked, predicate
 ):
-    set_span(monkeypatch, block, span, count)
+    set_span(monkeypatch, block, span, count, draw)
     spec, plugin = make_case(kind, n, tight)
     solution = None
     if tracked != "none":
@@ -248,9 +258,9 @@ def test_failing_rows_leave_the_others_running():
         assert_same_trajectory(traj, reference_simulate(plugin, spec, derive_seed(5, idx)))
 
 
-@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
-def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block, span):
-    set_span(monkeypatch, block, span, 12)
+@pytest.mark.parametrize("block,span,draw", SPANS, ids=SPAN_IDS)
+def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block, span, draw):
+    set_span(monkeypatch, block, span, 12, draw)
     # the box is |Y| < 5, so every exit is at an odd step
     spec, plugin = make_case("late-crash", 25, tight=True)
     ens = run_ensemble(plugin, spec, 12, 3)
@@ -260,9 +270,9 @@ def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block, span):
     assert (plugin.raised > 0) == (span > 1)
 
 
-@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
-def test_crash_keeps_its_trend_violation_and_no_bound_violation(monkeypatch, block, span):
-    set_span(monkeypatch, block, span, 5)
+@pytest.mark.parametrize("block,span,draw", SPANS, ids=SPAN_IDS)
+def test_crash_keeps_its_trend_violation_and_no_bound_violation(monkeypatch, block, span, draw):
+    set_span(monkeypatch, block, span, 5, draw)
     spec, plugin = make_case("crash-liar", 200, tight=False)
     ens = run_ensemble(plugin, spec, 5, 8)
     for traj in ens.trajectories:
@@ -285,7 +295,7 @@ class LoggedPredicate:
         return i < self.cut
 
 
-@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
+@pytest.mark.parametrize("block,span,draw", SPANS, ids=SPAN_IDS)
 @settings(
     max_examples=20,
     deadline=None,
@@ -300,10 +310,10 @@ class LoggedPredicate:
     cut=st.integers(0, 400),
 )
 def test_predicate_sees_each_step_once_up_to_the_stop(
-    monkeypatch, block, span, kind, n, tight, count, base_seed, cut
+    monkeypatch, block, span, draw, kind, n, tight, count, base_seed, cut
 ):
     """Each row's calls are i = 0..min(stop, first failure), in step order."""
-    set_span(monkeypatch, block, span, count)
+    set_span(monkeypatch, block, span, count, draw)
     spec, plugin = make_case(kind, n, tight)
     predicate = LoggedPredicate(cut)
     ens = run_ensemble(plugin, spec, count, base_seed, predicate, full_paths=True)
@@ -627,7 +637,7 @@ def run_recorded(stepper, plugin, *args, **kwargs):
     return ens, bufs, passes
 
 
-@pytest.mark.parametrize("block,span", SPANS, ids=SPAN_IDS)
+@pytest.mark.parametrize("block,span,draw", SPANS, ids=SPAN_IDS)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     kind=st.sampled_from(STEPPED),
@@ -641,7 +651,7 @@ def run_recorded(stepper, plugin, *args, **kwargs):
 @example(kind="sharp", n=1000, tight=False, count=5, base_seed=1, full_paths=False, tracked=True)
 @example(kind="degree4", n=999, tight=True, count=9, base_seed=2, full_paths=True, tracked=True)
 def test_block_passes_match_stepwise(
-    block, span, kind, n, tight, count, base_seed, full_paths, tracked
+    block, span, draw, kind, n, tight, count, base_seed, full_paths, tracked
 ):
     """Every block's states and every Trajectory field equal those of stepping
     one ``step_batch`` call at a time; horizons that are not a multiple of
@@ -653,7 +663,7 @@ def test_block_passes_match_stepwise(
         solution=solution, full_paths=full_paths, replay_check=tracked,
     )
     with pytest.MonkeyPatch.context() as mp:
-        set_span(mp, block, span, count)
+        set_span(mp, block, span, count, draw)
         got, got_bufs, passes = run(simulate._step_block)
         want, want_bufs, _ = run(stepwise_block)
     assert len(got_bufs) == len(want_bufs)
@@ -671,6 +681,78 @@ def test_sharp_plugin_settles_one_step_per_pass():
     steps, calls = np.array(passes).sum(axis=0)
     assert calls == steps  # no guess was right by chance on this seed
 
+
+
+@pytest.mark.parametrize("J", [1, 2, 5, 128])
+@pytest.mark.parametrize("starts", [(0, 1, 1, 0), (0, 1, 7, 40)], ids=["still", "mixed"])
+def test_a_block_whose_first_pass_moves_nothing(J, starts):
+    """Greedy matching stands still at Y < 2. When no row moves, pass 1
+    settles the block and one more pass confirms it (a block of one step
+    needs none); rows that move next to still ones settle as before."""
+    plugin = GreedyMatching(100)
+    calls = []
+    step_batch = plugin.step_batch
+
+    def counted(states, u):
+        calls.append(len(states))
+        return step_batch(states, u)
+
+    plugin.step_batch = counted
+    buf = np.zeros((len(starts), J + 1), dtype=np.int64)
+    buf[:, 0] = starts
+    want = buf.copy()
+    u = np.empty((len(starts), J, 0))
+    simulate._step_block(plugin, buf, u)
+    stepwise_block(GreedyMatching(100), want, u)
+    assert np.array_equal(buf, want)
+    assert len(calls) <= J
+    if max(starts) < 2:
+        assert len(calls) == min(J, 2)
+
+
+@pytest.mark.parametrize("kind", ["balls", "degree"])
+def test_each_row_consumes_a_prefix_of_one_philox_draw(kind):
+    """Uniforms drawn several spans at a time, with rows that stop inside a
+    draw compacted away: the uniforms of each trajectory's steps, past its
+    stop to the end of its last span too, are the first rows of one
+    ``Philox(SeedSequence(seed)).random((steps, k))`` draw."""
+    spec, plugin = make_case(kind, 300, tight=True)
+    count, base_seed, draw = 9, 11, 32
+    blocks = []
+    step_block = simulate._step_block
+
+    def recorded(plugin, buf, u):
+        blocks.append(u.copy())
+        step_block(plugin, buf, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        set_span(mp, 4, 8, count, draw)
+        mp.setattr(simulate, "_step_block", recorded)
+        ens = run_ensemble(plugin, spec, count, base_seed)
+    steps = math.floor(spec.domain.t_hi * spec.n) + draw
+    k = plugin.uniforms_per_step
+    streams = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(base_seed, t))))
+        .random((steps, k))
+        for t in range(count)
+    ]
+    where = {s[i].tobytes(): (t, i) for t, s in enumerate(streams) for i in range(steps)}
+    used = [[] for _ in range(count)]
+    firsts = []  # (first step, rows) of each block
+    for u in blocks:
+        firsts.append((where[u[0, 0].tobytes()][1], len(u)))
+        for row in u:
+            t, i = where[row[0].tobytes()]
+            assert row.tobytes() == streams[t][i : i + len(row)].tobytes()
+            used[t].append((i, len(row)))
+    for t, traj in enumerate(ens.trajectories):
+        end = 0
+        for i, J in sorted(used[t]):
+            assert i == end
+            end += J
+        assert traj.stop_index <= end
+    # some rows stopped inside a draw, so the next block of that draw has fewer rows
+    assert any(i // draw == j // draw and r > s for (i, r), (j, s) in zip(firsts, firsts[1:]))
 
 @pytest.mark.parametrize(
     "count,n,spans",

@@ -618,3 +618,27 @@ class TestOneCoordinate:
                 ts, _ = anchor_grids([spec], 1.0)[0]
             assert len(ts) == 4064  # halted within the margin 3e/1000 of the time face
             assert len(rec.calls) == 4 * steps and set(rec.calls) == each
+
+
+class WideRecorder:
+    """A two-coordinate linear field that returns shape (1, 2) for a point of
+    shape (2,), recording the shape of every point it gets."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, t, y):
+        self.shapes.append(np.shape(y))
+        y = np.asarray(y, dtype=float)
+        return np.reshape([-y[..., 0], y[..., 0] - 2.0 * y[..., 1]], (1, 2))
+
+
+def test_a_wide_field_output_is_read_in_the_points_shape():
+    """``_rk4_step`` reads a (1, 2) output for a (2,) point as that point's
+    derivative: every stage and every later step of the block gets a (2,)
+    point, and the grid is the one of a field that returns (2,)."""
+    rec = WideRecorder()
+    got = rk4_grid(rec, [0.9, 0.1], 0.0, 1.0, 100)
+    assert len(rec.shapes) == 4 * 100 and set(rec.shapes) == {(2,)}
+    want = reference_rk4_grid(lambda t, y: rec(t, y)[0], np.array([0.9, 0.1]), 0.0, 1.0, 100)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

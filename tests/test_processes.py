@@ -278,6 +278,33 @@ def test_degree_step_batch_matches_scalar_on_class_edges(n, max_degree):
     assert np.array_equal(got, np.array(want, dtype=np.int64))
 
 
+def row_major_degree_drift(plugin, states):
+    """``DegreeProcess.drift_batch`` as it was before it ran on a transposed copy."""
+    counts = states[:, : plugin.max_degree + 1]
+    diff = -counts
+    diff[:, 1:] += counts[:, :-1]
+    return 2.0 * diff / plugin.n
+
+
+@pytest.mark.parametrize("n", [50, 100_000, 1_000_003])
+@pytest.mark.parametrize("max_degree", range(5))
+def test_degree_drift_batch_matches_the_row_major_body(n, max_degree):
+    """The drift on a transposed copy equals the row-major body bit for bit, on
+    class-edge states and on the states that 400 more steps reach from them,
+    as the kernel steps a row past its stop; at n = 50 most mass is then in
+    the overflow class."""
+    plugin = DegreeProcess(n, max_degree=max_degree)
+    rng = np.random.default_rng(n + max_degree)
+    profiles = class_edge_states(n, max_degree + 1, rng)
+    chain = [np.array(list(itertools.islice(profiles, 16)), dtype=np.int64)]
+    for _ in range(400):
+        chain.append(plugin.step_batch(chain[-1], rng.random((len(chain[-1]), 2))))
+    states = np.concatenate(chain)
+    got, want = plugin.drift_batch(states), row_major_degree_drift(plugin, states)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 class TestRegistry:
     def test_round_trip_names(self):
         for name, kwargs in [
