@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when verification finds more envelope failures
 than the bound (plus sampling slack) allows, 2 on usage or schema errors
 (including an unknown spec key or plugin parameter, a mode parameter that
-neither the spec's ``extensions`` nor the plugin supplies, and a bad initial
-condition), 3 when a plugin method raises during verification.
+neither the spec's ``extensions`` nor the plugin supplies, a bad initial
+condition, and a count or jobs below 1), 3 when a plugin method raises
+during ``simulate`` or ``verify``.
 All printed numbers carry 12 significant digits.
 """
 
@@ -22,7 +23,7 @@ from .core import PluginCrashed
 from .ode import compute_RT, lambda_threshold, solve_ode
 from .simulate import run_ensemble
 from .specio import load_spec
-from .verify import MODES, report_to_json, sampling_slack, verify, within_bound
+from .verify import MODES, _require_valid, report_to_json, sampling_slack, verify, within_bound
 
 
 def _fmt(v) -> str:
@@ -66,6 +67,7 @@ def cmd_simulate(args) -> int:
         full_paths=args.full,
         jobs=args.jobs,
     )
+    _require_valid(ensemble.trajectories, "write its CSV")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for idx, traj in enumerate(ensemble.trajectories):

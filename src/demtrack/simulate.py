@@ -6,46 +6,45 @@ path, the sup of the martingale part, and the recurrence replay are all
 accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
 
-One lockstep kernel simulates a batch of trajectories, one row per
-trajectory, in time spans of a few blocks. A span is the unit of reduction,
-a block the unit of stepping. A block is ``_BLOCK_STEPS`` steps; a span is
-as many whole blocks as fit ``_SPAN_ROW_STEPS`` row-steps for the batch's
-rows, at least one: a batch of few rows pays the reduction's fixed cost as
-rarely per row-step as a large one, and the span's state buffer and
-reduction temporaries (not the records) stay within that budget for any
-batch whose one block fits it. The plugin contract is in
-``demtrack.processes``. An array plugin's ``step_batch`` returns the next
-states: each row's uniforms are drawn for as many whole spans as fit
-``_DRAW_STEPS`` steps, at least one, into a reservoir of at most rows x
-max(span, _DRAW_STEPS) x uniforms_per_step doubles outside the row-step
-budget (a counter-based Philox stream yields them unchanged however they
-are chunked; each trajectory keeps its own). Each block is stepped in a few
-whole-block passes (``_step_block``): pass 1 steps the start state with
-every step's uniforms, and each later pass steps the guesses of the
-unsettled rows in one ``step_batch`` call and compares the next states
-with the guesses one step on, until they all agree.
-A row-wise plugin is stepped here, one pass per step that calls each row's
-``step`` with the row's own generator; a pass in which some row's step
-raised ends the span early. Once per span, on all of its steps at once,
-the kernel then finds each row's stop (the horizon, the first exit from
-the box, or the first step that raised, unless the row left the box at or
-before it), evaluates the drift of every stepped state, and
-reduces the deviation and martingale sups, the replay chain, the
-hypothesis checks and the stride records, summing along each row one step
-at a time so that every trajectory keeps its order of float operations.
-Reductions over the a coordinates or a state's width are folded column
-by column (``_fold``), several times faster than numpy reduces a short axis.
-Rows are stepped, observed and given their drift to the end of the span
-even past their stop: these are all states the chain reaches. What their
-steps do there, a row-wise ``step``'s exceptions included, is discarded;
-an exception of a batch method or of the field, there too, ends the run
-with ``PluginCrashed``. A row that stopped is written out and compacted
-away. Records are preallocated for a run to the horizon, and each
-Trajectory holds views into them.
-``simulate`` is a batch of one; ``run_ensemble`` runs one batch per worker.
-Deviations and the replay chain may be tracked against several ODE
-solutions (reference paths) at once, as (rows, K) arrays with one column
-per path, each column updated only up to its own path's cap.
+One lockstep kernel (``_simulate_batch``) simulates a batch of
+trajectories, one row per trajectory, in time spans of a few blocks: a
+block is the unit of stepping, a span the unit of reduction. A block is
+``_BLOCK_STEPS`` steps; a span is as many whole blocks as fit
+``_SPAN_ROW_STEPS`` row-steps for the batch's rows, at least one, so a
+batch of few rows pays the reduction's fixed cost as rarely per row-step
+as a large one. The plugin contract is in ``demtrack.processes``. An array
+plugin's ``step_batch`` returns the next states; each row's uniforms are
+drawn for whole spans at once, at most ``_DRAW_STEPS`` steps and never
+past the horizon rounded up to a span, and a batch's reservoir of them
+holds at most _DRAW_STEPS // _BLOCK_STEPS times the span's row-step
+budget, or one span of all rows (a counter-based Philox stream yields
+them unchanged however they are chunked; each trajectory keeps its own).
+Each block is stepped in a few whole-block passes (``_step_block``). A
+row-wise plugin is stepped by ``_step_rows``, one pass per step that calls
+each row's ``step`` with the row's own generator.
+
+The live rows' state is one record, ``_Rows``: every per-row statistic is
+a field of it, and its ``keep`` compacts them all when rows stop. Once per
+span, on all of its steps at once, named reducers apply one rule each:
+``_stop_rule`` finds each row's stop (the horizon, the first exit from the
+box, or the first step that raised, unless the row left the box at or
+before it) and its event stop; ``_reduce_drift`` the drift, the stride
+records, the martingale sup and the trend check; ``_reduce_deviation`` the
+sup deviation and the replay chain against each ODE path;
+``_add_violations`` the bound jumps and the ``Violation`` objects; and
+``_write_out`` the rows that stopped. Sums run along each row one step at a
+time, so every trajectory keeps its order of float operations; reductions
+over a short last axis are folded column by column (``_fold``). Rows are
+stepped, observed and given their drift to the end of the span even past
+their stop: these are all states the chain reaches. What their steps do
+there, a row-wise ``step``'s exceptions included, is discarded; an
+exception of a batch method or of the field, there too, ends the run with
+``PluginCrashed``. Records are preallocated for a run to the horizon, and
+each Trajectory holds views into them. ``simulate`` is a batch of one;
+``run_ensemble`` runs one batch per worker. Deviations and the replay
+chain may be tracked against several ODE solutions (reference paths) at
+once, as (rows, K) arrays with one column per path, each column updated
+only up to its own path's cap.
 """
 
 from __future__ import annotations
@@ -66,12 +65,11 @@ from .processes import ProcessPlugin, _guard
 # _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (rows * _BLOCK_STEPS)) steps. The
 # span's state buffer and the reduction's temporaries, each (rows, span + 1,
 # .), then hold at most _SPAN_ROW_STEPS row-steps (more only when one block
-# of all rows does); they bound the kernel's memory besides the records,
-# which grow with the recorded steps, and the uniforms. Those are drawn for
-# span * max(1, _DRAW_STEPS // span) steps of every row at once, so their
-# reservoir holds at most rows * max(span, _DRAW_STEPS) * uniforms_per_step
-# doubles: 1.3 MB for 160 rows of one uniform, where drawing one span at a
-# time would make eight times as many calls of each row's generator.
+# of all rows does). Uniforms are drawn for at most _DRAW_STEPS steps of
+# every row at once, and for no more row-steps than _DRAW_STEPS //
+# _BLOCK_STEPS spans of that budget, or one span of all rows: 1.3 MB for 160
+# rows of one uniform, where drawing one span at a time would make eight
+# times as many calls of each row's generator.
 _BLOCK_STEPS = 128
 _SPAN_ROW_STEPS = 160 * 128
 _DRAW_STEPS = 1024
@@ -95,7 +93,6 @@ class _SimPrep:
 
     yode: np.ndarray       # n * y_k(i/n) of each path, shape (cap+1, K, a)
     caps: np.ndarray       # per path Constants.steps(n), shape (K,)
-    live: np.ndarray       # live[i] = i <= caps, shape (cap+1, K)
     cap: int               # max(caps)
     two_lam_n: float
     step_term: np.ndarray  # per path L*R/n + delta, the per-step additive recurrence term
@@ -127,13 +124,20 @@ def _prepare(
     return _SimPrep(
         yode=np.stack([s.counts_at_steps(cap) for s in solutions], axis=1),
         caps=caps,
-        live=np.arange(cap + 1)[:, None] <= caps,
         cap=cap,
         two_lam_n=2.0 * (spec.lam * n),
         step_term=np.array([spec.L * c.R / n + spec.delta for c in consts]),
         L_over_n=spec.L / n,
         single=single,
     )
+
+
+def _check_counts(count: int, jobs: int) -> None:
+    """Refuse an ensemble of no trajectories and a pool of no workers."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
 
 
 def simulate(
@@ -226,6 +230,270 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
         p += 1 + c
 
 
+def _step_rows(
+    plugin: ProcessPlugin, buf: np.ndarray, states: np.ndarray, gens: np.ndarray
+) -> tuple[int, list[int]]:
+    """Fill ``buf[:, 1:]`` one pass per step, stepping each row's state in
+    ``states`` with its own generator; a pass in which some row's step raised
+    ends the span. Returns the steps taken and the rows that raised."""
+    failed = []
+    for j in range(1, buf.shape[1]):
+        for r, g in enumerate(gens):
+            try:
+                states[r] = plugin.step(states[r], g)
+            except Exception:
+                failed.append(r)
+        buf[:, j] = states
+        if failed:
+            return j, failed
+    return buf.shape[1] - 1, failed
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """What every span of a batch shares: its inputs and the outputs it fills."""
+
+    plugin: ProcessPlugin
+    spec: ProcessSpec
+    prep: _SimPrep | None
+    event_predicate: Callable[[int, tuple], bool] | None
+    replay_check: bool
+    m_cap: int          # the horizon floor(T*n)
+    stride: int         # records are kept every stride-th step and at the stop
+    grid: np.ndarray    # the record steps of a trajectory that reaches the horizon
+    Y0: np.ndarray      # Y(0), one (a,) row for all rows
+    seeds: list[int]
+    rec_y: np.ndarray   # each trajectory's records, (count, len(grid), a)
+    rec_d: np.ndarray
+    violations: list[list[Violation]]
+    out: list[Trajectory | None]
+
+
+@dataclass
+class _Rows:
+    """The live rows at the start of a span, whose first step is i0; one
+    entry per row in every field, so ``keep`` compacts them all alike."""
+
+    ids: np.ndarray          # the trajectory of each row
+    states: np.ndarray       # the state at step i0
+    gens: np.ndarray         # the row's generator, an object array
+    uniforms: np.ndarray | None  # the row's uniforms of the current draw; None when row-wise
+    drift_cum: np.ndarray    # the drift summed to step i0, (rows, a)
+    sup_mart: np.ndarray     # sup of the martingale part so far
+    sup_dev: np.ndarray      # sup deviation from each path so far, (rows, K)
+    carry: np.ndarray        # the replay chain's sum at step i0, (rows, K)
+    replay_ok: np.ndarray    # (rows, K)
+    event_stop: np.ndarray   # the predicate's first failing step, -1 until then
+
+    def keep(self, mask: np.ndarray) -> None:
+        vars(self).update({k: v[mask] for k, v in vars(self).items() if v is not None})
+
+
+@dataclass(frozen=True)
+class _Span:
+    """Steps i0..i0 + J of the live rows: position j is step i0 + j."""
+
+    i0: int
+    J: int
+    where: str           # names the span in a PluginCrashed message
+    states: np.ndarray   # (rows, J + 1, ...)
+    Y: np.ndarray        # their counts, (rows, J + 1, a)
+    end: np.ndarray      # the position of each row's stop, J + 1 for a row that goes on
+    error: np.ndarray    # the row stopped at a step that raised
+    done: np.ndarray     # end <= J
+    seen: np.ndarray     # positions that the predicate, deviation and martingale part count
+    taken: np.ndarray    # steps taken, (rows, J); a step that raised still had a drift
+
+
+def _outside(yn: np.ndarray, box) -> np.ndarray:
+    """Whether each (rows, steps, a) rescaled state lies outside ``box``'s open box."""
+    return ~_fold(np.logical_and, np.less(box.lo, yn) & np.less(yn, box.hi))
+
+
+def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
+    """Observe the span; find each row's stop and event stop.
+
+    A row stops at the first step at the horizon or with the rescaled state
+    outside the open box (the time axis cannot bind earlier because 0 <=
+    i/n < T and t_lo < 0), unless its step raised at an earlier step.
+    """
+    where = f"in the span of steps {i0}..{i0 + J}"
+    live_rows = len(rows.ids)
+    with _guard(b.plugin, "observables_batch", where):
+        Y = b.plugin.observables_batch(
+            states.reshape((live_rows * (J + 1),) + states.shape[2:])
+        ).reshape(live_rows, J + 1, b.spec.a)
+    outside = _outside(Y / b.spec.n, b.spec.domain)
+    if i0 + J >= b.m_cap:
+        outside[:, J] = True
+    end = np.where(outside.any(axis=1), outside.argmax(axis=1), J + 1)
+    error = np.zeros(live_rows, dtype=bool)
+    if failed:
+        failed = np.asarray(failed)
+        error[failed] = end[failed] > J - 1
+        end[failed] = np.minimum(end[failed], J - 1)
+    done = end <= J
+    at = np.arange(J + 1)
+    seen = at <= np.where(done, end, J - 1)[:, None]
+    taken = at[:J] < (end + error)[:, None]
+    if b.event_predicate is not None:
+        for r in np.flatnonzero(rows.event_stop < 0):
+            for j, y in enumerate(Y[r, seen[r]].tolist()):
+                if not b.event_predicate(i0 + j, tuple(y)):
+                    rows.event_stop[r] = i0 + j
+                    break
+    return _Span(i0, J, where, states, Y, end, error, done, seen, taken)
+
+
+def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
+    """Drift, stride records, martingale sup and trend check of the span; returns
+    the trend violations as (rows, positions, kinds, coordinates, gaps), or None."""
+    live_rows, J, n, a = len(rows.ids), s.J, b.spec.n, b.spec.a
+    # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
+    # before the sum, cum[:, j + 1] holds the drift of step i0 + j. The
+    # drifts at or past a row's stop reach only positions that ``seen``
+    # masks out and records past the stop.
+    cum = np.zeros((live_rows, J + 1, a))
+    with _guard(b.plugin, "drift_batch", s.where):
+        cum[:, 1:] = b.plugin.drift_batch(
+            s.states[:, :J].reshape((live_rows * J,) + s.states.shape[2:])
+        ).reshape(live_rows, J, a)
+    trend = None
+    if not b.plugin.exact_drift and s.taken.any():
+        r, j = np.nonzero(s.taken)
+        points = np.column_stack(((s.i0 + j) / n, s.Y[r, j].astype(float) / n))
+        with _guard(b.plugin, "drift_field", s.where):
+            field = drift_at(b.plugin.drift_field, points)
+        gap = np.abs(cum[r, j + 1] - field)
+        x, k = np.nonzero(gap > b.spec.delta)
+        trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
+    # records of the steps on the stride grid; a row's records past its
+    # stop are overwritten by its last record or lie past its prefix
+    on_grid = slice(-s.i0 % b.stride, J, b.stride)
+    first = -(-s.i0 // b.stride)
+    kept = slice(first, first + len(range(J)[on_grid]))
+    b.rec_y[rows.ids, kept] = s.Y[:, on_grid]
+    b.rec_d[rows.ids, kept] = cum[:, 1:][:, on_grid]
+    cum[:, 0] = rows.drift_cum
+    np.add.accumulate(cum, axis=1, out=cum)
+    rows.drift_cum[:] = cum[:, J]
+    # the martingale part; a NaN propagates through max, so it never passes
+    np.subtract(s.Y - b.Y0, cum, out=cum)
+    mart = _fold(np.maximum, np.abs(cum, out=cum))
+    np.maximum(rows.sup_mart, mart.max(axis=1, where=s.seen, initial=0.0), out=rows.sup_mart)
+    return trend
+
+
+def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
+    """Sup deviation from each ODE path and the replay chain of the span.
+
+    Column k counts while i <= caps[k], and the sup only up to the row's
+    event stop. Returns the (rows, positions, K) deviation at the positions
+    up to the longest path's cap, or None past it or without paths.
+    """
+    prep = b.prep
+    if prep is None or s.i0 > prep.cap:
+        return None
+    jd = min(s.J, prep.cap - s.i0) + 1
+    dev = np.subtract(s.Y[:, :jd, None], prep.yode[s.i0 : s.i0 + jd])
+    dev = _fold(np.maximum, np.abs(dev, out=dev))
+    steps = s.i0 + np.arange(jd)
+    live = (steps[:, None] <= prep.caps) & s.seen[:, :jd, None]
+    in_range = live
+    if b.event_predicate is not None:
+        before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
+        in_range = live & before[:, :, None]
+    np.maximum(rows.sup_dev, dev.max(axis=1, where=in_range, initial=0.0), out=rows.sup_dev)
+    if b.replay_check:
+        # chain[:, j] is the chain's sum at step i0 + j, summed one step at a time
+        chain = np.empty((len(dev), jd + 1, len(prep.caps)))
+        chain[:, 0] = rows.carry
+        np.multiply(dev, prep.L_over_n, out=chain[:, 1:])
+        chain[:, 1:] += prep.step_term
+        np.add.accumulate(chain, axis=1, out=chain)
+        rows.carry[:] = chain[:, min(s.J, jd)]
+        bound = np.add(chain[:, :jd], prep.two_lam_n, out=chain[:, :jd])
+        ok = np.less(dev, bound).all(axis=1, where=live)
+        np.logical_and(rows.replay_ok, ok, out=rows.replay_ok)
+    return dev
+
+
+def _bound_jumps(b: _Batch, s: _Span):
+    """Steps before each row's stop that move a coordinate by more than beta, as
+    (rows, positions, kinds, coordinates, jumps), or None."""
+    jump = np.diff(s.Y, axis=1)
+    over = np.abs(jump, out=jump) > b.spec.beta
+    over &= (np.arange(s.J) < s.end[:, None])[:, :, None]
+    if over.any():
+        r, j, k = np.nonzero(over)
+        return r, j, np.ones_like(k), k, jump[r, j, k]
+
+
+def _add_violations(b: _Batch, rows: _Rows, s: _Span, trend, dev) -> None:
+    """Add the span's trend and bound violations to their trajectories, in
+    (step, trend before bound, coordinate) order."""
+    found = [f for f in (trend, _bound_jumps(b, s)) if f is not None]
+    if not found:
+        return
+    r, j, kind, k, observed = (np.concatenate(f) for f in zip(*found))
+    single = dev is not None and b.prep.single
+    for x in np.lexsort((k, kind, j, r)):
+        rx, jx = r[x], j[x]
+        b.violations[rows.ids[rx]].append(Violation(
+            s.i0 + int(jx), int(k[x]), ("trend", "bound")[kind[x]], float(observed[x]),
+            (b.spec.delta, b.spec.beta)[kind[x]],
+            float(dev[rx, jx, 0]) if single and jx < dev.shape[1] else None,
+        ))
+
+
+def _reduce_span(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
+    """Reduce the span of steps i0..i0 + J of every live row, one rule at a time.
+
+    Each reducer's (rows, J, .) temporaries die with its frame, which bounds
+    the span's memory.
+    """
+    s = _stop_rule(b, rows, states, i0, J, failed)
+    _add_violations(b, rows, s, _reduce_drift(b, rows, s), _reduce_deviation(b, rows, s))
+    return s
+
+
+def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
+    """Write out the rows that stopped in the span; returns their mask."""
+    for r in np.flatnonzero(s.done):
+        t = rows.ids[r]
+        i = s.i0 + int(s.end[r])
+        pos = -(-i // b.stride)
+        indices = b.grid[: pos + 1] if b.grid[pos] == i else np.append(b.grid[:pos], i)
+        if not (s.error[r] and i % b.stride == 0):
+            b.rec_y[t, pos] = s.Y[r, s.end[r]]
+            b.rec_d[t, pos] = math.nan
+        ev = int(rows.event_stop[r]) if rows.event_stop[r] >= 0 else None
+        sup = dev_cap = ok = None
+        if b.prep is not None:
+            last = i if ev is None else min(i, ev)
+            per_path = (rows.sup_dev[r], np.minimum(b.prep.caps, last), rows.replay_ok[r])
+            sup, dev_cap, ok = (
+                v.tolist()[0] if b.prep.single else tuple(v.tolist()) for v in per_path
+            )
+            ok = ok if b.replay_check else None
+        b.out[t] = Trajectory(
+            seed=int(b.seeds[t]),
+            stop_index=i,
+            indices=indices,
+            steps=b.rec_y[t, : pos + 1],
+            drifts=b.rec_d[t, : pos + 1],
+            violations=tuple(b.violations[t]),
+            sup_deviation=sup,
+            deviation_cap=dev_cap,
+            sup_martingale=float(rows.sup_mart[r]),
+            event_stop=ev,
+            replay_ok=ok,
+            valid=not s.error[r],
+            error_step=i if s.error[r] else None,
+        )
+    return s.done
+
+
 def _simulate_batch(
     plugin: ProcessPlugin,
     spec: ProcessSpec,
@@ -241,266 +509,81 @@ def _simulate_batch(
     count = len(seeds)
     m_cap = math.floor(spec.domain.t_hi * n)
     stride = 1 if full_paths else max(1, math.ceil(n / 1000))
-    lo = np.array(spec.domain.lo)
-    hi = np.array(spec.domain.hi)
-    beta = spec.beta
-    delta = spec.delta
-    check_trend = not plugin.exact_drift
     upf = plugin.uniforms_per_step
-    cap = prep.cap if prep is not None else -1
     paths = len(prep.caps) if prep is not None else 0
     span = _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (count * _BLOCK_STEPS))
     span = max(1, min(span, m_cap))
-    draw = span * max(1, _DRAW_STEPS // span)  # steps of uniforms drawn at once
+    draw = span * max(1, min(  # steps of uniforms drawn at once
+        _DRAW_STEPS // span,
+        _DRAW_STEPS // _BLOCK_STEPS * _SPAN_ROW_STEPS // (count * span),
+        -(-m_cap // span),
+    ))
 
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before m_cap, then m_cap. A trajectory that stops at i ends at record
     # ceil(i/stride), so it keeps a prefix of its row. Trajectories share the
     # read-only step grid unless their last step is off it.
-    rows = -(-m_cap // stride) + 1
-    grid = np.arange(rows, dtype=np.int64) * stride
+    grid = np.arange(-(-m_cap // stride) + 1, dtype=np.int64) * stride
     grid[-1] = m_cap
-    rec_y = np.empty((count, rows, a), dtype=np.int64)
-    rec_d = np.empty((count, rows, a))
-    violations: list[list[Violation]] = [[] for _ in range(count)]
-    out: list[Trajectory | None] = [None] * count
-
-    gens = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
-    uniforms = None  # each row's uniforms of the current draw; None when row-wise
     start = plugin.initial_state()  # deterministic, so every row starts from it
     if upf is None:
         states = np.empty(count, dtype=object)
         states.fill(start)
     else:
         states = np.array([start] * count, dtype=np.int64)
-        uniforms = np.empty((count, draw, upf))
+    with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
+        Y0 = plugin.observables_batch(states[:1])[0]
+    b = _Batch(
+        plugin, spec, prep, event_predicate, replay_check, m_cap, stride, grid, Y0, seeds,
+        rec_y=np.empty((count, len(grid), a), dtype=np.int64),
+        rec_d=np.empty((count, len(grid), a)),
+        violations=[[] for _ in range(count)],
+        out=[None] * count,
+    )
+    gens = np.empty(count, dtype=object)
+    gens[:] = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
+    rows = _Rows(
+        ids=np.arange(count),
+        states=states,
+        gens=gens,
+        uniforms=None if upf is None else np.empty((count, draw, upf)),
+        drift_cum=np.zeros((count, a)),
+        sup_mart=np.zeros(count),
+        sup_dev=np.zeros((count, paths)),
+        carry=np.zeros((count, paths)),
+        replay_ok=np.ones((count, paths), dtype=bool),
+        event_stop=np.full(count, -1, dtype=np.int64),
+    )
     # the states at steps i0..i0+J of the current span, one row per live row
     held = np.empty((count, span + 1) + states.shape[1:], dtype=states.dtype)
-    with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
-        Y0 = plugin.observables_batch(states[:1])[0]  # Y(0), one (a,) row for all rows
-
-    # Per-row state of the live rows at the start of a span, whose first
-    # step is i0; ``ids`` maps a row to its trajectory. drift_cum and
-    # carry are their sums at step i0.
-    ids = np.arange(count)
-    drift_cum = np.zeros((count, a))
-    sup_mart = np.zeros(count)
-    sup_dev = np.zeros((count, paths))
-    carry = np.zeros((count, paths))
-    replay_ok = np.ones((count, paths), dtype=bool)
-    event_stop = np.full(count, -1, dtype=np.int64)
-
-    def per_path(values, kind):
-        values = [kind(v) for v in values]
-        return values[0] if prep.single else tuple(values)
-
-    def finish_span(i0, J, buf, failed):
-        """Reduce the span of steps i0..i0 + J of every live row.
-
-        Updates the live rows' statistics, writes their records and
-        violations, writes out the rows that stopped and returns their mask.
-        """
-        live_rows = len(ids)
-        where = f"in the span of steps {i0}..{i0 + J}"
-        # Block position j is step i0 + j, and Y[:, j] its counts.
-        at = np.arange(J + 1)
-        with _guard(plugin, "observables_batch", where):
-            Y = plugin.observables_batch(
-                buf[:, : J + 1].reshape((live_rows * (J + 1),) + buf.shape[2:])
-            ).reshape(live_rows, J + 1, a)
-
-        # Stopping rule: the first step at the horizon or with the rescaled
-        # state outside the open box (the time axis cannot bind earlier
-        # because 0 <= i/n < T and t_lo < 0), unless the row's step raised
-        # at an earlier step. ``end`` is the position of the stop, J + 1 for
-        # a row that goes on; what a row did past its stop is discarded.
-        yn = Y / n
-        outside = ~_fold(np.logical_and, (lo < yn) & (yn < hi))
-        del yn
-        if i0 + J >= m_cap:
-            outside[:, J] = True
-        end = np.where(outside.any(axis=1), outside.argmax(axis=1), J + 1)
-        error = np.zeros(live_rows, dtype=bool)
-        if failed:
-            failed = np.asarray(failed)
-            error[failed] = end[failed] > J - 1
-            end[failed] = np.minimum(end[failed], J - 1)
-        done = end <= J
-        # steps whose stopping rule, predicate, deviation and martingale part count
-        seen = at <= np.where(done, end, J - 1)[:, None]
-        # steps taken, whose drift the trend check compares; a step that
-        # raised still had one
-        taken = at[:J] < (end + error)[:, None]
-
-        if event_predicate is not None:
-            for r in np.flatnonzero(event_stop < 0):
-                for j, y in enumerate(Y[r, seen[r]].tolist()):
-                    if not event_predicate(i0 + j, tuple(y)):
-                        event_stop[r] = i0 + j
-                        break
-
-        # Hypothesis violations, kept per trajectory in (step, trend before
-        # bound, coordinate) order. Each (rows, J, .) temporary is deleted
-        # once used, which bounds the span's memory.
-        found = []
-        # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
-        # before the sum, cum[:, j + 1] holds the drift of step i0 + j. The
-        # drifts at or past a row's stop reach only positions that ``seen``
-        # masks out and records past the stop.
-        cum = np.zeros((live_rows, J + 1, a))
-        with _guard(plugin, "drift_batch", where):
-            cum[:, 1:] = plugin.drift_batch(
-                buf[:, :J].reshape((live_rows * J,) + buf.shape[2:])
-            ).reshape(live_rows, J, a)
-        if check_trend and taken.any():
-            r, j = np.nonzero(taken)
-            points = np.column_stack(((i0 + j) / n, Y[r, j].astype(float) / n))
-            with _guard(plugin, "drift_field", where):
-                field = drift_at(plugin.drift_field, points)
-            gap = np.abs(cum[r, j + 1] - field)
-            x, k = np.nonzero(gap > delta)
-            found.append((r[x], j[x], np.zeros_like(k), k, gap[x, k]))
-        # records of the steps on the stride grid; a row's records past its
-        # stop are overwritten by its last record or lie past its prefix
-        on_grid = slice(-i0 % stride, J, stride)
-        first = -(-i0 // stride)
-        kept = slice(first, first + len(range(J)[on_grid]))
-        rec_y[ids, kept] = Y[:, on_grid]
-        rec_d[ids, kept] = cum[:, 1:][:, on_grid]
-        cum[:, 0] = drift_cum
-        np.add.accumulate(cum, axis=1, out=cum)
-        drift_cum[:] = cum[:, J]
-        # the martingale part; a NaN propagates through max, so it never passes
-        np.subtract(Y - Y0, cum, out=cum)
-        mart = _fold(np.maximum, np.abs(cum, out=cum))
-        del cum
-        np.maximum(sup_mart, mart.max(axis=1, where=seen, initial=0.0), out=sup_mart)
-        del mart
-
-        dev = None  # deviation from each ODE path at positions up to cap
-        if i0 <= cap:
-            jd = min(J, cap - i0) + 1
-            dev = np.subtract(Y[:, :jd, None], prep.yode[i0 : i0 + jd])
-            dev = _fold(np.maximum, np.abs(dev, out=dev))
-            # column k counts while i <= caps[k], and the sup up to the event stop
-            live = prep.live[i0 : i0 + jd] & seen[:, :jd, None]
-            in_range = live
-            if event_predicate is not None:
-                before = (event_stop < 0)[:, None] | (i0 + at[:jd] <= event_stop[:, None])
-                in_range = live & before[:, :, None]
-            np.maximum(sup_dev, dev.max(axis=1, where=in_range, initial=0.0), out=sup_dev)
-            if replay_check:
-                # chain[:, j] is the chain's sum at step i0 + j, summed one step at a time
-                chain = np.empty((live_rows, jd + 1, paths))
-                chain[:, 0] = carry
-                np.multiply(dev, prep.L_over_n, out=chain[:, 1:])
-                chain[:, 1:] += prep.step_term
-                np.add.accumulate(chain, axis=1, out=chain)
-                carry[:] = chain[:, min(J, jd)]
-                bound = np.add(chain[:, :jd], prep.two_lam_n, out=chain[:, :jd])
-                ok = np.less(dev, bound).all(axis=1, where=live)
-                np.logical_and(replay_ok, ok, out=replay_ok)
-                del chain, bound
-
-        jump = np.diff(Y, axis=1)
-        over = np.abs(jump, out=jump) > beta
-        over &= (at[:J] < end[:, None])[:, :, None]
-        if over.any():
-            r, j, k = np.nonzero(over)
-            found.append((r, j, np.ones_like(k), k, jump[r, j, k]))
-        del jump, over
-        if found:
-            r, j, kind, k, observed = (np.concatenate(f) for f in zip(*found))
-            single = dev is not None and prep.single
-            for x in np.lexsort((k, kind, j, r)):
-                rx, jx = r[x], j[x]
-                violations[ids[rx]].append(Violation(
-                    i0 + int(jx), int(k[x]), ("trend", "bound")[kind[x]], float(observed[x]),
-                    (delta, beta)[kind[x]],
-                    float(dev[rx, jx, 0]) if single and jx < dev.shape[1] else None,
-                ))
-
-        # write out the rows that stopped
-        for r in np.flatnonzero(done):
-            t = ids[r]
-            i = i0 + int(end[r])
-            pos = -(-i // stride)
-            indices = grid[: pos + 1] if grid[pos] == i else np.append(grid[:pos], i)
-            if not (error[r] and i % stride == 0):
-                rec_y[t, pos] = Y[r, end[r]]
-                rec_d[t, pos] = math.nan
-            ev = int(event_stop[r]) if event_stop[r] >= 0 else None
-            sup = dev_cap = ok = None
-            if prep is not None:
-                sup = per_path(sup_dev[r], float)
-                last = i if ev is None else min(i, ev)
-                dev_cap = per_path(np.minimum(prep.caps, last), int)
-                if replay_check:
-                    ok = per_path(replay_ok[r], bool)
-            out[t] = Trajectory(
-                seed=int(seeds[t]),
-                stop_index=i,
-                indices=indices,
-                steps=rec_y[t, : pos + 1],
-                drifts=rec_d[t, : pos + 1],
-                violations=tuple(violations[t]),
-                sup_deviation=sup,
-                deviation_cap=dev_cap,
-                sup_martingale=float(sup_mart[r]),
-                event_stop=ev,
-                replay_ok=ok,
-                valid=not error[r],
-                error_step=i if error[r] else None,
-            )
-        return done
 
     i0 = 0
     while True:
         # Step every live row J times, to the end of the span or to the
-        # horizon. Rows with their own generators step one pass per step, and
-        # a pass in which some row's step raised ends the span; with
-        # uniforms, a span always starts at a multiple of the span length,
-        # takes its uniforms from the same offset of the current draw and is
-        # stepped one block at a time.
-        live_rows = len(ids)
+        # horizon. With uniforms, a span always starts at a multiple of the
+        # span length, takes its uniforms from the same offset of the
+        # current draw and is stepped one block at a time.
         J = min(span - i0 % span, m_cap - i0)
-        buf = held[:live_rows]
-        buf[:, 0] = states
+        buf = held[: len(rows.ids)]
+        buf[:, 0] = rows.states
         failed = []
-        if uniforms is None:
-            for j in range(1, J + 1):
-                for r, g in enumerate(gens):
-                    try:
-                        states[r] = plugin.step(states[r], g)
-                    except Exception:
-                        failed.append(r)
-                buf[:, j] = states
-                if failed:
-                    J = j
-                    break
+        if rows.uniforms is None:
+            J, failed = _step_rows(plugin, buf[:, : J + 1], rows.states, rows.gens)
         else:
             d = i0 % draw
             if d == 0:
-                for r, g in enumerate(gens):
-                    g.random(out=uniforms[r])
+                for g, u in zip(rows.gens, rows.uniforms):
+                    g.random(out=u)
             with _guard(plugin, "step_batch", f"in the span of steps {i0}..{i0 + J}"):
                 for q in range(0, J, _BLOCK_STEPS):
                     e = min(q + _BLOCK_STEPS, J)
-                    _step_block(plugin, buf[:, q : e + 1], uniforms[:, d + q : d + e])
-            states = buf[:, J]
-
-        done = finish_span(i0, J, buf, failed)
+                    _step_block(plugin, buf[:, q : e + 1], rows.uniforms[:, d + q : d + e])
+            rows.states = buf[:, J]
+        done = _write_out(b, rows, _reduce_span(b, rows, buf[:, : J + 1], i0, J, failed))
         if done.all():
-            return out
+            return b.out
         if done.any():
-            keep = ~done
-            ids, states, drift_cum = ids[keep], states[keep], drift_cum[keep]
-            sup_mart, sup_dev, carry, replay_ok, event_stop = (
-                sup_mart[keep], sup_dev[keep], carry[keep], replay_ok[keep], event_stop[keep]
-            )
-            gens = [g for g, k in zip(gens, keep) if k]
-            if uniforms is not None:
-                uniforms = uniforms[keep]
+            rows.keep(~done)
         i0 += J
 
 
@@ -528,8 +611,7 @@ def run_ensemble(
     trajectory's stop (as in :func:`simulate`), in step order for each
     trajectory; the order of calls across trajectories is unspecified.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_counts(count, jobs)
     prep = _prepare(plugin, spec, solution, replay_check)
     seeds = [derive_seed(base_seed, idx) for idx in range(count)]
     batch = partial(

@@ -30,7 +30,7 @@ from .core import (
 )
 from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin, _guard
-from .simulate import run_ensemble
+from .simulate import _check_counts, run_ensemble
 
 MODES = ("plain", "averaged", "truncated")
 
@@ -104,8 +104,9 @@ def verify(
     side-event semantics and relabels plain mode as 'side-events'. The mode
     parameters and the initial condition max_k |Y_k(0) - y_hat_k*n| <=
     lambda*n, Y(0) from ``plugin.initial_state()``, are checked before any
-    work starts, even when sigma = 0. Raises :class:`PluginCrashed` when a
-    plugin method raises.
+    work starts, even when sigma = 0, and so are ``count`` and ``jobs``
+    (both at least 1). Raises :class:`PluginCrashed` when a plugin method
+    raises.
     """
     return _verify_anchors(
         spec, plugin, count, base_seed, mode, event_predicate, replay_check, jobs, [spec]
@@ -164,6 +165,7 @@ def _verify_anchors(
     all the paths with sigma > 0. An anchor with sigma = 0 gets a vacuous
     report.
     """
+    _check_counts(count, jobs)
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
     start = plugin.initial_state()
     with _guard(plugin, "observables", "on the initial state"):
@@ -198,11 +200,7 @@ def _verify_anchors(
             jobs=jobs,
         )
         trajectories = ensemble.trajectories
-        for idx, traj in enumerate(trajectories):
-            if not traj.valid:
-                raise PluginCrashed(
-                    f"trajectory {idx} failed at step {traj.error_step}; cannot verify"
-                )
+        _require_valid(trajectories, "verify")
 
     n = spec.n
     lam_n = spec.lam * n
@@ -260,6 +258,13 @@ def _verify_anchors(
             event_stops=event_stops,
         ))
     return reports
+
+
+def _require_valid(trajectories, use: str) -> None:
+    """Raise PluginCrashed at the first trajectory whose step raised."""
+    for idx, traj in enumerate(trajectories):
+        if not traj.valid:
+            raise PluginCrashed(f"trajectory {idx} failed at step {traj.error_step}; cannot {use}")
 
 
 def report_to_json(report: VerificationReport, path) -> None:

@@ -69,7 +69,44 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
 
+class CrashingBalls(BallsInBins):
+    name = "crashing-balls"
+
+    def step(self, state, rng):
+        raise RuntimeError("boom")
+
+
+def crashing_spec_file(tmp_path, monkeypatch):
+    """A spec file of balls-in-bins whose row-wise ``step`` always raises."""
+    monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+    register_plugin(CrashingBalls.name, lambda n, params: CrashingBalls(n))
+    doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
+    doc["plugin"] = CrashingBalls.name
+    path = tmp_path / "crash.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestSimulate:
+    def test_crashing_step_exits_3_without_csv(self, tmp_path, capsys, monkeypatch):
+        path = crashing_spec_file(tmp_path, monkeypatch)
+        out = tmp_path / "runs"
+        assert main(["simulate", str(path), "--count", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory 0 failed at step 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--count", "--jobs"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_count_or_jobs_below_one_exits_2(
+        self, flag, command, balls_spec_file, tmp_path, capsys
+    ):
+        out = tmp_path / "runs"
+        args = [command, str(balls_spec_file), flag, "0"]
+        assert main(args + (["--out", str(out)] if command == "simulate" else [])) == 2
+        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, balls_spec_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -152,18 +189,7 @@ class TestVerify:
         assert "mode = truncated" in capsys.readouterr().out
 
     def test_crashing_plugin_exits_3(self, tmp_path, capsys, monkeypatch):
-        class CrashingBalls(BallsInBins):
-            name = "crashing-balls"
-
-            def step(self, state, rng):
-                raise RuntimeError("boom")
-
-        monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
-        register_plugin(CrashingBalls.name, lambda n, params: CrashingBalls(n))
-        doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
-        doc["plugin"] = CrashingBalls.name
-        path = tmp_path / "crash.json"
-        path.write_text(json.dumps(doc))
+        path = crashing_spec_file(tmp_path, monkeypatch)
         assert main(["verify", str(path), "--count", "2"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory 0 failed at step 0")

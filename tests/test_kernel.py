@@ -754,6 +754,38 @@ def test_each_row_consumes_a_prefix_of_one_philox_draw(kind):
     # some rows stopped inside a draw, so the next block of that draw has fewer rows
     assert any(i // draw == j // draw and r > s for (i, r), (j, s) in zip(firsts, firsts[1:]))
 
+
+@pytest.mark.parametrize(
+    "kind,count,n,draw",
+    [
+        ("balls", 160, 3_000, 1_024),  # eight one-block spans, as on the benchmark
+        ("balls", 16, 3_000, 1_280),  # one ten-block span
+        ("balls", 4_000, 200, 128),  # the row budget: one span
+        ("degree", 4_000, 300, 128),
+        ("balls", 160, 300, 384),  # the horizon of 300 steps, rounded up to spans
+        ("balls", 9, 300, 300),  # a span that is the whole horizon
+    ],
+)
+def test_uniform_draws_hold_the_row_budget_and_stop_at_the_horizon(kind, count, n, draw):
+    """Each row's generator fills ``draw`` steps of uniforms per call: at most
+    1,024 steps, whole spans, no more row-steps than eight spans of the
+    span's budget (or than one span of all rows) and no further than the
+    horizon rounded up to a span."""
+    spec, plugin = make_case(kind, n, tight=False)
+    lengths = []
+
+    class SpyGenerator(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            lengths.append(out.shape)
+            return super().random(size, dtype, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "Generator", SpyGenerator)
+        run_ensemble(plugin, spec, count, 5)
+    assert len(lengths) >= count
+    assert set(lengths) == {(draw, plugin.uniforms_per_step)}
+    assert count * draw <= max(count * min(draw, 128), 8 * 160 * 128)
+
 @pytest.mark.parametrize(
     "count,n,spans",
     [

@@ -362,4 +362,7 @@ class TestFailureHandling:
             run_ensemble(BallsInBins(99), spec, 4, 0, jobs=2)
         with pytest.raises(ValueError, match="solution"):
             run_ensemble(plugin, spec, 4, 0, replay_check=True)
+        for count, jobs in ((0, 1), (4, 0), (4, -3)):
+            with pytest.raises(ValueError, match="must be at least 1"):
+                run_ensemble(plugin, spec, count, 0, jobs=jobs)
         assert batches.calls == 0

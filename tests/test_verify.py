@@ -123,6 +123,18 @@ class TestVerifyPlain:
         assert report.empirical_sup_deviations == ()
         assert within_bound(report)
 
+    @pytest.mark.parametrize("lam", [0.02, 0.25], ids=["tracked", "vacuous"])
+    @pytest.mark.parametrize("count,jobs", [(0, 1), (-2, 1), (3, 0), (3, -3)])
+    def test_count_and_jobs_refused_before_the_scan(self, monkeypatch, lam, count, jobs):
+        counters = count_calls(monkeypatch)
+        spec, plugin = small_balls(n=500, lam=lam)  # lam = 0.25 makes sigma = 0
+        what = "count" if count < 1 else "jobs"
+        with pytest.raises(ValueError, match=f"{what} must be at least 1"):
+            verify(spec, plugin, count, 0, jobs=jobs)
+        with pytest.raises(ValueError, match=f"{what} must be at least 1"):
+            verify_multi_anchor(spec, plugin, count, 0, [(1.0,)], jobs=jobs)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
     def test_initial_condition_enforced(self, monkeypatch):
         counters = count_calls(monkeypatch)
         # Y(0) = n but anchor 0.9n: offset n/10 > lam*n; at lam = 0.25 sigma = 0
