@@ -15,7 +15,14 @@ records, per workload and metric, every run's value, the medians,
 the quartiles (``statistics.quantiles(n=4)``) and the number of pairs in
 which the change was better, with the unscaled wall times that run.py
 prints next to its reference-speed metrics, and the per-layer metrics of
-one ``--trace 1`` run per side on the first seed. It also times two layers
+one ``--trace 1`` run per side on the first seed. Each metric with a better
+side also records two verdicts. ``claim_holds``: the change was better in
+at least nine tenths of the pairs, and its median is better than the
+parent's by more than the distance between the parent's quartiles.
+``worse_than_bound`` (end-to-end metrics only): the change's median is
+worse than the parent's by more than the metric's ``BENCHMARK.json`` bound,
+a fraction of the parent's median. ``verdicts`` lists the metrics of each
+kind. It also times two layers
 in each tree on the two acceptance instances (the balls-ensemble spec at
 n = 100,000 with 200 trajectories and the degree-anchors spec with its
 three anchors and 100 trajectories), in six alternating fresh interpreters
@@ -47,6 +54,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # unscaled wall times; speed_scale has no better side
 DIRECTION = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]}
 DIRECTION.update(wall_run_s=("s", "lower"), wall_setup_s=("s", "lower"), speed_scale=("ratio", None))
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}  # worsening allowed, a fraction
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10  # per workload, on seeds 1..PAIRS
 REPEATS = 6  # fresh interpreters per tree for each layer timed on the acceptance instances
@@ -138,7 +146,10 @@ def run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return {"values": values, "correct": result["correct"], "failed": result["failed"]}
 
 
-def summary(parent: list[float], change: list[float], unit: str, better: str | None) -> dict:
+def summary(
+    parent: list[float], change: list[float], unit: str, better: str | None,
+    bound: float | None = None,
+) -> dict:
     def quartiles(xs):
         q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
         return [q[0], q[2]]
@@ -152,8 +163,26 @@ def summary(parent: list[float], change: list[float], unit: str, better: str | N
     }
     if better is not None:
         sign = 1 if better == "lower" else -1
-        out["change_better_pairs"] = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        gain = sign * (out["parent_median"] - out["change_median"])  # > 0: the change is better
+        spread = out["parent_quartiles"][1] - out["parent_quartiles"][0]
+        out["change_better_pairs"] = wins
+        out["claim_holds"] = 10 * wins >= 9 * len(parent) and gain > spread
+        if bound is not None:
+            out["bound"] = bound
+            out["worse_than_bound"] = -gain > bound * abs(out["parent_median"])
     out["parent_runs"], out["change_runs"] = parent, change
+    return out
+
+
+def verdicts(workloads: dict) -> dict:
+    """The "<workload> <metric>" names whose claim holds, and those worse than their bound."""
+    out = {"claim_holds": [], "worse_than_bound": []}
+    for w, doc in workloads.items():
+        for name, m in doc.items():
+            for key, names in out.items():
+                if isinstance(m, dict) and m.get(key):
+                    names.append(f"{w} {name}")
     return out
 
 
@@ -173,7 +202,7 @@ def bench_workload(trees: dict, workload: str) -> dict:
     }
     for name, (unit, better) in DIRECTION.items():
         parent, change = ([r["values"][name] for r in runs[s]] for s in ("parent", "change"))
-        doc[name] = summary(parent, change, unit, better)
+        doc[name] = summary(parent, change, unit, better, BOUND.get(name))
     # one traced run per side on the first seed, for the per-layer metrics
     doc["trace"] = {
         side: run_workload(trees[side], workload, 1, trace=1)
@@ -222,6 +251,7 @@ def main(argv=None) -> int:
             raise RuntimeError(f"git archive {rev} failed")
         trees = {"parent": scratch, "change": ROOT}
         started = time.time()
+        workloads = {w["name"]: bench_workload(trees, w["name"]) for w in BENCHMARK["workloads"]}
         doc = {
             "what": (
                 f"perfbench/run.py --trace 0 on the parent commit {rev} (unpacked by git archive)"
@@ -236,9 +266,8 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "workloads": {
-                w["name"]: bench_workload(trees, w["name"]) for w in BENCHMARK["workloads"]
-            },
+            "verdicts": verdicts(workloads),
+            "workloads": workloads,
             "anchor_grids": {
                 "what": (
                     "ode.anchor_grids wall time, best of 3 calls in a fresh interpreter,"

@@ -29,6 +29,8 @@ class Domain:
     The time axis spans (t_lo, t_hi); coordinate k spans (lo[k], hi[k]) in
     rescaled Y/n units. Boundary geometry is l-infinity: the distance of a
     point to the boundary is the minimum over all 2(a+1) face distances.
+    ``count_bounds`` states the box on integer counts Y at scale n, so the
+    simulation kernel tests its states without rescaling them.
     """
 
     t_lo: float
@@ -77,6 +79,34 @@ class Domain:
 
     def contains(self, point: Sequence[float]) -> bool:
         return self.boundary_distance(point) > 0.0
+
+    def count_bounds(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per coordinate k, the int64 counts (c_lo[k], c_hi[k]) such that
+        lo[k] < c / n < hi[k] exactly when c_lo[k] <= c <= c_hi[k], for every
+        int64 count c, with c / n computed as ``np.int64(c) / n``.
+
+        That quotient is monotone in c, so c_lo is the smallest count above
+        the lower face and c_hi the largest below the upper one, found by
+        bisection over the int64 range; a coordinate that no count lies
+        inside gets (int64 max, int64 min).
+        """
+        top = int(np.iinfo(np.int64).max)
+
+        def first(above) -> int:
+            # the smallest int64 c with above(c), or top + 1 for none
+            lo, hi = -top - 1, top + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if above(mid) else (mid + 1, hi)
+            return lo
+
+        bounds = []
+        for a, b in zip(self.lo, self.hi):
+            c_lo = first(lambda c: np.int64(c) / n > a)
+            c_hi = first(lambda c: np.int64(c) / n >= b) - 1
+            bounds.append((c_lo, c_hi) if c_lo <= c_hi else (top, -top - 1))
+        lows, highs = zip(*bounds)
+        return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
 
 
 @dataclass(frozen=True)

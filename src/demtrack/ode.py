@@ -74,17 +74,29 @@ class OdeSolution:
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
         """Interpolated values, shape (len(times), a)."""
-        times = np.asarray(times, dtype=float)
-        out = np.empty((len(times), self.ys.shape[1]))
-        for k in range(self.ys.shape[1]):
-            out[:, k] = np.interp(times, self.ts, self.ys[:, k])
-        return out
+        return _interp(np.asarray(times, dtype=float), self.ts, self.ys)
 
-    def counts_at_steps(self, upto: int) -> np.ndarray:
-        """n * y_k(i/n) for i = 0..upto, shape (upto+1, a)."""
+    def counts_at_steps(self, upto: int, start: int = 0) -> np.ndarray:
+        """n * y_k(i/n) for i = start..upto, shape (upto - start + 1, a).
+
+        Row i is the same, bit for bit, whatever ``start`` is: ``np.interp``
+        interpolates each point on its own grid interval, so it is given only
+        the grid rows from the last at or before start/n to the first at or
+        after upto/n (it would copy the whole read-only grid).
+        """
         n = self.spec.n
-        times = np.arange(upto + 1) / n
-        return self.values_at(times) * n
+        times = np.arange(start, upto + 1) / n
+        lo = max(int(np.searchsorted(self.ts, times[0], side="right")) - 1, 0)
+        hi = int(np.searchsorted(self.ts, times[-1])) + 1
+        return _interp(times, self.ts[lo:hi], self.ys[lo:hi]) * n
+
+
+def _interp(times: np.ndarray, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (ts, ys) grid linearly interpolated at ``times``, shape (len(times), a)."""
+    out = np.empty((len(times), ys.shape[1]))
+    for k in range(ys.shape[1]):
+        out[:, k] = np.interp(times, ts, ys[:, k])
+    return out
 
 
 def _stacked_drift(field, ts: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
@@ -316,23 +328,40 @@ def _stage(f, t, y: np.ndarray) -> np.ndarray:
 
 def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:
     """``_rk4_step`` for steps j0..j1-1 of a one-coordinate anchor, on Python
-    floats: the same IEEE operations in the same order, each new row written
-    to ``col``. The field gets a float ``t`` and one reused ``(1,)`` array."""
+    floats: the same IEEE operations in the same order, the new rows written
+    to ``col`` at the end, up to the step that raised if one did. The field
+    gets a float ``t`` and one reused ``(1,)`` array; a float64 array result
+    is read with ``.item()``, any other through ``np.asarray(r, dtype=float)``.
+    """
     point = np.empty(1)
-
-    def field(t, y):
-        point[0] = y
-        return np.asarray(f(t, point), dtype=float).item()
-
+    ndarray, f64 = np.ndarray, np.dtype(float)
+    half, sixth = 0.5 * width, width / 6.0
     y = col[j0].item()
-    for j in range(j0, j1):
-        t = t0 + j * h
-        k1 = field(t, y)
-        k2 = field(t + 0.5 * width, y + (0.5 * width) * k1)
-        k3 = field(t + 0.5 * width, y + (0.5 * width) * k2)
-        k4 = field(t + width, y + width * k3)
-        y = y + (width / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        col[j + 1] = y
+    ys = []
+    try:
+        for j in range(j0, j1):
+            t = t0 + j * h
+            t_half = t + half
+            point[0] = y
+            r = f(t, point)
+            k1 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            point[0] = y + half * k1
+            r = f(t_half, point)
+            k2 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            point[0] = y + half * k2
+            r = f(t_half, point)
+            k3 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            point[0] = y + width * k3
+            r = f(t + width, point)
+            k4 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ys.append(y)
+    finally:
+        col[j0 + 1 : j0 + 1 + len(ys)] = ys
+
+
+def _float(r) -> float:
+    return np.asarray(r, dtype=float).item()
 
 
 def grid_steps(spec: ProcessSpec, T: float) -> int:

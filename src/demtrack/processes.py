@@ -236,7 +236,7 @@ class BallsInBins(ProcessPlugin):
         return -(states / self.n)[:, None]
 
     def drift_field(self, t, y):
-        return -np.asarray(y, dtype=float)
+        return np.negative(y, dtype=float)
 
     def enumerate_transitions(self, state):
         p = state / self.n

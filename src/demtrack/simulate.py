@@ -32,9 +32,16 @@ before it) and its event stop; ``_reduce_drift`` the drift, the stride
 records, the martingale sup and the trend check; ``_reduce_deviation`` the
 sup deviation and the replay chain against each ODE path;
 ``_add_violations`` the bound jumps and the ``Violation`` objects; and
-``_write_out`` the rows that stopped. Sums run along each row one step at a
-time, so every trajectory keeps its order of float operations; reductions
-over a short last axis are folded column by column (``_fold``). Rows are
+``_write_out`` the rows that stopped. The box is tested on the int64
+counts against ``Domain.count_bounds``, computed once per batch, which is
+the same rule as testing Y/n against the open box. In a span where no row
+stops, the martingale sup, the deviation sup and the replay check reduce
+over the slice of positions 0..J-1; a span where a row stops, a path's cap
+falls or the event predicate has failed reduces with a mask per row and
+position. Each path's n * y(i/n) is interpolated for the span's steps only.
+Sums run along each row one step at a time, so every trajectory keeps its
+order of float operations; reductions over a short last axis are folded
+column by column (``_fold``). Rows are
 stepped, observed and given their drift to the end of the span even past
 their stop: these are all states the chain reaches. What their steps do
 there, a row-wise ``step``'s exceptions included, is discarded; an
@@ -91,10 +98,10 @@ Solutions = OdeSolution | Sequence[OdeSolution]
 class _SimPrep:
     """Per-spec data shared by every trajectory of an ensemble: K reference paths."""
 
-    yode: np.ndarray       # n * y_k(i/n) of each path, shape (cap+1, K, a)
+    solutions: tuple[OdeSolution, ...]  # the K paths, interpolated one span at a time
     caps: np.ndarray       # per path Constants.steps(n), shape (K,)
     cap: int               # max(caps)
-    two_lam_n: float
+    two_lam_n: np.ndarray  # per path 2*lambda*n, lambda that of the path's spec
     step_term: np.ndarray  # per path L*R/n + delta, the per-step additive recurrence term
     L_over_n: float
     single: bool           # one solution, not a sequence: trajectories get scalars
@@ -119,13 +126,11 @@ def _prepare(
         raise ValueError("need at least one ODE solution")
     consts = [s.constants for s in solutions]
     caps = np.array([c.steps(n) for c in consts])
-    cap = int(caps.max())
-    # a path is interpolated past its own cap too; those rows are never used
     return _SimPrep(
-        yode=np.stack([s.counts_at_steps(cap) for s in solutions], axis=1),
+        solutions=tuple(solutions),
         caps=caps,
-        cap=cap,
-        two_lam_n=2.0 * (spec.lam * n),
+        cap=int(caps.max()),
+        two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions]),
         step_term=np.array([spec.L * c.R / n + spec.delta for c in consts]),
         L_over_n=spec.L / n,
         single=single,
@@ -174,8 +179,10 @@ def _fold(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
 
     numpy reduces along a short last axis (a coordinates, a state's width)
     many times slower than it applies a ufunc to whole columns. The logical
-    ufuncs take a bool ``x``.
+    ufuncs take a bool ``x``. A one-column ``x`` gives its column's view.
     """
+    if x.shape[-1] == 1:
+        return x[..., 0]
     out = x[..., 0].copy()
     for k in range(1, x.shape[-1]):
         ufunc(out, x[..., k], out=out)
@@ -262,6 +269,8 @@ class _Batch:
     stride: int         # records are kept every stride-th step and at the stop
     grid: np.ndarray    # the record steps of a trajectory that reaches the horizon
     Y0: np.ndarray      # Y(0), one (a,) row for all rows
+    c_lo: np.ndarray    # the open box on counts: lo < Y/n < hi iff c_lo <= Y <= c_hi
+    c_hi: np.ndarray
     seeds: list[int]
     rec_y: np.ndarray   # each trajectory's records, (count, len(grid), a)
     rec_d: np.ndarray
@@ -301,13 +310,17 @@ class _Span:
     end: np.ndarray      # the position of each row's stop, J + 1 for a row that goes on
     error: np.ndarray    # the row stopped at a step that raised
     done: np.ndarray     # end <= J
-    seen: np.ndarray     # positions that the predicate, deviation and martingale part count
-    taken: np.ndarray    # steps taken, (rows, J); a step that raised still had a drift
+    # the positions that the predicate, deviation and martingale part count,
+    # (rows, J + 1); None when no row stops, for positions 0..J - 1 of every row
+    seen: np.ndarray | None
 
 
-def _outside(yn: np.ndarray, box) -> np.ndarray:
-    """Whether each (rows, steps, a) rescaled state lies outside ``box``'s open box."""
-    return ~_fold(np.logical_and, np.less(box.lo, yn) & np.less(yn, box.hi))
+def _sup(x: np.ndarray, J: int, where) -> np.ndarray:
+    """The max along axis 1 of ``x`` at the positions ``where`` masks, from 0; for
+    ``where=None``, over positions 0..J - 1, a slice that needs no mask."""
+    if where is None:
+        return x[:, :J].max(axis=1, initial=0.0)
+    return x.max(axis=1, where=where, initial=0.0)
 
 
 def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
@@ -315,7 +328,8 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
 
     A row stops at the first step at the horizon or with the rescaled state
     outside the open box (the time axis cannot bind earlier because 0 <=
-    i/n < T and t_lo < 0), unless its step raised at an earlier step.
+    i/n < T and t_lo < 0), unless its step raised at an earlier step. The
+    box is tested on the counts, against ``Domain.count_bounds``.
     """
     where = f"in the span of steps {i0}..{i0 + J}"
     live_rows = len(rows.ids)
@@ -323,26 +337,26 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
         Y = b.plugin.observables_batch(
             states.reshape((live_rows * (J + 1),) + states.shape[2:])
         ).reshape(live_rows, J + 1, b.spec.a)
-    outside = _outside(Y / b.spec.n, b.spec.domain)
+    outside = _fold(np.logical_or, (Y < b.c_lo) | (Y > b.c_hi))
     if i0 + J >= b.m_cap:
         outside[:, J] = True
-    end = np.where(outside.any(axis=1), outside.argmax(axis=1), J + 1)
+    end = outside.argmax(axis=1)
+    end[~outside[np.arange(live_rows), end]] = J + 1
     error = np.zeros(live_rows, dtype=bool)
     if failed:
         failed = np.asarray(failed)
         error[failed] = end[failed] > J - 1
         end[failed] = np.minimum(end[failed], J - 1)
     done = end <= J
-    at = np.arange(J + 1)
-    seen = at <= np.where(done, end, J - 1)[:, None]
-    taken = at[:J] < (end + error)[:, None]
+    last = np.where(done, end, J - 1)  # the last position each row counts
+    seen = np.arange(J + 1) <= last[:, None] if done.any() else None
     if b.event_predicate is not None:
         for r in np.flatnonzero(rows.event_stop < 0):
-            for j, y in enumerate(Y[r, seen[r]].tolist()):
+            for j, y in enumerate(Y[r, : last[r] + 1].tolist()):
                 if not b.event_predicate(i0 + j, tuple(y)):
                     rows.event_stop[r] = i0 + j
                     break
-    return _Span(i0, J, where, states, Y, end, error, done, seen, taken)
+    return _Span(i0, J, where, states, Y, end, error, done, seen)
 
 
 def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
@@ -352,35 +366,38 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
     # before the sum, cum[:, j + 1] holds the drift of step i0 + j. The
     # drifts at or past a row's stop reach only positions that ``seen``
-    # masks out and records past the stop.
-    cum = np.zeros((live_rows, J + 1, a))
+    # leaves out and records past the stop.
+    cum = np.empty((live_rows, J + 1, a))
     with _guard(b.plugin, "drift_batch", s.where):
         cum[:, 1:] = b.plugin.drift_batch(
             s.states[:, :J].reshape((live_rows * J,) + s.states.shape[2:])
         ).reshape(live_rows, J, a)
     trend = None
-    if not b.plugin.exact_drift and s.taken.any():
-        r, j = np.nonzero(s.taken)
-        points = np.column_stack(((s.i0 + j) / n, s.Y[r, j].astype(float) / n))
-        with _guard(b.plugin, "drift_field", s.where):
-            field = drift_at(b.plugin.drift_field, points)
-        gap = np.abs(cum[r, j + 1] - field)
-        x, k = np.nonzero(gap > b.spec.delta)
-        trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
+    if not b.plugin.exact_drift:
+        # the steps taken; a step that raised still had a drift
+        r, j = np.nonzero(np.arange(J) < (s.end + s.error)[:, None])
+        if len(r):
+            points = np.column_stack(((s.i0 + j) / n, s.Y[r, j].astype(float) / n))
+            with _guard(b.plugin, "drift_field", s.where):
+                field = drift_at(b.plugin.drift_field, points)
+            gap = np.abs(cum[r, j + 1] - field)
+            x, k = np.nonzero(gap > b.spec.delta)
+            trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
     # records of the steps on the stride grid; a row's records past its
     # stop are overwritten by its last record or lie past its prefix
     on_grid = slice(-s.i0 % b.stride, J, b.stride)
     first = -(-s.i0 // b.stride)
     kept = slice(first, first + len(range(J)[on_grid]))
-    b.rec_y[rows.ids, kept] = s.Y[:, on_grid]
-    b.rec_d[rows.ids, kept] = cum[:, 1:][:, on_grid]
+    ids = slice(None) if live_rows == len(b.rec_y) else rows.ids  # all rows live: a slice
+    b.rec_y[ids, kept] = s.Y[:, on_grid]
+    b.rec_d[ids, kept] = cum[:, 1:][:, on_grid]
     cum[:, 0] = rows.drift_cum
     np.add.accumulate(cum, axis=1, out=cum)
     rows.drift_cum[:] = cum[:, J]
     # the martingale part; a NaN propagates through max, so it never passes
     np.subtract(s.Y - b.Y0, cum, out=cum)
     mart = _fold(np.maximum, np.abs(cum, out=cum))
-    np.maximum(rows.sup_mart, mart.max(axis=1, where=s.seen, initial=0.0), out=rows.sup_mart)
+    np.maximum(rows.sup_mart, _sup(mart, J, s.seen), out=rows.sup_mart)
     return trend
 
 
@@ -388,22 +405,29 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
     """Sup deviation from each ODE path and the replay chain of the span.
 
     Column k counts while i <= caps[k], and the sup only up to the row's
-    event stop. Returns the (rows, positions, K) deviation at the positions
-    up to the longest path's cap, or None past it or without paths.
+    event stop. Each path's n * y_k(i/n) is interpolated at the span's steps
+    only. Returns the (rows, positions, K) deviation at the positions up to
+    the longest path's cap, or None past it or without paths.
     """
     prep = b.prep
     if prep is None or s.i0 > prep.cap:
         return None
     jd = min(s.J, prep.cap - s.i0) + 1
-    dev = np.subtract(s.Y[:, :jd, None], prep.yode[s.i0 : s.i0 + jd])
-    dev = _fold(np.maximum, np.abs(dev, out=dev))
     steps = s.i0 + np.arange(jd)
-    live = (steps[:, None] <= prep.caps) & s.seen[:, :jd, None]
-    in_range = live
-    if b.event_predicate is not None:
-        before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
-        in_range = live & before[:, :, None]
-    np.maximum(rows.sup_dev, dev.max(axis=1, where=in_range, initial=0.0), out=rows.sup_dev)
+    target = np.stack([p.counts_at_steps(steps[-1], s.i0) for p in prep.solutions], axis=1)
+    dev = np.subtract(s.Y[:, :jd, None], target)
+    dev = _fold(np.maximum, np.abs(dev, out=dev))
+    binds = b.event_predicate is not None and (rows.event_stop >= 0).any()
+    if s.seen is None and s.i0 + s.J - 1 <= prep.caps.min() and not binds:
+        live = in_range = None  # every path and row counts positions 0..J - 1
+    else:
+        seen = (np.arange(jd) < s.J)[None] if s.seen is None else s.seen[:, :jd]
+        live = (steps[:, None] <= prep.caps) & seen[:, :, None]
+        in_range = live
+        if binds:
+            before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
+            in_range = live & before[:, :, None]
+    np.maximum(rows.sup_dev, _sup(dev, s.J, in_range), out=rows.sup_dev)
     if b.replay_check:
         # chain[:, j] is the chain's sum at step i0 + j, summed one step at a time
         chain = np.empty((len(dev), jd + 1, len(prep.caps)))
@@ -413,7 +437,10 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
         np.add.accumulate(chain, axis=1, out=chain)
         rows.carry[:] = chain[:, min(s.J, jd)]
         bound = np.add(chain[:, :jd], prep.two_lam_n, out=chain[:, :jd])
-        ok = np.less(dev, bound).all(axis=1, where=live)
+        if live is None:
+            ok = np.less(dev[:, : s.J], bound[:, : s.J]).all(axis=1)
+        else:
+            ok = np.less(dev, bound).all(axis=1, where=live)
         np.logical_and(rows.replay_ok, ok, out=rows.replay_ok)
     return dev
 
@@ -423,6 +450,8 @@ def _bound_jumps(b: _Batch, s: _Span):
     (rows, positions, kinds, coordinates, jumps), or None."""
     jump = np.diff(s.Y, axis=1)
     over = np.abs(jump, out=jump) > b.spec.beta
+    if not over.any():
+        return None
     over &= (np.arange(s.J) < s.end[:, None])[:, :, None]
     if over.any():
         r, j, k = np.nonzero(over)
@@ -534,7 +563,8 @@ def _simulate_batch(
     with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
         Y0 = plugin.observables_batch(states[:1])[0]
     b = _Batch(
-        plugin, spec, prep, event_predicate, replay_check, m_cap, stride, grid, Y0, seeds,
+        plugin, spec, prep, event_predicate, replay_check, m_cap, stride, grid, Y0,
+        *spec.domain.count_bounds(n), seeds,
         rec_y=np.empty((count, len(grid), a), dtype=np.int64),
         rec_d=np.empty((count, len(grid), a)),
         violations=[[] for _ in range(count)],

@@ -48,6 +48,50 @@ def test_nan_coordinate_is_outside():
     assert not BOX.contains((math.nan, 0.5))
 
 
+
+TOP = int(np.iinfo(np.int64).max)
+scales = st.one_of(st.just(1), st.integers(1, 10**12))
+
+
+@st.composite
+def face(draw, n):
+    """A face at lo*n an integer (a face count), or any finite float, -3..3 mostly."""
+    return draw(st.one_of(
+        st.integers(-3 * n, 3 * n).map(lambda c: c / n),
+        st.floats(-3.0, 3.0),
+        st.floats(-1e30, 1e30),
+    ))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=scales)
+def test_count_bounds_are_the_open_box_on_counts(data, n):
+    # lo < c/n < hi, c/n as the kernel computes it, holds exactly for the
+    # counts c_lo..c_hi: checked at each bound and the counts around it
+    lo, hi = sorted(data.draw(st.lists(face(n), min_size=2, max_size=2, unique=True)))
+    c_lo, c_hi = Domain(-1.0, 1.0, (lo,), (hi,)).count_bounds(n)
+    assert c_lo.dtype == c_hi.dtype == np.int64 and c_lo.shape == c_hi.shape == (1,)
+    near = {int(c) + d for c in (c_lo[0], c_hi[0]) for d in range(-3, 4)}
+    near |= {math.floor(v * n) + d for v in (lo, hi) if abs(v * n) < 2.0**62 for d in (-1, 0, 1)}
+    for c in sorted(x for x in near if -TOP - 1 <= x <= TOP):
+        inside = bool(lo < np.int64(c) / n < hi)
+        assert (int(c_lo[0]) <= c <= int(c_hi[0])) == inside, (c, lo, hi, n)
+
+
+def test_count_bounds_examples():
+    box = Domain(-0.2, 1.0, (0.05, -0.3, 0.5), (1.3, 1.3, 0.6))
+    c_lo, c_hi = box.count_bounds(20_000)
+    assert c_lo.tolist() == [1001, -5999, 10001] and c_hi.tolist() == [25999, 25999, 11999]
+    # n = 1: whole counts, the faces left out; none lies inside (0.5, 0.6)
+    assert [b.tolist() for b in box.count_bounds(1)] == [[1, 0, TOP], [1, 1, -TOP - 1]]
+    # a coordinate that no int64 count lies inside, and one that every count does
+    assert [b.tolist() for b in Domain(0.0, 1.0, (1e300,), (2e300,)).count_bounds(7)] == [
+        [TOP], [-TOP - 1]
+    ]
+    assert [b.tolist() for b in Domain(0.0, 1.0, (-1e300,), (1e300,)).count_bounds(7)] == [
+        [-TOP - 1], [TOP]
+    ]
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         Domain(t_lo=1.0, t_hi=0.0, lo=(0.0,), hi=(1.0,))

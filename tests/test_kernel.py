@@ -258,6 +258,54 @@ def test_failing_rows_leave_the_others_running():
         assert_same_trajectory(traj, reference_simulate(plugin, spec, derive_seed(5, idx)))
 
 
+def test_sliced_and_masked_spans_in_one_batch(monkeypatch):
+    """A span where no row stops reduces over the slice of its positions
+    0..J-1, with no mask; a span where a row stops, or a path's cap falls,
+    keeps the masks. Both forms in one batch give the scalar reference's
+    trajectories, path by path. Two paths' caps, steps 200 and 444, fall
+    inside the spans 196..203 and 441..448, where no row stops (the first
+    stop is 493), and a row leaves the box at step 504, the last position
+    of the span 497..504."""
+    n, span, count, base_seed = 1000, 7, 9, 0
+    set_span(monkeypatch, span, span, count, span)
+    spec, plugin = make_case("balls", n, tight=True)
+    R, T = case_RT("balls", True)
+    solutions = [solve_ode(spec, R, T), solve_ode(spec, R, 0.2)]
+    assert [s.constants.steps(n) for s in solutions] == [444, 200]
+    forms = []  # (axes of the reduced array, reduced over a slice) per _sup call
+    sup = simulate._sup
+
+    def spy(x, J, where):
+        forms.append((x.ndim, where is None))
+        return sup(x, J, where)
+
+    monkeypatch.setattr(simulate, "_sup", spy)
+    ens = run_ensemble(plugin, spec, count, base_seed, solution=solutions, replay_check=True)
+    stops = sorted(t.stop_index for t in ens.trajectories)
+    assert stops[0] == 493 and 504 in stops and max(stops) < 1000
+    # the martingale part (2 axes) and the deviation (3 axes) each in both
+    # forms; the caps' spans sliced for the first, masked for the second
+    assert {(2, True), (2, False), (3, True), (3, False)} <= set(forms)
+    for i0 in (196, 441):
+        assert forms[2 * (i0 // span) : 2 * (i0 // span) + 2] == [(2, True), (3, False)]
+    per_path = ("sup_deviation", "deviation_cap", "replay_ok")
+    for idx, traj in enumerate(ens.trajectories):
+        want = [
+            reference_simulate(
+                scalar_twin(plugin), spec, derive_seed(base_seed, idx), solution=sol,
+                replay_check=True,
+            )
+            for sol in solutions
+        ]
+        for name in per_path:
+            assert getattr(traj, name) == tuple(getattr(w, name) for w in want)
+        assert_same_trajectory(
+            dataclasses.replace(traj, **{name: None for name in per_path}),
+            dataclasses.replace(want[0], **{name: None for name in per_path}),
+        )
+    assert not all(all(t.replay_ok) for t in ens.trajectories)
+
+
 @pytest.mark.parametrize("block,span,draw", SPANS, ids=SPAN_IDS)
 def test_step_raising_past_the_exit_is_a_normal_stop(monkeypatch, block, span, draw):
     set_span(monkeypatch, block, span, 12, draw)

@@ -556,33 +556,51 @@ class Recorder:
         return decay(t, y)
 
 
+# size-one outputs of a field for a (1,) point y: float64 arrays of shapes
+# () and (1, 1), and outputs that are not float64 arrays; int rounds -4y down
+SIZE_ONE_OUTPUTS = {
+    "shape0": lambda y: np.reshape(-np.asarray(y, dtype=float), ()),
+    "shape1": lambda y: np.reshape(-np.asarray(y, dtype=float), (1, 1)),
+    "float": lambda y: -float(y[0]),
+    "list": lambda y: [-float(y[0])],
+    "float32": lambda y: np.reshape(-np.asarray(y, dtype=np.float32), (1,)),
+    "int64": lambda y: np.reshape(np.floor(-4.0 * np.asarray(y)), (1,)).astype(np.int64),
+}
+
+
 class TestOneCoordinate:
     """A single one-coordinate anchor steps on Python floats; its grids, halts
     and retries equal the reference's, whatever size-1 shape the field gives."""
 
     @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
-    @pytest.mark.parametrize("shape", [(), (1, 1)])
-    def test_size_one_outputs_give_the_reference_grids(self, shape, block):
-        # balls' field -y reshaped; it takes single points only, so several
-        # anchors are stepped one at a time, each on floats
-        def reshaped(t, y):
-            return np.reshape(-np.asarray(y, dtype=float), shape)
+    @pytest.mark.parametrize("output", SIZE_ONE_OUTPUTS)
+    def test_size_one_outputs_give_the_reference_grids(self, output, block):
+        # balls' field -y given back as each output; none takes stacked
+        # points, so several anchors are stepped one at a time, each on
+        # floats. A float64 array is read with .item(), the others through
+        # np.asarray(r, dtype=float); the reference reads each as a float
+        # array in the point's shape
+        def field(t, y):
+            return SIZE_ONE_OUTPUTS[output](y)
+
+        def in_point_shape(t, y):
+            return np.reshape(np.asarray(field(t, y), dtype=float), np.shape(y))
 
         anchors = [(0.001,), (0.1,), (0.3,), (0.7,)]
-        specs = [replace(anchored("balls", fr), drift=reshaped) for fr in anchors]
+        specs = [replace(anchored("balls", fr), drift=field) for fr in anchors]
         T = specs[0].domain.t_hi
         with mock.patch.object(ode, "_RK4_BLOCK", block):
             together = anchor_grids(specs, T)
             alone = [anchor_grids([s], T)[0] for s in specs]
-        for spec, fr, *got in zip(specs, anchors, together, alone):
-            want = reference_solution("balls", fr)
+        for spec, *got in zip(specs, together, alone):
+            want = reference_solve_ode(replace(spec, drift=in_point_shape), 2.0, T)
             for grid in got:
                 sol = solve_ode(spec, 2.0, T, grid)
                 assert sol.ts.tobytes() == want.ts.tobytes()
                 assert sol.ys.tobytes() == want.ys.tobytes()
                 assert sol.constants == want.constants
-        got = rk4_grid(reshaped, [0.9], 0.0, 1.5, 1000)
-        want = reference_rk4_grid(decay, np.array([0.9]), 0.0, 1.5, 1000)
+        got = rk4_grid(field, [0.9], 0.0, 1.5, 1000)
+        want = reference_rk4_grid(in_point_shape, np.array([0.9]), 0.0, 1.5, 1000)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     # 1228 = 19 * 64 + 12 lies inside a block. The full step from row 1228

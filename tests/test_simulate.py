@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,24 @@ class TestThinning:
         assert full.sup_deviation == thin.sup_deviation
         assert full.sup_martingale == thin.sup_martingale
         assert full.deviation_cap == thin.deviation_cap
+
+    def test_memory_peak_does_not_grow_with_n(self):
+        # records are thinned to ~1,000 per trajectory, uniforms drawn and
+        # states held one span at a time, and the ODE path interpolated per
+        # span: at a fixed count, nothing run_ensemble allocates scales with
+        # n. A first run takes the interpreter's one-time allocations.
+        box = Domain(t_lo=-0.1, t_hi=0.5, lo=(0.05,), hi=(1.1,))
+        peaks = []
+        for n in (20_000, 20_000, 200_000):
+            spec, plugin = balls_in_bins_spec(n, domain=box)
+            sol = solve_ode(spec)
+            tracemalloc.start()
+            try:
+                run_ensemble(plugin, spec, 4, 0, solution=sol, replay_check=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 class TestDoob:
