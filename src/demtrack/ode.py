@@ -6,13 +6,19 @@ below margin = 3*exp(L*T)*lambda. Fixed steps keep the sigma rounding
 deterministic; the drift is Lipschitz and bounded on a box, so stiffness is
 not a concern.
 
+F is evaluated over points by ``drift_at`` only, and y by
+``OdeSolution.values_at``. One rule, ``_as_point``, reads a single-point
+output of F, in the scans, the trend check and each RK4 stage: in the
+point's shape (a,) as a grid write reads it, so (1, a) or, for a = 1, a
+float is taken, and (a + 1,) raises ValueError. A stacked output counts
+only with the points' exact shape (``_stacked_drift``).
+
 One driver, ``rk4_solve``, integrates all K anchors of a run together: as
 one (K, a) state through the stacked-field contract of ``ProcessSpec``, or,
-for a field that fails ``drift_at``'s check, one anchor at a time (a single
-anchor is always a plain (a,) point at a float time; each stage's output
-is read in the point's shape, so a field that returns (1, a) for a point
-still gets (a,) points). It writes into a preallocated grid and checks the
-margin once per ``_RK4_BLOCK`` steps, with
+for a field that fails ``_stacked_drift``'s check, one anchor at a time (a
+single anchor is always a plain (a,) point at a float time, so a field that
+returns (1, a) for a point still gets (a,) points). It writes into a
+preallocated grid and checks the margin once per ``_RK4_BLOCK`` steps, with
 ``compute_sigma``'s vectorised distance rule; each anchor halts at its own
 first row below the margin, which it keeps. A row with a NaN or infinite
 entry is at distance -inf, so an anchor halts at its first non-finite row
@@ -48,9 +54,10 @@ RANGE_CHECK_LAMBDA_CAP = 0.01  # concrete proxy for the lambda = o(1) regime
 class OdeSolution:
     """Dense numerical solution on [0, sigma] (grid may extend one point past).
 
-    Values between grid points are linearly interpolated; the interpolation
-    error on an interval of width h is at most (R + L*max|y|) * h. Every grid
-    point strictly before sigma keeps boundary distance >= margin.
+    Values between grid points are linearly interpolated (``values_at``);
+    the interpolation error on an interval of width h is at most
+    (R + L*max|y|) * h. Every grid point strictly before sigma keeps boundary
+    distance >= margin. RK4 read F's outputs in the point's shape (a,).
     """
 
     spec: ProcessSpec
@@ -73,30 +80,27 @@ class OdeSolution:
         return self.values_at([t])[0]
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
-        """Interpolated values, shape (len(times), a)."""
-        return _interp(np.asarray(times, dtype=float), self.ts, self.ys)
+        """Interpolated values at ``times`` (not empty), shape (len(times), a).
+
+        ``np.interp`` copies the read-only grid it gets, so it gets only the
+        rows from the last at or before min(times) to the first at or after
+        max(times), NaN left out, and one more row on each side (on one row
+        it reads NaN as that row). It interpolates each time on its own grid
+        interval, so the values equal the whole grid's bit for bit.
+        """
+        times = np.asarray(times, dtype=float)
+        lo = max(int(np.searchsorted(self.ts, np.fmin.reduce(times), side="right")) - 2, 0)
+        hi = int(np.searchsorted(self.ts, np.fmax.reduce(times))) + 2
+        out = np.empty((len(times), self.ys.shape[1]))
+        for k in range(self.ys.shape[1]):
+            out[:, k] = np.interp(times, self.ts[lo:hi], self.ys[lo:hi, k])
+        return out
 
     def counts_at_steps(self, upto: int, start: int = 0) -> np.ndarray:
-        """n * y_k(i/n) for i = start..upto, shape (upto - start + 1, a).
-
-        Row i is the same, bit for bit, whatever ``start`` is: ``np.interp``
-        interpolates each point on its own grid interval, so it is given only
-        the grid rows from the last at or before start/n to the first at or
-        after upto/n (it would copy the whole read-only grid).
-        """
+        """n * y_k(i/n) for i = start..upto, shape (upto - start + 1, a); row i
+        is the same, bit for bit, whatever ``start`` is."""
         n = self.spec.n
-        times = np.arange(start, upto + 1) / n
-        lo = max(int(np.searchsorted(self.ts, times[0], side="right")) - 1, 0)
-        hi = int(np.searchsorted(self.ts, times[-1])) + 1
-        return _interp(times, self.ts[lo:hi], self.ys[lo:hi]) * n
-
-
-def _interp(times: np.ndarray, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The (ts, ys) grid linearly interpolated at ``times``, shape (len(times), a)."""
-    out = np.empty((len(times), ys.shape[1]))
-    for k in range(ys.shape[1]):
-        out[:, k] = np.interp(times, ts, ys[:, k])
-    return out
+        return self.values_at(np.arange(start, upto + 1) / n) * n
 
 
 def _stacked_drift(field, ts: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
@@ -116,42 +120,43 @@ def _stacked_drift(field, ts: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def drift_at(field, points: np.ndarray) -> np.ndarray:
+def drift_at(field, points: np.ndarray, what: str | None = None) -> np.ndarray:
     """``field(t, y)`` at every row (t, y_1..y_a) of ``points``, shape (N, a).
 
     Makes one call on the stacked points and keeps its result when
-    ``_stacked_drift`` does. Otherwise the field is taken to accept single
-    points only and is called once per point; exceptions of those calls
-    propagate.
+    ``_stacked_drift`` does; otherwise calls the field once per point and
+    reads each output with ``_as_point``. An exception of those calls
+    propagates, unless the points are a ``what`` ("RT scan point"): then a
+    ValueError, chained from it, names the first point that raises or, if
+    none does, the first where the field is not finite.
     """
     out = _stacked_drift(field, points[:, 0], points[:, 1:])
-    if out is not None:
-        return out
-    return np.array([np.asarray(field(p[0], p[1:]), dtype=float) for p in points])
-
-
-def _finite_drift(field, points: np.ndarray, what: str) -> np.ndarray:
-    """``drift_at(field, points)``, or ValueError naming the first point where the
-    field raises (chained from the field's exception) or, if it raises
-    nowhere, the first where it is not finite."""
-
-    def at(r):
-        t, *y = points[r].tolist()
-        return f"the {what} t={t!r}, y={y!r}"
-
-    f = _stacked_drift(field, points[:, 0], points[:, 1:])
-    if f is None:  # drift_at's one call per point
-        f = []
+    if out is None:
+        out = np.empty((len(points), points.shape[1] - 1))
         for r, p in enumerate(points):
             try:
-                f.append(np.asarray(field(p[0], p[1:]), dtype=float))
+                out[r] = _as_point(field(p[0], p[1:]), p[1:])
             except Exception as exc:
-                raise ValueError(f"drift raised {exc!r} at {at(r)}") from exc
-        f = np.array(f)
-    if not np.isfinite(f).all():
-        r = np.isfinite(f.reshape(len(points), -1)).all(axis=1).argmin()
-        raise ValueError(f"drift is not finite at {at(r)}")
-    return f
+                if what is None:
+                    raise
+                t, *y = p.tolist()
+                raise ValueError(f"drift raised {exc!r} at the {what} t={t!r}, y={y!r}") from exc
+    if what is not None and not np.isfinite(out).all():
+        t, *y = points[np.isfinite(out).all(axis=1).argmin()].tolist()
+        raise ValueError(f"drift is not finite at the {what} t={t!r}, y={y!r}")
+    return out
+
+
+def _as_point(out, y: np.ndarray) -> np.ndarray:
+    """A field's output at ``y`` read in ``y``'s shape, as a grid write reads
+    it: a (1, a) output for an (a,) point is that point's derivative, and an
+    output the shape cannot take, such as (a + 1,), raises ValueError here."""
+    k = np.asarray(out, dtype=float)
+    if k.shape == y.shape:
+        return k
+    point = np.empty(y.shape)
+    point[...] = k
+    return point
 
 
 def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
@@ -182,7 +187,7 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
         flat = np.arange(start, min(start + RT_SCAN_CHUNK, total))
         idx = np.unravel_index(flat, (res,) * ndim)
         points = np.column_stack([g[i] for g, i in zip(grids, idx)])
-        f = _finite_drift(spec.drift, points, "RT scan point")
+        f = drift_at(spec.drift, points, "RT scan point")
         best = max(best, float(np.abs(f).max()))
     return max(1.0, best + spec.L * mesh), T
 
@@ -205,7 +210,7 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     pairs = rng.uniform(lo, hi, size=(samples, 2, len(lo)))
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
     points = pairs.reshape(2 * samples, len(lo))
-    f = _finite_drift(spec.drift, points, "Lipschitz sample point").reshape(samples, 2, -1)
+    f = drift_at(spec.drift, points, "Lipschitz sample point").reshape(samples, 2, -1)
     apart = gaps >= 1e-12
     slopes = np.abs(f[apart, 0] - f[apart, 1]).max(axis=1) / gaps[apart]
     best = float(np.fmax.reduce(slopes, initial=0.0))
@@ -307,23 +312,11 @@ def rk4_solve(
 
 
 def _rk4_step(f, t, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = _stage(f, t, y)
-    k2 = _stage(f, t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = _stage(f, t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = _stage(f, t + h, y + h * k3)
+    k1 = _as_point(f(t, y), y)
+    k2 = _as_point(f(t + 0.5 * h, y + 0.5 * h * k1), y)
+    k3 = _as_point(f(t + 0.5 * h, y + 0.5 * h * k2), y)
+    k4 = _as_point(f(t + h, y + h * k3), y)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _stage(f, t, y: np.ndarray) -> np.ndarray:
-    """The field at (t, y) in ``y``'s shape, as the grid write would bring it:
-    a (1, a) output for an (a,) point is read as that point's derivative, and
-    an output the grid cannot take raises here."""
-    k = np.asarray(f(t, y), dtype=float)
-    if k.shape == y.shape:
-        return k
-    out = np.empty(y.shape)
-    out[...] = k
-    return out
 
 
 def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:
@@ -331,7 +324,7 @@ def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width
     floats: the same IEEE operations in the same order, the new rows written
     to ``col`` at the end, up to the step that raised if one did. The field
     gets a float ``t`` and one reused ``(1,)`` array; a float64 array result
-    is read with ``.item()``, any other through ``np.asarray(r, dtype=float)``.
+    is read with ``.item()``, any other through ``_as_point``.
     """
     point = np.empty(1)
     ndarray, f64 = np.ndarray, np.dtype(float)
@@ -344,24 +337,20 @@ def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width
             t_half = t + half
             point[0] = y
             r = f(t, point)
-            k1 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            k1 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
             point[0] = y + half * k1
             r = f(t_half, point)
-            k2 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            k2 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
             point[0] = y + half * k2
             r = f(t_half, point)
-            k3 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            k3 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
             point[0] = y + width * k3
             r = f(t + width, point)
-            k4 = r.item() if type(r) is ndarray and r.dtype == f64 else _float(r)
+            k4 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
             y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             ys.append(y)
     finally:
         col[j0 + 1 : j0 + 1 + len(ys)] = ys
-
-
-def _float(r) -> float:
-    return np.asarray(r, dtype=float).item()
 
 
 def grid_steps(spec: ProcessSpec, T: float) -> int:

@@ -161,6 +161,8 @@ class ProcessPlugin(ABC):
         (N,), ``y`` of shape (N, a)) and return shape (N, a), each row equal
         bit for bit to its single-point call; the built-in fields do, and
         the ODE scans then evaluate their points in a few stacked calls.
+        A single-point output is read in the shape (a,) (``ode._as_point``):
+        (1, a) or, for a = 1, a float is taken, and (a + 1,) is refused.
         A field must neither write to nor keep its ``y`` argument: the RK4
         driver passes the same array again with new values.
         """

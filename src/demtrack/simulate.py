@@ -114,10 +114,7 @@ def _prepare(
     n = spec.n
     if replay_check and solution is None:
         raise ValueError("replay_check requires an ODE solution")
-    if plugin.n != n:
-        raise ValueError(f"plugin scale n={plugin.n} differs from spec n={n}")
-    if plugin.dim != spec.a:
-        raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {spec.a}")
+    _check_plugin(plugin, spec)
     if solution is None:
         return None
     single = isinstance(solution, OdeSolution)
@@ -135,6 +132,14 @@ def _prepare(
         L_over_n=spec.L / n,
         single=single,
     )
+
+
+def _check_plugin(plugin: ProcessPlugin, spec: ProcessSpec) -> None:
+    """Refuse a plugin whose scale or dimension is not the spec's."""
+    if plugin.n != spec.n:
+        raise ValueError(f"plugin scale n={plugin.n} differs from spec n={spec.n}")
+    if plugin.dim != spec.a:
+        raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {spec.a}")
 
 
 def _check_counts(count: int, jobs: int) -> None:
@@ -381,7 +386,7 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
             with _guard(b.plugin, "drift_field", s.where):
                 field = drift_at(b.plugin.drift_field, points)
             gap = np.abs(cum[r, j + 1] - field)
-            x, k = np.nonzero(gap > b.spec.delta)
+            x, k = np.nonzero(~(gap <= b.spec.delta))  # a NaN gap is a violation
             trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
     # records of the steps on the stride grid; a row's records past its
     # stop are overwritten by its last record or lie past its prefix

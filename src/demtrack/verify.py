@@ -30,7 +30,7 @@ from .core import (
 )
 from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin, _guard
-from .simulate import _check_counts, run_ensemble
+from .simulate import _check_counts, _check_plugin, run_ensemble
 
 MODES = ("plain", "averaged", "truncated")
 
@@ -105,8 +105,8 @@ def verify(
     parameters and the initial condition max_k |Y_k(0) - y_hat_k*n| <=
     lambda*n, Y(0) from ``plugin.initial_state()``, are checked before any
     work starts, even when sigma = 0, and so are ``count`` and ``jobs``
-    (both at least 1). Raises :class:`PluginCrashed` when a plugin method
-    raises.
+    (both at least 1) and the plugin's ``n`` and ``dim`` against the spec.
+    Raises :class:`PluginCrashed` when a plugin method raises.
     """
     return _verify_anchors(
         spec, plugin, count, base_seed, mode, event_predicate, replay_check, jobs, [spec]
@@ -166,6 +166,7 @@ def _verify_anchors(
     report.
     """
     _check_counts(count, jobs)
+    _check_plugin(plugin, spec)
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
     start = plugin.initial_state()
     with _guard(plugin, "observables", "on the initial state"):

@@ -168,7 +168,7 @@ def _simulate_prepared(
             field = plugin.drift_field(i / n, np.asarray(Y, dtype=float) / n)
             for k in ks:
                 gap = abs(d[k] - float(field[k]))
-                if gap > delta:
+                if not gap <= delta:  # a NaN gap is a violation
                     violations.append(Violation(i, k, "trend", gap, delta, dev_i))
         try:
             state = plugin.step(state, rng)

@@ -331,6 +331,72 @@ def test_crash_keeps_its_trend_violation_and_no_bound_violation(monkeypatch, blo
         assert any(v.kind == "bound" for v in traj.violations)
 
 
+LIES_ABOVE = np.array((0.9, 0.05))
+
+
+class SinglePointField:
+    """Mixin for a built-in whose drift is not declared exact, and whose field
+    takes single points only, lies by 0.5 in coordinate k where y_k >
+    LIES_ABOVE[k], and returns ``shape``: () is a float, None is (a,)."""
+
+    exact_drift = False
+    shape = None
+
+    def drift_field(self, t, y):
+        if np.ndim(t):
+            raise TypeError("single points only")
+        out = super().drift_field(t, y) + 0.5 * (y > LIES_ABOVE[: len(y)])
+        if self.shape is None:
+            return out
+        return float(out[0]) if self.shape == () else out.reshape(self.shape)
+
+
+class BallsField(SinglePointField, BallsInBins):
+    pass
+
+
+class DegreeField(SinglePointField, DegreeProcess):
+    pass
+
+
+@pytest.mark.parametrize("shape", [(), (1, 1), (1, 2)], ids=["float", "1x1", "1x2"])
+def test_single_point_field_outputs_are_read_in_the_point_shape(shape):
+    """A field that returns a float or a (1, a) array for a point gives the
+    trend violations of the per-point reference on its (a,) twin, in every
+    coordinate k < a and in no other."""
+    n, count, base_seed = 300, 4, 2
+    if shape == (1, 2):
+        spec, _ = degree_process_spec(n, max_degree=1, lam=0.01)
+        plugin, twin = DegreeField(n, max_degree=1), DegreeField(n, max_degree=1)
+    else:
+        spec, _ = balls_in_bins_spec(n, lam=0.01)
+        plugin, twin = BallsField(n), BallsField(n)
+    spec = dataclasses.replace(spec, delta=0.01)
+    plugin.shape = shape
+    ens = run_ensemble(plugin, spec, count, base_seed)
+    for idx, traj in enumerate(ens.trajectories):
+        assert_same_trajectory(traj, reference_simulate(twin, spec, derive_seed(base_seed, idx)))
+        assert {v.k for v in traj.violations if v.kind == "trend"} == set(range(spec.a))
+
+
+class NanFieldCoin(FairCoin):
+    name = "nan-field-coin"
+
+    def drift_field(self, t, y):
+        return np.full(1, math.nan)
+
+
+def test_a_nan_field_is_a_trend_violation_at_every_step():
+    spec, base_seed = coin_spec(n=200), 1
+    ens = run_ensemble(NanFieldCoin(200), spec, 4, base_seed)
+    for idx, traj in enumerate(ens.trajectories):
+        trend = [v for v in traj.violations if v.kind == "trend"]
+        assert [v.i for v in trend] == list(range(traj.stop_index))
+        assert all(v.k == 0 and math.isnan(v.observed) for v in trend)
+        want = reference_simulate(NanFieldCoin(200), spec, derive_seed(base_seed, idx))
+        assert [(v.i, v.k) for v in want.violations] == [(v.i, v.k) for v in trend]
+
+
 class LoggedPredicate:
     """Event predicate that records each call and fails from step ``cut`` on."""
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -129,6 +130,48 @@ class TestSolveOde:
         assert sol.ts[-1] <= 1.0 + 1e-9
         assert sol.sigma <= 1.0
         assert abs(sol.at(sol.sigma)[0] - math.exp(-sol.sigma)) < 1e-8
+
+
+@lru_cache(maxsize=None)
+def interp_solution(kind):
+    if kind == "balls":
+        return solve_ode(balls_in_bins_spec(3000, lam=1e-3)[0])
+    return solve_ode(degree_process_spec(3000, max_degree=2, lam=1e-3)[0])
+
+
+class TestValuesAt:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["balls", "degree"]),
+        fractions=st.lists(
+            st.one_of(st.floats(-0.1, 1.1), st.sampled_from([math.nan, math.inf, -math.inf])),
+            min_size=1,
+            max_size=40,
+        ),
+        on_grid=st.lists(st.integers(0, 10**6), max_size=5),
+    )
+    def test_window_equals_the_whole_grid_bit_for_bit(self, kind, fractions, on_grid):
+        """Times inside and past both ends of the grid, grid times, NaN and inf."""
+        sol = interp_solution(kind)
+        t0, t1 = sol.ts[0], sol.ts[-1]
+        times = [t0 + f * (t1 - t0) for f in fractions]
+        times += [sol.ts[i % len(sol.ts)] for i in on_grid]
+        whole = np.column_stack(
+            [np.interp(times, sol.ts, sol.ys[:, k]) for k in range(sol.ys.shape[1])]
+        )
+        got = sol.values_at(times)
+        assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+    def test_at_copies_no_whole_grid(self):
+        sol = solve_ode(balls_in_bins_spec(200_000)[0])
+        tracemalloc.start()
+        try:
+            for t in (0.0, 0.5, sol.ts[-1]):
+                sol.at(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sol.ys.nbytes
 
 
 class TestSigma:
@@ -382,6 +425,20 @@ class TestStackedScans:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
                 scan(spec)
             assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+    def test_an_output_the_point_cannot_take_is_refused(self):
+        """An (a + 1,) output for an (a,) point is refused by both scans,
+        naming the first point, as a field that raises is."""
+        spec = make_spec(lambda t, y: np.zeros(2), (0.0,), SCAN_DOM)
+        first = np.random.default_rng(0).uniform((-0.5, -1.0), (1.0, 1.0), size=(256, 2, 2))[0, 0].tolist()
+        for scan, where in (
+            (compute_RT, "RT scan point t=-0.5, y=[-1.0]"),
+            (estimate_lipschitz_lower_bound, f"Lipschitz sample point t={first[0]!r}, y=[{first[1]!r}]"),
+        ):
+            named = rf"^drift raised ValueError\(.*\) at the {re.escape(where)}$"
+            with pytest.raises(ValueError, match=named) as err:
+                scan(spec)
+            assert isinstance(err.value.__cause__, ValueError)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -17,6 +17,7 @@ from demtrack import Constants, Domain, LambdaNotAdmissible, ProcessSpec
 from demtrack.ode import _margin, compute_RT, lambda_threshold, solve_ode
 from demtrack.processes import (
     BallsInBins,
+    DegreeProcess,
     balls_in_bins_spec,
     degree_process_spec,
     greedy_matching_spec,
@@ -133,6 +134,24 @@ class TestVerifyPlain:
             verify(spec, plugin, count, 0, jobs=jobs)
         with pytest.raises(ValueError, match=f"{what} must be at least 1"):
             verify_multi_anchor(spec, plugin, count, 0, [(1.0,)], jobs=jobs)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
+    @pytest.mark.parametrize("lam", [0.02, 0.25], ids=["tracked", "vacuous"])
+    @pytest.mark.parametrize(
+        "plugin,message",
+        [
+            (BallsInBins(501), "plugin scale n=501 differs from spec n=500"),
+            (DegreeProcess(500, max_degree=1), "plugin tracks 2 variables, spec expects 1"),
+        ],
+        ids=["scale", "dimension"],
+    )
+    def test_plugin_mismatch_refused_before_the_scan(self, monkeypatch, lam, plugin, message):
+        counters = count_calls(monkeypatch)
+        spec, _ = small_balls(n=500, lam=lam)  # lam = 0.25 makes sigma = 0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(spec, plugin, 3, 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_multi_anchor(spec, plugin, 3, 0, [(1.0,)])
         assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
 
     def test_initial_condition_enforced(self, monkeypatch):
