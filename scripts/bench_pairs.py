@@ -28,8 +28,10 @@ n = 100,000 with 200 trajectories and the degree-anchors spec with its
 three anchors and 100 trajectories), in six alternating fresh interpreters
 per tree: ``ode.anchor_grids``, with a SHA-256 of the grids, and
 ``simulate.run_ensemble`` as ``verify`` calls it, with a SHA-256 of every
-trajectory's statistics and records. The digests must agree between the
-trees. The layout is that of ``BENCH_10.json``.
+trajectory's statistics and records. ``ode.anchor_grids`` is also timed on
+the degree spec at n = 1,000,000 with its one anchor, the process's start;
+its ensemble, at about 23 s a call, is left out. The digests must agree
+between the trees. The layout is that of ``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ INSTANCES = (
     ("balls n=100000", dataclasses.replace(WORKLOADS["balls-ensemble"], n=100_000), 200),
     ("degree n=10000, K=3", WORKLOADS["degree-anchors"], 100),
 )
+# solved only: one a = 4 anchor, stepped alone by the array stage loop
+GRID_ONLY = (
+    ("degree n=1000000, one anchor",
+     dataclasses.replace(WORKLOADS["degree-anchors"], n=1_000_000, anchors=()), 100),
+)
 
 
 def best_of_three(call):
@@ -87,7 +94,7 @@ def best_of_three(call):
 
 GRIDS_CODE = ACCEPTANCE + """
 out = {}
-for name, w, _ in INSTANCES:
+for name, w, _ in INSTANCES + GRID_ONLY:
     spec, _ = spec_from_dict(w.spec_doc())
     specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
     T = compute_RT(spec)[1]
@@ -272,7 +279,8 @@ def main(argv=None) -> int:
                 "what": (
                     "ode.anchor_grids wall time, best of 3 calls in a fresh interpreter,"
                     f" {REPEATS} interpreters per tree"
-                    " alternating; sha256 over every grid's ts and ys bytes"
+                    " alternating; sha256 over every grid's ts and ys bytes."
+                    " The degree n=1000000 instance solves its one anchor only"
                 ),
                 **bench_fresh(trees, GRIDS_CODE),
             },

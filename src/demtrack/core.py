@@ -121,7 +121,9 @@ class ProcessSpec:
     their points in a few stacked calls, and fall back to one call per
     point for a field that only takes single points. A single-point output
     is read in the shape (a,): (1, a) or, for a = 1, a float is taken, and
-    (a + 1,) is refused; a stacked output must be (N, a) exactly. ``L`` is the
+    (a + 1,) is refused; a stacked output must be (N, a) exactly. The RK4
+    driver reuses its stacked time array and its stage buffers, so ``drift``
+    must neither write to nor keep its ``t`` or ``y``. ``L`` is the
     Lipschitz constant of every F_k per unit l-infinity distance, ``delta``
     the drift tolerance, ``beta`` the worst-case one-step bound, ``lam`` the
     approximation parameter, and ``y_hat`` the initial anchor with

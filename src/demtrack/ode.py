@@ -25,10 +25,15 @@ entry is at distance -inf, so an anchor halts at its first non-finite row
 too. A block that raises is redone anchor by anchor, step by step, so that
 a failing step is retried once at half width for its own anchor only. The
 grids equal those of stepping each anchor alone and checking the margin
-after every step, bit for bit. An anchor stepped alone whose state has one
-coordinate is stepped on Python floats (``_rk4_floats``): the same IEEE-754
-double operations as ``_rk4_step``'s on one-element arrays, in the same
-order, without numpy's per-call cost, so its grid is bit for bit the same.
+after every step, bit for bit. Every array state, stacked or a single
+anchor, is stepped by one stage loop, ``_rk4_arrays``, which writes the
+stage inputs and the k-combination into buffers allocated once per block
+and the stacked times into one reused (K,) array. An anchor stepped alone
+whose state has one coordinate is stepped on Python floats
+(``_rk4_floats``): the same IEEE-754 double operations in the same order,
+without numpy's per-call cost, so its grid is bit for bit the same. The
+driver passes the same ``t`` array and stage buffers again with new
+values, so a field must neither write to nor keep its ``t`` or ``y``.
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ class OdeSolution:
         return self.constants.sigma
 
     def at(self, t: float) -> np.ndarray:
-        """Interpolated solution vector at time t within the grid range."""
-        if t < self.ts[0] or t > self.ts[-1]:
+        """Interpolated solution vector at time t within the grid range (not NaN)."""
+        if not self.ts[0] <= t <= self.ts[-1]:
             raise ValueError(f"t={t} outside solved range [{self.ts[0]}, {self.ts[-1]}]")
         return self.values_at([t])[0]
 
@@ -172,6 +177,12 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     A scan point where the field raises, or some F_k is NaN or infinite,
     leaves no usable R: that raises ValueError naming the first point that
     raises or, if none does, the first that is not finite.
+
+    In row-major order the grid is a run of slabs: the tensor grid of the
+    trailing axes (the most that make at most RT_SCAN_CHUNK points, and at
+    least the last), after each point of the outer axes' grid. Both are
+    built once, and a chunk copies slices of the slabs it crosses next to
+    their outer coordinates.
     """
     dom = spec.domain
     T = dom.t_hi
@@ -181,15 +192,32 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     res = min(RT_GRID_RESOLUTION, max(4, int(RT_GRID_BUDGET ** (1.0 / ndim))))
     grids = [np.linspace(lo, hi, res) for lo, hi in zip(axes_lo, axes_hi)]
     mesh = max((hi - lo) / (res - 1) for lo, hi in zip(axes_lo, axes_hi))
-    total = res ** ndim
+    outer = ndim - 1  # the trailing axes grids[outer:] make one slab
+    while outer > 0 and res ** (ndim - outer + 1) <= RT_SCAN_CHUNK:
+        outer -= 1
+    heads, slab = _tensor_grid(grids[:outer]), _tensor_grid(grids[outer:])
+    total, size = res ** ndim, len(slab)
     best = 0.0
     for start in range(0, total, RT_SCAN_CHUNK):
-        flat = np.arange(start, min(start + RT_SCAN_CHUNK, total))
-        idx = np.unravel_index(flat, (res,) * ndim)
-        points = np.column_stack([g[i] for g, i in zip(grids, idx)])
+        stop = min(start + RT_SCAN_CHUNK, total)
+        points = np.empty((stop - start, ndim))
+        for s in range(start // size, (stop - 1) // size + 1):
+            lo, hi = max(start, s * size), min(stop, (s + 1) * size)
+            rows = points[lo - start : hi - start]
+            rows[:, :outer] = heads[s]
+            rows[:, outer:] = slab[lo - s * size : hi - s * size]
         f = drift_at(spec.drift, points, "RT scan point")
         best = max(best, float(np.abs(f).max()))
     return max(1.0, best + spec.L * mesh), T
+
+
+def _tensor_grid(axes: list[np.ndarray]) -> np.ndarray:
+    """The points of the tensor grid of ``axes`` in row-major order, shape
+    (product of their lengths, len(axes)); one empty point for no axes."""
+    out = np.empty((math.prod(map(len, axes)), len(axes)))
+    for k, g in enumerate(np.meshgrid(*axes, indexing="ij")):
+        out[:, k] = g.ravel()
+    return out
 
 
 def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: int = 0) -> float:
@@ -258,12 +286,7 @@ def rk4_solve(
         # for a = 1) or an index array (stacked)
         if np.ndim(rows) == 0 and grid.shape[2] == 1:
             return _rk4_floats(f, grid[rows, :, 0], t0, h, j0, j1, width)
-        y = grid[rows, j0]
-        index_array = np.ndim(rows) > 0
-        for j in range(j0, j1):
-            t = t0 + j * h
-            y = _rk4_step(f, np.full(len(rows), t) if index_array else t, y, width)
-            grid[rows, j + 1] = y
+        _rk4_arrays(f, grid, rows, t0, h, j0, j1, width)
 
     def below(rows, j0, j1):
         if domain is None:
@@ -311,16 +334,59 @@ def rk4_solve(
     return out
 
 
-def _rk4_step(f, t, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = _as_point(f(t, y), y)
-    k2 = _as_point(f(t + 0.5 * h, y + 0.5 * h * k1), y)
-    k3 = _as_point(f(t + 0.5 * h, y + 0.5 * h * k2), y)
-    k4 = _as_point(f(t + h, y + h * k3), y)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_arrays(f, grid, rows, t0: float, h: float, j0: int, j1: int, width: float) -> None:
+    """Steps j0..j1-1 of the anchors ``rows`` of ``grid``: an index array, one
+    (K, a) state at (K,) times, or one index, an (a,) point at a float time.
+
+    Each step takes the IEEE operations of classical RK4 in this order:
+    stage inputs y + (0.5*width)*k1, y + (0.5*width)*k2 and y + width*k3, and
+    the new row y + (width/6)*(((k1 + 2*k2) + 2*k3) + k4). They are written
+    into buffers allocated once for the block, with the scalar factors as
+    0-d float64 arrays, which numpy multiplies faster than Python floats to
+    the same doubles; stacked times go in one (K,) array, filled anew for
+    each stage. A float64 output of the point's shape is used as it is, any
+    other is read through ``_as_point``. Each output is used up before the
+    stage input it may be is overwritten. The block's rows are written to
+    ``grid`` at its end, in one assignment; a block that raises writes none,
+    and the driver redoes it step by step from its first row.
+    """
+    start = grid[rows, j0]
+    shape = start.shape
+    block = np.empty((j1 - j0 + 1, *shape))  # block[i]: the row of step j0 + i
+    block[0] = start
+    point, acc, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    times = np.empty(shape[:-1]) if len(shape) > 1 else None
+    ndarray, f64, mul, add = np.ndarray, np.dtype(float), np.multiply, np.add
+    dt_half = 0.5 * width
+    half, full, sixth, two = map(np.array, (dt_half, width, width / 6.0, 2.0))
+
+    def stage(t, y):
+        if times is not None:
+            times.fill(t)
+            t = times
+        r = f(t, y)
+        return r if type(r) is ndarray and r.dtype == f64 and r.shape == shape else _as_point(r, y)
+
+    for i, j in enumerate(range(j0, j1)):
+        t = t0 + j * h
+        t_half = t + dt_half
+        y = block[i]
+        k1 = stage(t, y)
+        add(y, mul(half, k1, tmp), point)
+        k = stage(t_half, point)
+        add(k1, mul(two, k, tmp), acc)
+        add(y, mul(half, k, tmp), point)
+        k = stage(t_half, point)
+        add(acc, mul(two, k, tmp), acc)
+        add(y, mul(full, k, tmp), point)
+        k = stage(t + width, point)
+        add(acc, k, acc)
+        add(y, mul(sixth, acc, acc), block[i + 1])
+    grid[rows, j0 + 1 : j1 + 1] = block[1:].swapaxes(0, 1) if np.ndim(rows) else block[1:]
 
 
 def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:
-    """``_rk4_step`` for steps j0..j1-1 of a one-coordinate anchor, on Python
+    """``_rk4_arrays`` for steps j0..j1-1 of a one-coordinate anchor, on Python
     floats: the same IEEE operations in the same order, the new rows written
     to ``col`` at the end, up to the step that raised if one did. The field
     gets a float ``t`` and one reused ``(1,)`` array; a float64 array result

@@ -163,8 +163,9 @@ class ProcessPlugin(ABC):
         the ODE scans then evaluate their points in a few stacked calls.
         A single-point output is read in the shape (a,) (``ode._as_point``):
         (1, a) or, for a = 1, a float is taken, and (a + 1,) is refused.
-        A field must neither write to nor keep its ``y`` argument: the RK4
-        driver passes the same array again with new values.
+        A field must neither write to nor keep its ``t`` or ``y`` argument:
+        the RK4 driver reuses its stacked time array and its stage buffers,
+        and passes them again with new values.
         """
 
     def step_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -256,6 +257,10 @@ class BallsInBins(ProcessPlugin):
         return 0.0, spec.beta
 
 
+_TWO = np.array(2.0)  # DegreeProcess.drift_field's factor, as a 0-d array
+_TWO.setflags(write=False)
+
+
 class DegreeProcess(ProcessPlugin):
     """Degree profile of a multigraph grown one uniformly random edge at a time.
 
@@ -337,9 +342,14 @@ class DegreeProcess(ProcessPlugin):
         return (2.0 * diff / self.n).T
 
     def drift_field(self, t, y):
+        # 2 * (prev - y), prev = (0, y_0, .., y_{a-2}) written into the output;
+        # numpy multiplies by a 0-d array faster than by a Python float
         y = np.asarray(y, dtype=float)
-        prev = np.concatenate((np.zeros(y.shape[:-1] + (1,)), y[..., :-1]), axis=-1)
-        return 2.0 * (prev - y)
+        out = np.empty(y.shape)
+        out[..., 0] = 0.0
+        out[..., 1:] = y[..., :-1]
+        np.subtract(out, y, out)
+        return np.multiply(_TWO, out, out)
 
     def enumerate_transitions(self, state):
         n = self.n

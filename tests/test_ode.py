@@ -1,14 +1,17 @@
+import hashlib
 import math
 import re
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scan_reference
 from ode_reference import reference_rk4_grid, reference_solve_ode
 from scan_reference import reference_compute_RT, reference_lipschitz, reference_sigma
 
@@ -29,6 +32,7 @@ from demtrack.ode import (
     solve_ode,
 )
 from demtrack.processes import balls_in_bins_spec, degree_process_spec, greedy_matching_spec
+from demtrack.specio import load_spec
 
 
 def make_spec(drift, y_hat, domain, n=4096, L=1.0, lam=1e-3, delta=0.0, beta=1.0):
@@ -172,6 +176,13 @@ class TestValuesAt:
         finally:
             tracemalloc.stop()
         assert peak < sol.ys.nbytes
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_at_refuses_nan_and_infinite_times(self, t):
+        sol = interp_solution("balls")
+        with pytest.raises(ValueError, match="outside solved range"):
+            sol.at(t)
+        assert sol.at(sol.ts[-1]).tobytes() == sol.ys[-1].tobytes()
 
 
 class TestSigma:
@@ -461,6 +472,47 @@ class TestStackedScans:
         assert compute_sigma(ts, ys, spec, margin) == reference_sigma(ts, ys, spec, margin)
 
 
+def wavy(t, y):
+    # takes stacked points: F_k = t * y_k - y_{k+1} (cyclically) + k / 4
+    y = np.asarray(y, dtype=float)
+    return np.asarray(t)[..., None] * y - np.roll(y, -1, axis=-1) + 0.25 * np.arange(y.shape[-1])
+
+
+def holed(t, y):
+    # wavy, infinite where t > 0.3 and the last coordinate is above 0.2
+    hole = (np.asarray(t)[..., None] > 0.3) & (np.asarray(y)[..., -1:] > 0.2)
+    return np.where(hole, math.inf, wavy(t, y))
+
+
+class TestRTSlabs:
+    """``compute_RT`` builds each chunk from slabs of the trailing axes' grid;
+    with chunks of 7 and 100 points, chunks cut across slabs (a slab of one
+    axis of 64 points holds several chunks of 7, a chunk of 100 crosses
+    slabs of 15, 25 or 64 points). The budget is cut to 4,096 points so the
+    reference's one call per point stays fast; the slabs do not depend on it.
+    """
+
+    @pytest.mark.parametrize("chunk", [7, 100])
+    @pytest.mark.parametrize("ndim", [2, 3, 4, 5, 6])
+    def test_chunks_across_slabs_match_the_reference(self, ndim, chunk):
+        dom = Domain(t_lo=-0.5, t_hi=1.0, lo=(-1.0,) * (ndim - 1), hi=(1.0,) * (ndim - 1))
+        spec = make_spec(wavy, (0.0,) * (ndim - 1), dom)
+        counted = CallCounter(wavy)
+        with mock.patch.object(ode, "RT_SCAN_CHUNK", chunk), \
+                mock.patch.object(ode, "RT_GRID_BUDGET", 4096), \
+                mock.patch.object(scan_reference, "RT_GRID_BUDGET", 4096):
+            assert compute_RT(replace(spec, drift=counted)) == reference_compute_RT(spec)
+            total = min(RT_GRID_RESOLUTION, max(4, int(4096 ** (1.0 / ndim)))) ** ndim
+            # the same chunks: one stacked call each, and a single-point check
+            # of its first, middle and last point
+            sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
+            assert counted.calls == sum(1 + len({0, c // 2, c - 1}) for c in sizes)
+            with pytest.raises(ValueError, match="not finite at the RT scan point") as want:
+                reference_compute_RT(replace(spec, drift=holed))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                compute_RT(replace(spec, drift=holed))
+
+
 def brittle(t, y):
     # takes stacked points; raises past t = 0.55 and within 0.3 of y = 0
     y = np.asarray(y, dtype=float)
@@ -709,7 +761,7 @@ class WideRecorder:
 
 
 def test_a_wide_field_output_is_read_in_the_points_shape():
-    """``_rk4_step`` reads a (1, 2) output for a (2,) point as that point's
+    """``_rk4_arrays`` reads a (1, 2) output for a (2,) point as that point's
     derivative: every stage and every later step of the block gets a (2,)
     point, and the grid is the one of a field that returns (2,)."""
     rec = WideRecorder()
@@ -717,3 +769,115 @@ def test_a_wide_field_output_is_read_in_the_points_shape():
     assert len(rec.shapes) == 4 * 100 and set(rec.shapes) == {(2,)}
     want = reference_rk4_grid(lambda t, y: rec(t, y)[0], np.array([0.9, 0.1]), 0.0, 1.0, 100)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+DEGREE_FIELD = degree_process_spec(1000, max_degree=3)[0].drift
+
+
+def own_y(t, y):
+    # y' = y: the field gives its own argument back, the stage input buffer
+    return y
+
+
+def wide(t, y):
+    # the degree field as (1, a) for a point; (1, N*a) for N stacked points,
+    # which fails the stacked check, so anchors are stepped one at a time
+    return np.reshape(DEGREE_FIELD(t, y), (1, -1))
+
+
+def raising_past(field, thr):
+    def raising(t, y):
+        if np.any(np.asarray(t) > thr):
+            raise FloatingPointError("past the supported time")
+        return field(t, y)
+
+    return raising
+
+
+# field name -> (the field, the reference's field in the point's shape)
+BUFFER_FIELDS = {
+    "own-y": (own_y, own_y),
+    "wide": (wide, lambda t, y: wide(t, y)[0]),
+    "degree": (DEGREE_FIELD, DEGREE_FIELD),
+}
+BUFFER_DOM = Domain(t_lo=-0.5, t_hi=1.0, lo=(-1.0,) * 4, hi=(2.0,) * 4)
+BUFFER_ANCHORS = ((0.1, 0.2, 0.3, 0.4), (0.5, 0.1, 0.0, 0.2), (0.3, 0.3, 0.3, 0.1))
+
+
+def raise_time(frac):
+    # past (1228 + frac) / 4096, inside the block of rows 1216..1280: the step
+    # from row 1228 raises; its half-width retry is kept for frac = 0.75 and
+    # raises too for frac = 0.1
+    return math.inf if frac is None else (1228 + frac) / 4096
+
+
+@lru_cache(maxsize=None)
+def buffer_reference(name, frac, anchor):
+    field = raising_past(BUFFER_FIELDS[name][1], raise_time(frac))
+    return reference_solve_ode(make_spec(field, anchor, BUFFER_DOM), 2.0, 1.0)
+
+
+class TestStageBuffers:
+    """The driver reuses its stage buffers and its time array within a block;
+    fields that alias, reshape or raise give the step-by-step reference's
+    grids, stacked (K = 3), for one a = 4 anchor, and in a block redone
+    step by step with the half-width retry."""
+
+    @pytest.mark.parametrize("frac", [None, 0.75, 0.1])
+    @pytest.mark.parametrize("anchors", [BUFFER_ANCHORS, BUFFER_ANCHORS[:1]], ids=["K=3", "one"])
+    @pytest.mark.parametrize("name", sorted(BUFFER_FIELDS))
+    def test_grids_equal_the_reference(self, name, anchors, frac):
+        field = raising_past(BUFFER_FIELDS[name][0], raise_time(frac))
+        if len(anchors) > 1:
+            stacks = ode._stacked_drift(field, np.zeros(len(anchors)), np.array(anchors))
+            assert (stacks is None) == (name == "wide")
+        specs = [make_spec(field, anchor, BUFFER_DOM) for anchor in anchors]
+        for spec, anchor, grid in zip(specs, anchors, anchor_grids(specs, 1.0)):
+            got, want = solve_ode(spec, 2.0, 1.0, grid), buffer_reference(name, frac, anchor)
+            assert got.ts.tobytes() == want.ts.tobytes()
+            assert got.ys.tobytes() == want.ys.tobytes()
+            assert got.constants == want.constants
+        if frac is not None:
+            assert want.ts[-1] * 4096 == {0.75: 1228.5, 0.1: 1228.0}[frac]
+
+
+class StageRecorder:
+    """The degree field, recording the type, dtype and a copy of each ``t``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, t, y):
+        self.calls.append((type(t), np.asarray(t).dtype, np.array(t)))
+        return DEGREE_FIELD(t, y)
+
+
+def test_stacked_stages_get_their_times_in_a_float64_array():
+    rec = StageRecorder()
+    t0, t1, steps = -0.25, 0.5, 10
+    got = ode.rk4_solve(rec, BUFFER_ANCHORS, t0, t1, steps)
+    h = (t1 - t0) / steps
+    # the stacked check's four calls at t0 (one stacked, three single points),
+    # then four per step
+    assert len(rec.calls) == 4 + 4 * steps
+    for j in range(steps):
+        t = t0 + j * h
+        stages = (t, t + 0.5 * h, t + 0.5 * h, t + h)
+        for (kind, dtype, times), want in zip(rec.calls[4 + 4 * j :], stages):
+            assert kind is np.ndarray and dtype == np.float64
+            assert times.tobytes() == np.full(3, want).tobytes()
+    for anchor, (ts, ys) in zip(BUFFER_ANCHORS, got):
+        want = reference_rk4_grid(DEGREE_FIELD, np.array(anchor), t0, t1, steps)
+        assert ys.tobytes() == want[1].tobytes()
+
+
+def test_degree_verify_single_anchor_grid_is_pinned():
+    """The one a = 4 anchor of scripts/specs/degree_verify.json, solved alone:
+    no benchmark digest covers it (balls steps on floats, degree-anchors is
+    stacked, degree-paths solves no ODE). Pinned before the array stage loop
+    replaced the per-step RK4 function."""
+    spec, _ = load_spec(Path(__file__).resolve().parents[1] / "scripts" / "specs" / "degree_verify.json")
+    ((ts, ys),) = anchor_grids([spec], compute_RT(spec)[1])
+    assert ys.shape == (2785, 4)
+    digest = hashlib.sha256(ts.tobytes() + ys.tobytes()).hexdigest()
+    assert digest == "04c9d96a5678999dedf176b765b596f19330dcee1133b78b534380bf1c8d69c2"
