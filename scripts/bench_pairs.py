@@ -28,10 +28,11 @@ n = 100,000 with 200 trajectories and the degree-anchors spec with its
 three anchors and 100 trajectories), in six alternating fresh interpreters
 per tree: ``ode.anchor_grids``, with a SHA-256 of the grids, and
 ``simulate.run_ensemble`` as ``verify`` calls it, with a SHA-256 of every
-trajectory's statistics and records. ``ode.anchor_grids`` is also timed on
-the degree spec at n = 1,000,000 with its one anchor, the process's start;
-its ensemble, at about 23 s a call, is left out. The digests must agree
-between the trees. The layout is that of ``BENCH_10.json``.
+trajectory's statistics and records. Both layers are also timed on the
+degree spec at n = 1,000,000 with its one anchor, the process's start, and
+100 trajectories; its ensemble, at about 23 s a call, is one call in one
+interpreter per tree, the parent first. The digests must agree between the
+trees. The layout is that of ``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10  # per workload, on seeds 1..PAIRS
 REPEATS = 6  # fresh interpreters per tree for each layer timed on the acceptance instances
 
-# The acceptance instances, (name, workload, trajectories), and a timer of
-# best of three calls; each layer's code below prints JSON, per instance the
-# time, a SHA-256 of the outputs and what else it records
+# The acceptance instances, (name, workload, trajectories), and two timers:
+# best of three calls, and one call; each layer's code below prints JSON, per
+# instance the time, a SHA-256 of the outputs and what else it records
 ACCEPTANCE = """
 import dataclasses, hashlib, json, sys, time
 sys.path[:0] = ["src", "perfbench"]
@@ -76,16 +77,17 @@ INSTANCES = (
     ("balls n=100000", dataclasses.replace(WORKLOADS["balls-ensemble"], n=100_000), 200),
     ("degree n=10000, K=3", WORKLOADS["degree-anchors"], 100),
 )
-# solved only: one a = 4 anchor, stepped alone by the array stage loop
-GRID_ONLY = (
+# one a = 4 anchor, stepped alone by the array stage loop; its ensemble is
+# timed by one call
+LARGE = (
     ("degree n=1000000, one anchor",
      dataclasses.replace(WORKLOADS["degree-anchors"], n=1_000_000, anchors=()), 100),
 )
 
 
-def best_of_three(call):
+def best_of(calls, call):
     times = []
-    for _ in range(3):
+    for _ in range(calls):
         t0 = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - t0)
@@ -94,11 +96,11 @@ def best_of_three(call):
 
 GRIDS_CODE = ACCEPTANCE + """
 out = {}
-for name, w, _ in INSTANCES + GRID_ONLY:
+for name, w, _ in INSTANCES + LARGE:
     spec, _ = spec_from_dict(w.spec_doc())
     specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
     T = compute_RT(spec)[1]
-    s, grids = best_of_three(lambda: anchor_grids(specs, T))
+    s, grids = best_of(3, lambda: anchor_grids(specs, T))
     digest = hashlib.sha256()
     for ts, ys in grids:
         digest.update(ts.tobytes())
@@ -108,19 +110,21 @@ print(json.dumps(out))
 """
 
 # run_ensemble with every anchor's solution and the replay check, as verify
-# calls it; the digest covers each Trajectory field, arrays by dtype, shape
-# and bytes, the rest by repr
+# calls it, timed by the best of three calls on INSTANCES (argument
+# "acceptance") or by one call on LARGE (argument "large"); the digest covers
+# each Trajectory field, arrays by dtype, shape and bytes, the rest by repr
 ENSEMBLE_CODE = ACCEPTANCE + """
 import numpy as np
 
+instances, calls = {"acceptance": (INSTANCES, 3), "large": (LARGE, 1)}[sys.argv[1]]
 out = {}
-for name, w, count in INSTANCES:
+for name, w, count in instances:
     spec, plugin = spec_from_dict(w.spec_doc())
     specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
     R, T = compute_RT(spec)
     solutions = [solve_ode(s, R, T, g) for s, g in zip(specs, anchor_grids(specs, T))]
-    s, ens = best_of_three(
-        lambda: run_ensemble(plugin, spec, count, 1, solution=solutions, replay_check=True)
+    s, ens = best_of(
+        calls, lambda: run_ensemble(plugin, spec, count, 1, solution=solutions, replay_check=True)
     )
     digest = hashlib.sha256()
     for traj in ens.trajectories:
@@ -218,14 +222,15 @@ def bench_workload(trees: dict, workload: str) -> dict:
     return doc
 
 
-def bench_fresh(trees: dict, code: str) -> dict:
-    """``code`` in REPEATS fresh interpreters per tree, alternating which tree
-    goes first: per instance, the summary of its times, whether its digests
-    agree, and what else the change tree's first run recorded."""
+def bench_fresh(trees: dict, code: str, *args: str, repeats: int = REPEATS) -> dict:
+    """``code`` with ``args`` in ``repeats`` fresh interpreters per tree,
+    alternating which tree goes first: per instance, the summary of its
+    times, whether its digests agree, and what else the change tree's first
+    run recorded."""
     runs = {"parent": [], "change": []}
-    for i in range(REPEATS):
+    for i in range(repeats):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            out = subprocess.run([sys.executable, "-c", code], cwd=trees[side],
+            out = subprocess.run([sys.executable, "-c", code, *args], cwd=trees[side],
                                  capture_output=True, text=True, check=True)
             runs[side].append(json.loads(out.stdout))
     doc = {}
@@ -280,7 +285,7 @@ def main(argv=None) -> int:
                     "ode.anchor_grids wall time, best of 3 calls in a fresh interpreter,"
                     f" {REPEATS} interpreters per tree"
                     " alternating; sha256 over every grid's ts and ys bytes."
-                    " The degree n=1000000 instance solves its one anchor only"
+                    " The degree n=1000000 instance has one anchor"
                 ),
                 **bench_fresh(trees, GRIDS_CODE),
             },
@@ -289,9 +294,12 @@ def main(argv=None) -> int:
                     "simulate.run_ensemble wall time with every anchor's solution and"
                     " replay_check, as verify calls it, on base seed 1; best of 3 calls"
                     f" in a fresh interpreter, {REPEATS} interpreters per tree alternating;"
-                    " sha256 over every Trajectory field of every trajectory"
+                    " the degree n=1000000 instance by one call in one interpreter per"
+                    " tree, the parent first; sha256 over every Trajectory field of every"
+                    " trajectory"
                 ),
-                **bench_fresh(trees, ENSEMBLE_CODE),
+                **bench_fresh(trees, ENSEMBLE_CODE, "acceptance"),
+                **bench_fresh(trees, ENSEMBLE_CODE, "large", repeats=1),
             },
             "elapsed_s": time.time() - started,
         }

@@ -252,7 +252,10 @@ class Trajectory:
     replay_ok) are computed during simulation so that thinning never affects
     verification. A trajectory simulated against a sequence of ODE solutions
     holds ``sup_deviation``, ``deviation_cap`` and ``replay_ok`` as tuples,
-    one entry per solution, and its violations carry no deviation.
+    one entry per solution, and its violations carry no deviation. The
+    kernel stores records coordinate-major, so ``steps`` and ``drifts`` may
+    be read-only, Fortran-ordered views; take ``np.ascontiguousarray`` of
+    one for its raw bytes in row order.
     """
 
     seed: int

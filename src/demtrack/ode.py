@@ -388,35 +388,33 @@ def _rk4_arrays(f, grid, rows, t0: float, h: float, j0: int, j1: int, width: flo
 def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:
     """``_rk4_arrays`` for steps j0..j1-1 of a one-coordinate anchor, on Python
     floats: the same IEEE operations in the same order, the new rows written
-    to ``col`` at the end, up to the step that raised if one did. The field
-    gets a float ``t`` and one reused ``(1,)`` array; a float64 array result
-    is read with ``.item()``, any other through ``_as_point``.
+    to ``col`` at the end. The field gets a float ``t`` and one reused
+    ``(1,)`` array; a float64 array result is read with ``.item()``, any
+    other through ``_as_point``.
     """
     point = np.empty(1)
     ndarray, f64 = np.ndarray, np.dtype(float)
     half, sixth = 0.5 * width, width / 6.0
     y = col[j0].item()
     ys = []
-    try:
-        for j in range(j0, j1):
-            t = t0 + j * h
-            t_half = t + half
-            point[0] = y
-            r = f(t, point)
-            k1 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
-            point[0] = y + half * k1
-            r = f(t_half, point)
-            k2 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
-            point[0] = y + half * k2
-            r = f(t_half, point)
-            k3 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
-            point[0] = y + width * k3
-            r = f(t + width, point)
-            k4 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ys.append(y)
-    finally:
-        col[j0 + 1 : j0 + 1 + len(ys)] = ys
+    for j in range(j0, j1):
+        t = t0 + j * h
+        t_half = t + half
+        point[0] = y
+        r = f(t, point)
+        k1 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
+        point[0] = y + half * k1
+        r = f(t_half, point)
+        k2 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
+        point[0] = y + half * k2
+        r = f(t_half, point)
+        k3 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
+        point[0] = y + width * k3
+        r = f(t + width, point)
+        k4 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    col[j0 + 1 : j1 + 1] = ys
 
 
 def grid_steps(spec: ProcessSpec, T: float) -> int:

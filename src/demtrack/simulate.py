@@ -39,15 +39,17 @@ stops, the martingale sup, the deviation sup and the replay check reduce
 over the slice of positions 0..J-1; a span where a row stops, a path's cap
 falls or the event predicate has failed reduces with a mask per row and
 position. Each path's n * y(i/n) is interpolated for the span's steps only.
-Sums run along each row one step at a time, so every trajectory keeps its
-order of float operations; reductions over a short last axis are folded
-column by column (``_fold``). Rows are
-stepped, observed and given their drift to the end of the span even past
-their stop: these are all states the chain reaches. What their steps do
-there, a row-wise ``step``'s exceptions included, is discarded; an
-exception of a batch method or of the field, there too, ends the run with
-``PluginCrashed``. Records are preallocated for a run to the horizon, and
-each Trajectory holds views into them. ``simulate`` is a batch of one;
+The reducers work on coordinate planes, one contiguous (rows, J + 1) plane
+per coordinate (and per path), with the step position on the last axis, so
+numpy's inner loops run along the steps, not along the a coordinates. Sums
+run along each row one step at a time, so every trajectory keeps its order
+of float operations. Rows are stepped, observed and given their drift to
+the end of the span even past their stop: these are all states the chain
+reaches. What their steps do there, a row-wise ``step``'s exceptions
+included, is discarded; an exception of a batch method or of the field,
+there too, ends the run with ``PluginCrashed``. Records are preallocated
+coordinate-major for a run to the horizon, and each Trajectory holds
+transposed views into them. ``simulate`` is a batch of one;
 ``run_ensemble`` runs one batch per worker. Deviations and the replay
 chain may be tracked against several ODE solutions (reference paths) at
 once, as (rows, K) arrays with one column per path, each column updated
@@ -70,13 +72,14 @@ from .processes import ProcessPlugin, _guard
 # Steps per block of the block stepper, and the row-steps of one span: a
 # batch of ``rows`` trajectories reduces once per span of
 # _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (rows * _BLOCK_STEPS)) steps. The
-# span's state buffer and the reduction's temporaries, each (rows, span + 1,
-# .), then hold at most _SPAN_ROW_STEPS row-steps (more only when one block
-# of all rows does). Uniforms are drawn for at most _DRAW_STEPS steps of
-# every row at once, and for no more row-steps than _DRAW_STEPS //
-# _BLOCK_STEPS spans of that budget, or one span of all rows: 1.3 MB for 160
-# rows of one uniform, where drawing one span at a time would make eight
-# times as many calls of each row's generator.
+# span's state buffer, (rows, span + 1, .), and each plane of the
+# reduction's temporaries, (rows, span + 1), then hold at most
+# _SPAN_ROW_STEPS row-steps (more only when one block of all rows does).
+# Uniforms are drawn for at most _DRAW_STEPS steps of every row at once, and
+# for no more row-steps than _DRAW_STEPS // _BLOCK_STEPS spans of that
+# budget, or one span of all rows: 1.3 MB for 160 rows of one uniform, where
+# drawing one span at a time would make eight times as many calls of each
+# row's generator.
 _BLOCK_STEPS = 128
 _SPAN_ROW_STEPS = 160 * 128
 _DRAW_STEPS = 1024
@@ -101,8 +104,9 @@ class _SimPrep:
     solutions: tuple[OdeSolution, ...]  # the K paths, interpolated one span at a time
     caps: np.ndarray       # per path Constants.steps(n), shape (K,)
     cap: int               # max(caps)
-    two_lam_n: np.ndarray  # per path 2*lambda*n, lambda that of the path's spec
-    step_term: np.ndarray  # per path L*R/n + delta, the per-step additive recurrence term
+    # per path, as (K, 1, 1) columns against (K, rows, positions) planes:
+    two_lam_n: np.ndarray  # 2*lambda*n, lambda that of the path's spec
+    step_term: np.ndarray  # L*R/n + delta, the per-step additive recurrence term
     L_over_n: float
     single: bool           # one solution, not a sequence: trajectories get scalars
 
@@ -127,8 +131,8 @@ def _prepare(
         solutions=tuple(solutions),
         caps=caps,
         cap=int(caps.max()),
-        two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions]),
-        step_term=np.array([spec.L * c.R / n + spec.delta for c in consts]),
+        two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions])[:, None, None],
+        step_term=np.array([spec.L * c.R / n + spec.delta for c in consts])[:, None, None],
         L_over_n=spec.L / n,
         single=single,
     )
@@ -179,46 +183,33 @@ def simulate(
     )[0]
 
 
-def _fold(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(x, axis=-1)``, as a - 1 in-place ``ufunc`` calls on column views.
-
-    numpy reduces along a short last axis (a coordinates, a state's width)
-    many times slower than it applies a ufunc to whole columns. The logical
-    ufuncs take a bool ``x``. A one-column ``x`` gives its column's view.
-    """
-    if x.shape[-1] == 1:
-        return x[..., 0]
-    out = x[..., 0].copy()
-    for k in range(1, x.shape[-1]):
-        ufunc(out, x[..., k], out=out)
-    return out
-
-
 def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
     """Fill ``buf[:, 1:]`` with the states reached from ``buf[:, 0]`` one step at a time.
 
     ``u`` holds each row's uniforms of the J = buf.shape[1] - 1 steps, shape
     (rows, J, uniforms_per_step). Pass 1 steps the start state with the
     uniforms of every column in one ``step_batch`` call and builds each
-    column as the start state plus the running sum of the moves (exact in
-    int64), which makes column 1 right. If columns 0..p are right, each
-    later pass steps the guesses in columns p..J-1 of the unsettled rows in
-    one call and compares the next states with the guesses one column on.
-    A row that agrees everywhere is settled: each column is the step of the
-    one before. The rows that disagree are rebuilt from the first column
-    past p where some row disagrees, as the next state there plus the
-    running sum of the later moves, which makes that column right; the next
-    pass starts there. Every pass after the first settles at least one more
-    column, so at most J passes give the step-by-step sequence, and a pass
-    over all rows takes slices of ``buf``, not copies by index.
+    column as the running sum of the moves, the first with the start state
+    added (exact in int64, the moves cast to the buffer's dtype), which
+    makes column 1 right. If columns 0..p are right, each later pass steps
+    the guesses in columns p..J-1 of the unsettled rows in one call and
+    compares the next states with the guesses one column on, over each
+    row's whole run at once. A row that agrees everywhere is settled: each
+    column is the step of the one before. The rows that disagree are
+    rebuilt from the first column past p where some row disagrees, as the
+    next state there plus the running sum of the later moves, which makes
+    that column right; the next pass starts there. Every pass after the
+    first settles at least one more column, so at most J passes give the
+    step-by-step sequence, and a pass over all rows takes slices of ``buf``,
+    not copies by index.
     """
     J = buf.shape[1] - 1
     k = u.shape[2]
     guess = np.repeat(buf[:, 0], J, axis=0)
     nxt = plugin.step_batch(guess, u.reshape(len(guess), k))
-    moves = np.subtract(nxt, guess).reshape(buf[:, 1:].shape)
-    np.add.accumulate(moves, axis=1, out=moves)
-    np.add(moves, buf[:, :1], out=buf[:, 1:], casting="unsafe")  # cast as assignments are
+    moves = np.subtract(nxt, guess).astype(buf.dtype, copy=False).reshape(buf[:, 1:].shape)
+    moves[:, 0] += buf[:, 0]
+    np.add.accumulate(moves, axis=1, out=buf[:, 1:])
     rows = slice(None)  # the rows not yet settled: all of them, or an index array
     p = 1  # columns 0..p are settled
     while p < J:
@@ -227,11 +218,11 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
         nxt = np.reshape(
             plugin.step_batch(guess, u[rows, p:].reshape(len(guess), k)), cur[:, 1:].shape
         )
-        wrong = _fold(np.logical_or, (nxt != cur[:, 1:]).reshape(nxt.shape[:2] + (-1,)))
+        wrong = (nxt != cur[:, 1:]).reshape(len(nxt), -1)
         moved = wrong.any(axis=1)
         if not moved.any():
             return
-        c = int(wrong.any(axis=0).argmax())
+        c = int(wrong.any(axis=0).argmax()) // math.prod(buf.shape[2:])
         if not moved.all():
             rows = np.arange(len(buf))[rows][moved]
             nxt, cur = nxt[moved], cur[moved]
@@ -273,11 +264,12 @@ class _Batch:
     m_cap: int          # the horizon floor(T*n)
     stride: int         # records are kept every stride-th step and at the stop
     grid: np.ndarray    # the record steps of a trajectory that reaches the horizon
-    Y0: np.ndarray      # Y(0), one (a,) row for all rows
+    # (a, 1, 1) columns against (a, rows, positions) planes:
+    Y0: np.ndarray      # Y(0), the same for all rows
     c_lo: np.ndarray    # the open box on counts: lo < Y/n < hi iff c_lo <= Y <= c_hi
     c_hi: np.ndarray
     seeds: list[int]
-    rec_y: np.ndarray   # each trajectory's records, (count, len(grid), a)
+    rec_y: np.ndarray   # each trajectory's records, coordinate-major: (count, a, len(grid))
     rec_d: np.ndarray
     violations: list[list[Violation]]
     out: list[Trajectory | None]
@@ -311,7 +303,7 @@ class _Span:
     J: int
     where: str           # names the span in a PluginCrashed message
     states: np.ndarray   # (rows, J + 1, ...)
-    Y: np.ndarray        # their counts, (rows, J + 1, a)
+    Y: np.ndarray        # their counts as coordinate planes, (a, rows, J + 1)
     end: np.ndarray      # the position of each row's stop, J + 1 for a row that goes on
     error: np.ndarray    # the row stopped at a step that raised
     done: np.ndarray     # end <= J
@@ -321,11 +313,11 @@ class _Span:
 
 
 def _sup(x: np.ndarray, J: int, where) -> np.ndarray:
-    """The max along axis 1 of ``x`` at the positions ``where`` masks, from 0; for
-    ``where=None``, over positions 0..J - 1, a slice that needs no mask."""
+    """The max along the last axis of ``x`` at the positions ``where`` masks, from
+    0; for ``where=None``, over positions 0..J - 1, a slice that needs no mask."""
     if where is None:
-        return x[:, :J].max(axis=1, initial=0.0)
-    return x.max(axis=1, where=where, initial=0.0)
+        return x[..., :J].max(axis=-1, initial=0.0)
+    return x.max(axis=-1, where=where, initial=0.0)
 
 
 def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
@@ -334,15 +326,19 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
     A row stops at the first step at the horizon or with the rescaled state
     outside the open box (the time axis cannot bind earlier because 0 <=
     i/n < T and t_lo < 0), unless its step raised at an earlier step. The
-    box is tested on the counts, against ``Domain.count_bounds``.
+    box is tested on the counts, against ``Domain.count_bounds``. The counts
+    are laid out as one contiguous (rows, J + 1) plane per coordinate, so
+    every later pass runs along the steps: at a = 1 that is the plugin's
+    array, transposed; for a > 1, one copy.
     """
     where = f"in the span of steps {i0}..{i0 + J}"
-    live_rows = len(rows.ids)
+    live_rows, a = len(rows.ids), b.spec.a
     with _guard(b.plugin, "observables_batch", where):
         Y = b.plugin.observables_batch(
             states.reshape((live_rows * (J + 1),) + states.shape[2:])
-        ).reshape(live_rows, J + 1, b.spec.a)
-    outside = _fold(np.logical_or, (Y < b.c_lo) | (Y > b.c_hi))
+        )
+        Y = np.ascontiguousarray(Y.reshape(-1, a).T).reshape(a, live_rows, J + 1)
+    outside = ((Y < b.c_lo) | (Y > b.c_hi)).any(axis=0)
     if i0 + J >= b.m_cap:
         outside[:, J] = True
     end = outside.argmax(axis=1)
@@ -357,7 +353,7 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
     seen = np.arange(J + 1) <= last[:, None] if done.any() else None
     if b.event_predicate is not None:
         for r in np.flatnonzero(rows.event_stop < 0):
-            for j, y in enumerate(Y[r, : last[r] + 1].tolist()):
+            for j, y in enumerate(Y[:, r, : last[r] + 1].T.tolist()):
                 if not b.event_predicate(i0 + j, tuple(y)):
                     rows.event_stop[r] = i0 + j
                     break
@@ -368,24 +364,24 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     """Drift, stride records, martingale sup and trend check of the span; returns
     the trend violations as (rows, positions, kinds, coordinates, gaps), or None."""
     live_rows, J, n, a = len(rows.ids), s.J, b.spec.n, b.spec.a
-    # cum[:, j] is drift_cum at step i0 + j, summed one step at a time;
-    # before the sum, cum[:, j + 1] holds the drift of step i0 + j. The
+    # cum[:, :, j] is drift_cum at step i0 + j, summed one step at a time;
+    # before the sum, cum[:, :, j + 1] holds the drift of step i0 + j. The
     # drifts at or past a row's stop reach only positions that ``seen``
     # leaves out and records past the stop.
-    cum = np.empty((live_rows, J + 1, a))
+    cum = np.empty((a, live_rows, J + 1))
     with _guard(b.plugin, "drift_batch", s.where):
-        cum[:, 1:] = b.plugin.drift_batch(
+        cum[:, :, 1:] = b.plugin.drift_batch(
             s.states[:, :J].reshape((live_rows * J,) + s.states.shape[2:])
-        ).reshape(live_rows, J, a)
+        ).reshape(-1, a).T.reshape(a, live_rows, J)
     trend = None
     if not b.plugin.exact_drift:
         # the steps taken; a step that raised still had a drift
         r, j = np.nonzero(np.arange(J) < (s.end + s.error)[:, None])
         if len(r):
-            points = np.column_stack(((s.i0 + j) / n, s.Y[r, j].astype(float) / n))
+            points = np.column_stack(((s.i0 + j) / n, s.Y[:, r, j].T.astype(float) / n))
             with _guard(b.plugin, "drift_field", s.where):
                 field = drift_at(b.plugin.drift_field, points)
-            gap = np.abs(cum[r, j + 1] - field)
+            gap = np.abs(cum[:, r, j + 1].T - field)
             x, k = np.nonzero(~(gap <= b.spec.delta))  # a NaN gap is a violation
             trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
     # records of the steps on the stride grid; a row's records past its
@@ -394,14 +390,14 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     first = -(-s.i0 // b.stride)
     kept = slice(first, first + len(range(J)[on_grid]))
     ids = slice(None) if live_rows == len(b.rec_y) else rows.ids  # all rows live: a slice
-    b.rec_y[ids, kept] = s.Y[:, on_grid]
-    b.rec_d[ids, kept] = cum[:, 1:][:, on_grid]
-    cum[:, 0] = rows.drift_cum
-    np.add.accumulate(cum, axis=1, out=cum)
-    rows.drift_cum[:] = cum[:, J]
+    b.rec_y[ids, :, kept] = s.Y[:, :, on_grid].transpose(1, 0, 2)
+    b.rec_d[ids, :, kept] = cum[:, :, 1:][:, :, on_grid].transpose(1, 0, 2)
+    cum[:, :, 0] = rows.drift_cum.T
+    np.add.accumulate(cum, axis=2, out=cum)
+    rows.drift_cum[:] = cum[:, :, J].T
     # the martingale part; a NaN propagates through max, so it never passes
     np.subtract(s.Y - b.Y0, cum, out=cum)
-    mart = _fold(np.maximum, np.abs(cum, out=cum))
+    mart = np.abs(cum, out=cum).max(axis=0)
     np.maximum(rows.sup_mart, _sup(mart, J, s.seen), out=rows.sup_mart)
     return trend
 
@@ -409,58 +405,58 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
 def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
     """Sup deviation from each ODE path and the replay chain of the span.
 
-    Column k counts while i <= caps[k], and the sup only up to the row's
-    event stop. Each path's n * y_k(i/n) is interpolated at the span's steps
-    only. Returns the (rows, positions, K) deviation at the positions up to
-    the longest path's cap, or None past it or without paths.
+    Path k counts while i <= caps[k], and the sup only up to the row's event
+    stop. Each path's n * y_k(i/n) is interpolated at the span's steps only.
+    Returns the (K, rows, positions) deviation at the positions up to the
+    longest path's cap, or None past it or without paths.
     """
     prep = b.prep
     if prep is None or s.i0 > prep.cap:
         return None
     jd = min(s.J, prep.cap - s.i0) + 1
     steps = s.i0 + np.arange(jd)
-    target = np.stack([p.counts_at_steps(steps[-1], s.i0) for p in prep.solutions], axis=1)
-    dev = np.subtract(s.Y[:, :jd, None], target)
-    dev = _fold(np.maximum, np.abs(dev, out=dev))
+    target = np.stack([p.counts_at_steps(steps[-1], s.i0).T for p in prep.solutions])
+    dev = np.subtract(s.Y[:, :, :jd], target[:, :, None])  # (K, a, rows, jd)
+    dev = np.abs(dev, out=dev).max(axis=1)
     binds = b.event_predicate is not None and (rows.event_stop >= 0).any()
     if s.seen is None and s.i0 + s.J - 1 <= prep.caps.min() and not binds:
         live = in_range = None  # every path and row counts positions 0..J - 1
     else:
         seen = (np.arange(jd) < s.J)[None] if s.seen is None else s.seen[:, :jd]
-        live = (steps[:, None] <= prep.caps) & seen[:, :, None]
+        live = (steps <= prep.caps[:, None, None]) & seen
         in_range = live
         if binds:
             before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
-            in_range = live & before[:, :, None]
-    np.maximum(rows.sup_dev, _sup(dev, s.J, in_range), out=rows.sup_dev)
+            in_range = live & before
+    np.maximum(rows.sup_dev, _sup(dev, s.J, in_range).T, out=rows.sup_dev)
     if b.replay_check:
-        # chain[:, j] is the chain's sum at step i0 + j, summed one step at a time
-        chain = np.empty((len(dev), jd + 1, len(prep.caps)))
-        chain[:, 0] = rows.carry
-        np.multiply(dev, prep.L_over_n, out=chain[:, 1:])
-        chain[:, 1:] += prep.step_term
-        np.add.accumulate(chain, axis=1, out=chain)
-        rows.carry[:] = chain[:, min(s.J, jd)]
-        bound = np.add(chain[:, :jd], prep.two_lam_n, out=chain[:, :jd])
+        # chain[:, :, j] is the chain's sum at step i0 + j, summed one step at a time
+        chain = np.empty(dev.shape[:2] + (jd + 1,))
+        chain[:, :, 0] = rows.carry.T
+        np.multiply(dev, prep.L_over_n, out=chain[:, :, 1:])
+        chain[:, :, 1:] += prep.step_term
+        np.add.accumulate(chain, axis=2, out=chain)
+        rows.carry[:] = chain[:, :, min(s.J, jd)].T
+        bound = np.add(chain[:, :, :jd], prep.two_lam_n, out=chain[:, :, :jd])
         if live is None:
-            ok = np.less(dev[:, : s.J], bound[:, : s.J]).all(axis=1)
+            ok = np.less(dev[:, :, : s.J], bound[:, :, : s.J]).all(axis=2)
         else:
-            ok = np.less(dev, bound).all(axis=1, where=live)
-        np.logical_and(rows.replay_ok, ok, out=rows.replay_ok)
+            ok = np.less(dev, bound).all(axis=2, where=live)
+        np.logical_and(rows.replay_ok, ok.T, out=rows.replay_ok)
     return dev
 
 
 def _bound_jumps(b: _Batch, s: _Span):
     """Steps before each row's stop that move a coordinate by more than beta, as
     (rows, positions, kinds, coordinates, jumps), or None."""
-    jump = np.diff(s.Y, axis=1)
+    jump = np.diff(s.Y, axis=2)
     over = np.abs(jump, out=jump) > b.spec.beta
     if not over.any():
         return None
-    over &= (np.arange(s.J) < s.end[:, None])[:, :, None]
+    over &= np.arange(s.J) < s.end[:, None]
     if over.any():
-        r, j, k = np.nonzero(over)
-        return r, j, np.ones_like(k), k, jump[r, j, k]
+        k, r, j = np.nonzero(over)
+        return r, j, np.ones_like(k), k, jump[k, r, j]
 
 
 def _add_violations(b: _Batch, rows: _Rows, s: _Span, trend, dev) -> None:
@@ -476,15 +472,15 @@ def _add_violations(b: _Batch, rows: _Rows, s: _Span, trend, dev) -> None:
         b.violations[rows.ids[rx]].append(Violation(
             s.i0 + int(jx), int(k[x]), ("trend", "bound")[kind[x]], float(observed[x]),
             (b.spec.delta, b.spec.beta)[kind[x]],
-            float(dev[rx, jx, 0]) if single and jx < dev.shape[1] else None,
+            float(dev[0, rx, jx]) if single and jx < dev.shape[2] else None,
         ))
 
 
 def _reduce_span(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
     """Reduce the span of steps i0..i0 + J of every live row, one rule at a time.
 
-    Each reducer's (rows, J, .) temporaries die with its frame, which bounds
-    the span's memory.
+    Each reducer's (., rows, J + 1) temporaries die with its frame, which
+    bounds the span's memory.
     """
     s = _stop_rule(b, rows, states, i0, J, failed)
     _add_violations(b, rows, s, _reduce_drift(b, rows, s), _reduce_deviation(b, rows, s))
@@ -499,8 +495,8 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
         pos = -(-i // b.stride)
         indices = b.grid[: pos + 1] if b.grid[pos] == i else np.append(b.grid[:pos], i)
         if not (s.error[r] and i % b.stride == 0):
-            b.rec_y[t, pos] = s.Y[r, s.end[r]]
-            b.rec_d[t, pos] = math.nan
+            b.rec_y[t, :, pos] = s.Y[:, r, s.end[r]]
+            b.rec_d[t, :, pos] = math.nan
         ev = int(rows.event_stop[r]) if rows.event_stop[r] >= 0 else None
         sup = dev_cap = ok = None
         if b.prep is not None:
@@ -514,8 +510,8 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
             seed=int(b.seeds[t]),
             stop_index=i,
             indices=indices,
-            steps=b.rec_y[t, : pos + 1],
-            drifts=b.rec_d[t, : pos + 1],
+            steps=b.rec_y[t, :, : pos + 1].T,
+            drifts=b.rec_d[t, :, : pos + 1].T,
             violations=tuple(b.violations[t]),
             sup_deviation=sup,
             deviation_cap=dev_cap,
@@ -568,10 +564,10 @@ def _simulate_batch(
     with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
         Y0 = plugin.observables_batch(states[:1])[0]
     b = _Batch(
-        plugin, spec, prep, event_predicate, replay_check, m_cap, stride, grid, Y0,
-        *spec.domain.count_bounds(n), seeds,
-        rec_y=np.empty((count, len(grid), a), dtype=np.int64),
-        rec_d=np.empty((count, len(grid), a)),
+        plugin, spec, prep, event_predicate, replay_check, m_cap, stride, grid,
+        *(np.reshape(c, (a, 1, 1)) for c in (Y0, *spec.domain.count_bounds(n))), seeds,
+        rec_y=np.empty((count, a, len(grid)), dtype=np.int64),
+        rec_d=np.empty((count, a, len(grid))),
         violations=[[] for _ in range(count)],
         out=[None] * count,
     )

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from demtrack import Domain, PluginCrashed, ProcessSpec
 from demtrack.ode import compute_RT, solve_ode
@@ -23,7 +22,7 @@ from demtrack.processes import (
     degree_process_spec,
     greedy_matching_spec,
 )
-from demtrack.simulate import derive_seed, run_ensemble
+from demtrack.simulate import derive_seed, doob_decompose, run_ensemble
 from demtrack.verify import verify
 from scalar_reference import SCALAR_TWINS, reference_simulate, scalar_twin
 from test_simulate import DriftLiar, FairCoin, coin_spec
@@ -246,6 +245,32 @@ def test_report_independent_of_jobs(kind, n, count, base_seed, predicate):
     one = verify(spec, plugin, count, base_seed, event_predicate=predicate, jobs=1)
     two = verify(spec, plugin, count, base_seed, event_predicate=predicate, jobs=2)
     assert one.to_dict() == two.to_dict()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda: degree_process_spec(1200, max_degree=3), lambda: make_case("balls", 1200, False)],
+    ids=["degree-a4", "balls"],
+)
+def test_records_independent_of_jobs_and_layout(case):
+    """Records are coordinate-major views: pickled from a worker, they equal
+    the jobs=1 records in dtype, shape and values, and ``doob_decompose``
+    gives the same bytes on them as on C-contiguous copies."""
+    spec, plugin = case()
+    one, two = (
+        run_ensemble(plugin, spec, 5, 3, full_paths=True, jobs=jobs) for jobs in (1, 2)
+    )
+    for got, want in zip(two.trajectories, one.trajectories):
+        for name in ("indices", "steps", "drifts"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+            assert not y.flags.writeable
+        copied = dataclasses.replace(
+            want, steps=np.ascontiguousarray(want.steps), drifts=np.ascontiguousarray(want.drifts)
+        )
+        assert doob_decompose(want).tobytes() == doob_decompose(copied).tobytes()
+    assert one.trajectories[0].steps.shape[1] == spec.a
 
 
 def test_failing_rows_leave_the_others_running():
@@ -933,28 +958,6 @@ def test_default_spans_hold_the_row_step_budget(count, n, spans):
     # Y(0) of one row, then every row's span, start state included
     assert observed == [1] + [count * (J + 1) for J in spans]
     assert stepped == [min(128, J - q) for J in spans for q in range(0, J, 128)]
-
-
-short_axis = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5).flatmap(
-    lambda lead: st.integers(1, 6).map(lambda a: lead + (a,))
-)
-# NaN is the positive quiet NaN that np.abs leaves; of NaNs that differ in
-# sign, a fold and numpy's reduce may keep different ones
-floats_and_specials = st.one_of(
-    st.floats(allow_nan=False), st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0))
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    x=hnp.arrays(np.float64, short_axis, elements=floats_and_specials),
-    b=hnp.arrays(np.bool_, short_axis),
-)
-def test_fold_is_reduce_over_the_last_axis_bit_for_bit(x, b):
-    for ufunc, arg in ((np.maximum, x), (np.logical_or, b), (np.logical_and, b)):
-        got, want = simulate._fold(ufunc, arg), ufunc.reduce(arg, axis=-1)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
 
 class RaisingBalls(BallsInBins):
