@@ -26,7 +26,8 @@ kind. It also times two layers
 in each tree on the two acceptance instances (the balls-ensemble spec at
 n = 100,000 with 200 trajectories and the degree-anchors spec with its
 three anchors and 100 trajectories), in six alternating fresh interpreters
-per tree: ``ode.anchor_grids``, with a SHA-256 of the grids, and
+per tree, by process time (``time.process_time``) with the wall time
+next to it: ``ode.anchor_grids``, with a SHA-256 of the grids, and
 ``simulate.run_ensemble`` as ``verify`` calls it, with a SHA-256 of every
 trajectory's statistics and records. Both layers are also timed on the
 degree spec at n = 1,000,000 with its one anchor, the process's start, and
@@ -62,9 +63,11 @@ SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10  # per workload, on seeds 1..PAIRS
 REPEATS = 6  # fresh interpreters per tree for each layer timed on the acceptance instances
 
-# The acceptance instances, (name, workload, trajectories), and two timers:
-# best of three calls, and one call; each layer's code below prints JSON, per
-# instance the time, a SHA-256 of the outputs and what else it records
+# The acceptance instances, (name, workload, trajectories), and the timer of
+# a layer: best of three calls, or one call, by process time, which a busy
+# shared host inflates less than the wall time kept next to it; each layer's
+# code below prints JSON, per instance the times, a SHA-256 of the outputs
+# and what else it records
 ACCEPTANCE = """
 import dataclasses, hashlib, json, sys, time
 sys.path[:0] = ["src", "perfbench"]
@@ -86,12 +89,14 @@ LARGE = (
 
 
 def best_of(calls, call):
-    times = []
+    # (CPU s, wall s, result) of the call with the least process time
+    best = None
     for _ in range(calls):
-        t0 = time.perf_counter()
+        c0, w0 = time.process_time(), time.perf_counter()
         result = call()
-        times.append(time.perf_counter() - t0)
-    return min(times), result
+        took = (time.process_time() - c0, time.perf_counter() - w0)
+        best = took if best is None else min(best, took)
+    return (*best, result)
 """
 
 GRIDS_CODE = ACCEPTANCE + """
@@ -100,12 +105,13 @@ for name, w, _ in INSTANCES + LARGE:
     spec, _ = spec_from_dict(w.spec_doc())
     specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
     T = compute_RT(spec)[1]
-    s, grids = best_of(3, lambda: anchor_grids(specs, T))
+    s, wall, grids = best_of(3, lambda: anchor_grids(specs, T))
     digest = hashlib.sha256()
     for ts, ys in grids:
         digest.update(ts.tobytes())
         digest.update(ys.tobytes())
-    out[name] = {"s": s, "rows": [len(ts) for ts, _ in grids], "sha256": digest.hexdigest()}
+    out[name] = {"s": s, "wall_s": wall, "rows": [len(ts) for ts, _ in grids],
+                 "sha256": digest.hexdigest()}
 print(json.dumps(out))
 """
 
@@ -123,7 +129,7 @@ for name, w, count in instances:
     specs = [dataclasses.replace(spec, y_hat=a) for a in w.anchors] or [spec]
     R, T = compute_RT(spec)
     solutions = [solve_ode(s, R, T, g) for s, g in zip(specs, anchor_grids(specs, T))]
-    s, ens = best_of(
+    s, wall, ens = best_of(
         calls, lambda: run_ensemble(plugin, spec, count, 1, solution=solutions, replay_check=True)
     )
     digest = hashlib.sha256()
@@ -134,7 +140,7 @@ for name, w, count in instances:
                 digest.update(f"{v.dtype.str}{v.shape}".encode() + v.tobytes())
             else:
                 digest.update(repr(v).encode())
-    out[name] = {"s": s, "steps": sum(t.stop_index for t in ens.trajectories),
+    out[name] = {"s": s, "wall_s": wall, "steps": sum(t.stop_index for t in ens.trajectories),
                  "sha256": digest.hexdigest()}
 print(json.dumps(out))
 """
@@ -236,12 +242,14 @@ def bench_fresh(trees: dict, code: str, *args: str, repeats: int = REPEATS) -> d
     doc = {}
     for name, first in runs["change"][0].items():
         parent, change = ([r[name]["s"] for r in runs[s]] for s in ("parent", "change"))
+        walls = ([r[name]["wall_s"] for r in runs[s]] for s in ("parent", "change"))
         digests = {r[name]["sha256"] for s in runs for r in runs[s]}
         doc[name] = {
-            **{k: v for k, v in first.items() if k not in ("s", "sha256")},
+            **{k: v for k, v in first.items() if k not in ("s", "wall_s", "sha256")},
             "identical": len(digests) == 1,
             "sha256": sorted(digests),
             **summary(parent, change, "s", "lower"),
+            "wall_s": summary(*walls, "s", "lower"),
         }
     return doc
 
@@ -282,7 +290,8 @@ def main(argv=None) -> int:
             "workloads": workloads,
             "anchor_grids": {
                 "what": (
-                    "ode.anchor_grids wall time, best of 3 calls in a fresh interpreter,"
+                    "ode.anchor_grids process (CPU) time, best of 3 calls in a fresh"
+                    " interpreter, with that call's wall time under wall_s,"
                     f" {REPEATS} interpreters per tree"
                     " alternating; sha256 over every grid's ts and ys bytes."
                     " The degree n=1000000 instance has one anchor"
@@ -291,7 +300,8 @@ def main(argv=None) -> int:
             },
             "run_ensemble": {
                 "what": (
-                    "simulate.run_ensemble wall time with every anchor's solution and"
+                    "simulate.run_ensemble process (CPU) time, with the call's wall time"
+                    " under wall_s, with every anchor's solution and"
                     " replay_check, as verify calls it, on base seed 1; best of 3 calls"
                     f" in a fresh interpreter, {REPEATS} interpreters per tree alternating;"
                     " the degree n=1000000 instance by one call in one interpreter per"

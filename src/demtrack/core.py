@@ -183,6 +183,11 @@ class ProcessSpec:
         """Number of tracked variables."""
         return len(self.y_hat)
 
+    @property
+    def horizon(self) -> int:
+        """floor(t_hi * n): no trajectory steps past it."""
+        return math.floor(self.domain.t_hi * self.n)
+
 
 def check_initial_condition(spec: ProcessSpec, y0: Sequence[int]) -> bool:
     """True iff max_k |Y_k(0) - y_hat_k * n| <= lambda*n and (0, y_hat) is in D.
@@ -216,6 +221,10 @@ class Constants:
             raise ValueError("R must be at least 1")
         if not 0.0 <= self.sigma <= self.T:
             raise ValueError("sigma must lie in [0, T]")
+
+    def envelope(self, n: int) -> float:
+        """The envelope 3*exp(L*T)*lambda*n in counts: margin * n."""
+        return self.margin * n
 
     def steps(self, n: int) -> int:
         """Last step of the envelope's range: min(floor(T*n), floor(sigma*n + 1e-9))."""

@@ -83,6 +83,13 @@ def _rows(states: np.ndarray) -> list:
     return [tuple(s) if isinstance(s, list) else s for s in states.tolist()]
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int if it is an integral number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class ProcessPlugin(ABC):
     """Dynamics of one discrete-time process at a fixed scale n."""
 
@@ -280,6 +287,7 @@ class DegreeProcess(ProcessPlugin):
         super().__init__(n)
         if n < 2:
             raise ValueError("degree process needs at least two vertices")
+        max_degree = _integral(max_degree, "max_degree")
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.max_degree = max_degree
@@ -443,10 +451,7 @@ def make_plugin(name: str, n: int, params: dict | None = None) -> ProcessPlugin:
 
 # a parameter that the constructor does not take raises TypeError
 register_plugin("balls-in-bins", lambda n, params: BallsInBins(n, **params))
-register_plugin(
-    "degree-process",
-    lambda n, params: DegreeProcess(n, **dict(params, max_degree=int(params.get("max_degree", 3)))),
-)
+register_plugin("degree-process", lambda n, params: DegreeProcess(n, **params))
 register_plugin("greedy-matching", lambda n, params: GreedyMatching(n, **params))
 
 

@@ -261,7 +261,6 @@ class _Batch:
     prep: _SimPrep | None
     event_predicate: Callable[[int, tuple], bool] | None
     replay_check: bool
-    m_cap: int          # the horizon floor(T*n)
     stride: int         # records are kept every stride-th step and at the stop
     grid: np.ndarray    # the record steps of a trajectory that reaches the horizon
     # (a, 1, 1) columns against (a, rows, positions) planes:
@@ -339,7 +338,7 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
         )
         Y = np.ascontiguousarray(Y.reshape(-1, a).T).reshape(a, live_rows, J + 1)
     outside = ((Y < b.c_lo) | (Y > b.c_hi)).any(axis=0)
-    if i0 + J >= b.m_cap:
+    if i0 + J >= b.spec.horizon:
         outside[:, J] = True
     end = outside.argmax(axis=1)
     end[~outside[np.arange(live_rows), end]] = J + 1
@@ -537,7 +536,7 @@ def _simulate_batch(
     n = spec.n
     a = spec.a
     count = len(seeds)
-    m_cap = math.floor(spec.domain.t_hi * n)
+    m_cap = spec.horizon
     stride = 1 if full_paths else max(1, math.ceil(n / 1000))
     upf = plugin.uniforms_per_step
     paths = len(prep.caps) if prep is not None else 0
@@ -564,7 +563,7 @@ def _simulate_batch(
     with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
         Y0 = plugin.observables_batch(states[:1])[0]
     b = _Batch(
-        plugin, spec, prep, event_predicate, replay_check, m_cap, stride, grid,
+        plugin, spec, prep, event_predicate, replay_check, stride, grid,
         *(np.reshape(c, (a, 1, 1)) for c in (Y0, *spec.domain.count_bounds(n))), seeds,
         rec_y=np.empty((count, a, len(grid)), dtype=np.int64),
         rec_d=np.empty((count, a, len(grid))),
@@ -675,11 +674,8 @@ def doob_decompose(traj: Trajectory) -> np.ndarray:
         raise ValueError(
             "trajectory is thinned; doob_decompose needs full per-step drift records"
         )
-    a = traj.steps.shape[1]
-    if traj.stop_index == 0:
-        return np.zeros((1, a))
     increments = np.diff(traj.steps, axis=0) - traj.drifts[:-1]
-    out = np.zeros((traj.stop_index + 1, a))
+    out = np.zeros((traj.stop_index + 1, traj.steps.shape[1]))
     np.cumsum(increments, axis=0, out=out[1:])
     return out
 
@@ -710,40 +706,26 @@ def check_hypotheses(
     ``proof-structure`` keeps only violations at steps that additionally
     satisfy i < floor(T*n) and deviation-from-ODE < 3*exp(L*T)*lambda*n;
     steps already past the envelope are exempt because the concentration
-    argument never inspects them. Deviations must have been tracked at
-    simulation time (pass the solution to :func:`simulate`), or be
-    recomputable here from a fully recorded trajectory plus ``solution``.
+    argument never inspects them. That mode needs ``solution``, whose
+    envelope it applies; deviations must have been tracked at simulation
+    time (pass the solution to :func:`simulate`), or be recomputable here
+    from a fully recorded trajectory.
     """
     if mode not in ("strict", "proof-structure"):
         raise ValueError(f"unknown mode {mode!r}")
     kept = traj.violations
     if mode == "proof-structure" and kept:
-        m_cap = math.floor(spec.domain.t_hi * spec.n)
+        if solution is None:
+            raise ValueError("proof-structure mode needs an ODE solution")
         devs = [v.deviation for v in kept]
         if None in devs:
-            table = _deviations(traj, solution)
+            if not traj.is_full:
+                raise ValueError("cannot recompute deviations on a thinned trajectory")
+            # max_k |Y_k(i) - n*y_k(i/n)| for i = 0..stop_index
+            table = np.max(np.abs(traj.steps - solution.counts_at_steps(traj.stop_index)), axis=1)
             devs = [float(table[v.i]) if d is None else d for v, d in zip(kept, devs)]
-        envelope = _envelope(spec, solution)
-        kept = tuple(v for v, d in zip(kept, devs) if v.i < m_cap and d < envelope)
+        envelope = solution.constants.envelope(spec.n)
+        kept = tuple(v for v, d in zip(kept, devs) if v.i < spec.horizon and d < envelope)
     trend = sum(1 for v in kept if v.kind == "trend")
     bound = sum(1 for v in kept if v.kind == "bound")
     return HypothesisSummary(mode=mode, trend_count=trend, bound_count=bound, violations=kept)
-
-
-def _envelope(spec: ProcessSpec, solution: OdeSolution | None) -> float:
-    if solution is None:
-        raise ValueError("proof-structure mode needs an ODE solution")
-    return solution.constants.margin * spec.n
-
-
-def _deviations(traj: Trajectory, solution: OdeSolution | None) -> np.ndarray:
-    """max_k |Y_k(i) - n*y_k(i/n)| for i = 0..stop_index of a full trajectory."""
-    if solution is None:
-        raise ValueError(
-            "violation lacks a tracked deviation; simulate with the solution "
-            "or pass it here together with a fully recorded trajectory"
-        )
-    if not traj.is_full:
-        raise ValueError("cannot recompute deviations on a thinned trajectory")
-    target = solution.counts_at_steps(traj.stop_index)
-    return np.max(np.abs(traj.steps - target), axis=1)

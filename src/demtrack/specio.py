@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 
 from .core import Domain, ProcessSpec
-from .processes import ProcessPlugin, make_plugin
+from .processes import ProcessPlugin, _integral, make_plugin
 
 SCHEMA_VERSION = 1
 
@@ -76,7 +76,7 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
     _refuse_unknown(doc, _KEYS, "")
     try:
         name = doc["plugin"]
-        n = int(doc["n"])
+        n = _integral(doc["n"], "n")
         dom_doc = doc["domain"]
         t_lo, t_hi = (float(v) for v in dom_doc["t"])
         ranges = [(float(lo), float(hi)) for lo, hi in dom_doc["y"]]

@@ -30,7 +30,7 @@ from .core import (
 )
 from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin, _guard
-from .simulate import _check_counts, _check_plugin, run_ensemble
+from .simulate import _check_counts, _check_plugin, check_hypotheses, run_ensemble
 
 MODES = ("plain", "averaged", "truncated")
 
@@ -163,7 +163,8 @@ def _verify_anchors(
     R and T do not depend on the anchor, so the RT scan runs once; one RK4
     run solves all the anchors together, and one ensemble is checked against
     all the paths with sigma > 0. An anchor with sigma = 0 gets a vacuous
-    report.
+    report. What does not depend on the anchor is counted once per ensemble
+    (``_ensemble_fields``); each anchor adds what its path gives.
     """
     _check_counts(count, jobs)
     _check_plugin(plugin, spec)
@@ -190,7 +191,7 @@ def _verify_anchors(
 
     trajectories = ()
     if tracked:
-        ensemble = run_ensemble(
+        trajectories = run_ensemble(
             plugin,
             spec,
             count,
@@ -199,34 +200,24 @@ def _verify_anchors(
             solution=[solutions[k] for k in tracked],
             replay_check=replay_check,
             jobs=jobs,
-        )
-        trajectories = ensemble.trajectories
+        ).trajectories
         _require_valid(trajectories, "verify")
 
-    n = spec.n
-    lam_n = spec.lam * n
     reported_mode = mode
     if event_predicate is not None and mode == "plain":
         reported_mode = "side-events"
+    counted, holders = _ensemble_fields(trajectories, spec, replay_check, event_predicate)
+    untracked, _ = _ensemble_fields((), spec, False, None)  # a sigma = 0 anchor checks none
     reports = []
     for k, sol in enumerate(solutions):
         c = sol.constants
-        envelope = c.margin * n
-        vacuous = k not in tracked
-        trajs = () if vacuous else trajectories
-        path = None if vacuous else tracked.index(k)
-        sup_devs = tuple(t.sup_deviation[path] for t in trajs)
-        dirty = sum(1 for t in trajs if t.violations)
-        replay_checked = replay_failures = None
-        if replay_check and not vacuous:
-            holders = [t for t in trajs if t.sup_martingale < lam_n]
-            replay_checked = len(holders)
-            replay_failures = sum(1 for t in holders if not t.replay_ok[path])
-        event_stops = None
-        if event_predicate is not None and not vacuous:
-            event_stops = tuple(
-                t.event_stop if t.event_stop is not None else -1 for t in trajs
-            )
+        envelope = c.envelope(spec.n)
+        sup_devs, fields, replay_failures = (), untracked, None
+        if k in tracked:
+            path = tracked.index(k)
+            sup_devs, fields = tuple(t.sup_deviation[path] for t in trajectories), counted
+            if replay_check:
+                replay_failures = sum(1 for t in holders if not t.replay_ok[path])
         reports.append(VerificationReport(
             mode=reported_mode,
             plugin=spec.plugin_name,
@@ -241,24 +232,36 @@ def _verify_anchors(
             # "not below", so that a NaN sup counts as a failure
             failure_count=sum(1 for d in sup_devs if not d < envelope),
             empirical_sup_deviations=sup_devs,
-            martingale_bound=lam_n,
-            martingale_exceed_count=sum(1 for t in trajs if not t.sup_martingale < lam_n),
-            trend_violation_count=sum(
-                1 for t in trajs for v in t.violations if v.kind == "trend"
-            ),
-            bound_violation_count=sum(
-                1 for t in trajs for v in t.violations if v.kind == "bound"
-            ),
-            trajectories_with_violations=dirty,
-            hypotheses_failed=dirty > 0,
-            vacuous=vacuous,
+            vacuous=k not in tracked,
             gw_final_inequality_holds=_gw_final_inequality(spec, c),
-            replay_checked=replay_checked,
             replay_failures=replay_failures,
             event_predicate_active=event_predicate is not None,
-            event_stops=event_stops,
+            **fields,
         ))
     return reports
+
+
+def _ensemble_fields(trajectories, spec: ProcessSpec, replay_check: bool, event_predicate):
+    """The report fields that do not depend on the anchor, and the trajectories
+    whose martingale part stayed below lambda*n, which the replay check counts.
+    The violation counts come from one strict ``check_hypotheses`` summary each."""
+    lam_n = spec.lam * spec.n
+    summaries = [check_hypotheses(t, spec) for t in trajectories]
+    dirty = sum(1 for h in summaries if not h.clean)
+    holders = [t for t in trajectories if t.sup_martingale < lam_n]
+    fields = dict(
+        martingale_bound=lam_n,
+        martingale_exceed_count=len(trajectories) - len(holders),
+        trend_violation_count=sum(h.trend_count for h in summaries),
+        bound_violation_count=sum(h.bound_count for h in summaries),
+        trajectories_with_violations=dirty,
+        hypotheses_failed=dirty > 0,
+        replay_checked=len(holders) if replay_check else None,
+        event_stops=None if event_predicate is None else tuple(
+            -1 if t.event_stop is None else t.event_stop for t in trajectories
+        ),
+    )
+    return fields, holders
 
 
 def _require_valid(trajectories, use: str) -> None:

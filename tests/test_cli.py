@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demtrack import bounds, processes
+from demtrack import Domain, bounds, processes
 from demtrack.cli import _fmt, main
 from demtrack.processes import (
     BallsInBins,
@@ -165,6 +165,41 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "verdict: PASS" in out
 
+    @pytest.mark.parametrize("bias", [1, 2])
+    def test_no_replay_run_leaves_the_replay_out(self, bias, tmp_path, monkeypatch):
+        """Balls-in-bins whose bins empty ``bias`` times as fast as its drift
+        says: without the replay, the exit code still follows ``within_bound``
+        and the report differs only by its missing ``gronwall_replay``."""
+
+        class FastBalls(BallsInBins):
+            name = "fast-balls"
+
+            def step_batch(self, states, u):
+                return states - (u[:, 0] * self.n < bias * states)
+
+        monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+        register_plugin(FastBalls.name, lambda n, params: FastBalls(n))
+        dom = Domain(t_lo=-1.0, t_hi=1.0, lo=(-1.0,), hi=(2.0,))
+        spec, _ = balls_in_bins_spec(100_000, lam=0.015, domain=dom)
+        doc = spec_to_dict(spec)
+        doc["plugin"] = FastBalls.name
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        ok = verify_module.within_bound(
+            verify_module.verify(spec, FastBalls(100_000), 5, 0, replay_check=False)
+        )
+        assert ok == (bias == 1)
+        docs = []
+        for flags in ([], ["--no-replay"]):
+            out = tmp_path / f"report{len(flags)}.json"
+            assert main(["verify", str(path), "--count", "5", "--report", str(out), *flags]) == (
+                0 if ok else 1
+            )
+            docs.append(json.loads(out.read_text()))
+        replayed, bare = docs
+        assert "gronwall_replay" in replayed and "gronwall_replay" not in bare
+        assert bare == {k: v for k, v in replayed.items() if k != "gronwall_replay"}
+
     def test_truncated_without_extensions_exits_2(self, balls_spec_file, capsys):
         rc = main(["verify", str(balls_spec_file), "--mode", "truncated", "--count", "2"])
         assert rc == 2
@@ -317,6 +352,21 @@ def test_malformed_field_exits_2(command, key, value, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", 1000.5), ("n", "1000"), ("n", True), ("max_degree", 2.9), ("max_degree", "3")],
+)
+def test_non_integer_count_exits_2(command, key, value, tmp_path, capsys):
+    """``n`` and ``max_degree`` are integers, never truncated or parsed."""
+    doc = spec_to_dict(degree_process_spec(1000)[0])
+    (doc if key == "n" else doc["params"])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
 
 
 # (plugin, edit of its spec document, the key the error names)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -302,8 +303,30 @@ class TestHypothesisChecks:
         strict = check_hypotheses(traj, spec, mode="strict")
         proof = check_hypotheses(traj, spec, mode="proof-structure", solution=sol)
         assert 0 < proof.trend_count < strict.trend_count
-        envelope = sol.constants.margin * spec.n
+        envelope = sol.constants.envelope(spec.n)
         assert all(v.deviation < envelope for v in proof.violations)
+
+    def test_thinned_run_stamps_the_full_path_deviations(self):
+        # n = 2000 keeps every second step; an envelope below one count puts
+        # floor(sigma*n) at the step before the horizon, so the kernel stamps
+        # a deviation on every violation of the run
+        dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
+        spec, _ = balls_in_bins_spec(2000, lam=5e-5, domain=dom)
+        liar = DriftLiar(2000)
+        sol = solve_ode(spec)
+        thinned = simulate(liar, spec, 4, solution=sol)
+        full = simulate(liar, spec, 4, full_paths=True)
+        assert not thinned.is_full
+        table = np.max(np.abs(full.steps - sol.counts_at_steps(full.stop_index)), axis=1)
+
+        def stamped(violations):
+            return tuple(replace(v, deviation=float(table[v.i])) for v in violations)
+
+        assert thinned.violations == stamped(full.violations)
+        got = check_hypotheses(thinned, spec, mode="proof-structure", solution=sol)
+        want = check_hypotheses(full, spec, mode="proof-structure", solution=sol)
+        assert 0 < got.trend_count < len(thinned.violations)
+        assert got == replace(want, violations=stamped(want.violations))
 
     def test_recomputed_deviations_match_tracked(self):
         dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))

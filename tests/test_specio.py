@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from demtrack.processes import balls_in_bins_spec, degree_process_spec
+from demtrack.processes import DegreeProcess, balls_in_bins_spec, degree_process_spec
 from demtrack.specio import load_spec, save_spec, spec_from_dict, spec_to_dict
 
 
@@ -115,3 +117,29 @@ def test_shipped_specs_load():
         spec, plugin = load_spec(p)
         assert spec.n >= 1
         assert plugin.dim == spec.a
+
+
+@pytest.mark.parametrize("n", [1000.7, 1000.5, "1000", True, None, float("inf")])
+def test_non_integral_n_rejected(n):
+    doc = spec_to_dict(balls_in_bins_spec(1000)[0])
+    doc["n"] = n
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        spec_from_dict(doc)
+
+
+def test_integral_float_n_loads_as_int():
+    doc = spec_to_dict(balls_in_bins_spec(1000)[0])
+    doc["n"] = 1000.0
+    spec, plugin = spec_from_dict(doc)
+    assert type(spec.n) is int and spec.n == plugin.n == 1000
+
+
+@pytest.mark.parametrize("value", [2.9, "3", True])
+def test_non_integer_max_degree_rejected(value):
+    doc = spec_to_dict(degree_process_spec(100, lam=0.05)[0])
+    doc["params"]["max_degree"] = value
+    message = f"^max_degree must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict(doc)
+    with pytest.raises(ValueError, match=message):
+        DegreeProcess(100, max_degree=value)
