@@ -21,9 +21,9 @@ batch methods on the int64 array that stacks its states; its
 it lacks is a batch of one. A variant falls back per method: one that
 overrides ``step`` is row-wise, and one that overrides only ``observables``
 or ``drift`` keeps its parent's array ``step_batch`` and gets that method's
-per-row batch default. An exception of a batch method, or of the field in
-the kernel's trend check, ends the run with ``PluginCrashed`` (``_guard``);
-one of a row-wise ``step`` ends only its row's trajectory.
+per-row batch default. An exception of a batch method, or of the spec's
+field in the kernel's trend check, ends the run with ``PluginCrashed``
+(``_guard``); one of a row-wise ``step`` ends only its row's trajectory.
 """
 
 from __future__ import annotations

@@ -34,11 +34,14 @@ sup deviation and the replay chain against each ODE path;
 ``_add_violations`` the bound jumps and the ``Violation`` objects; and
 ``_write_out`` the rows that stopped. The box is tested on the int64
 counts against ``Domain.count_bounds``, computed once per batch, which is
-the same rule as testing Y/n against the open box. In a span where no row
-stops, the martingale sup, the deviation sup and the replay check reduce
-over the slice of positions 0..J-1; a span where a row stops, a path's cap
-falls or the event predicate has failed reduces with a mask per row and
-position. Each path's n * y(i/n) is interpolated for the span's steps only.
+the same rule as testing Y/n against the open box. Every reducer counts
+positions one way: it sets to 0 each stopped row's positions past its stop
+(``_clear_past_stops``) and each path's positions past its cap, then
+reduces whole planes. A row that goes on counts position J twice, which
+changes nothing: the next span's position 0 is the same step, with the same
+state, carried drift sum and replay chain. The event stop bounds only the
+deviation sup, through a copy. Each path's n * y(i/n) is interpolated for
+the span's steps only.
 The reducers work on coordinate planes, one contiguous (rows, J + 1) plane
 per coordinate (and per path), with the step position on the last axis, so
 numpy's inner loops run along the steps, not along the a coordinates. Sums
@@ -306,17 +309,14 @@ class _Span:
     end: np.ndarray      # the position of each row's stop, J + 1 for a row that goes on
     error: np.ndarray    # the row stopped at a step that raised
     done: np.ndarray     # end <= J
-    # the positions that the predicate, deviation and martingale part count,
-    # (rows, J + 1); None when no row stops, for positions 0..J - 1 of every row
-    seen: np.ndarray | None
 
 
-def _sup(x: np.ndarray, J: int, where) -> np.ndarray:
-    """The max along the last axis of ``x`` at the positions ``where`` masks, from
-    0; for ``where=None``, over positions 0..J - 1, a slice that needs no mask."""
-    if where is None:
-        return x[..., :J].max(axis=-1, initial=0.0)
-    return x.max(axis=-1, where=where, initial=0.0)
+def _clear_past_stops(x: np.ndarray, s: _Span, after: int = 1) -> np.ndarray:
+    """Set to 0, in place, each stopped row's positions of ``x`` (rows on the
+    second-to-last axis) from its stop + ``after`` on; returns ``x``."""
+    for r in np.flatnonzero(s.done):
+        x[..., r, s.end[r] + after :] = 0
+    return x
 
 
 def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
@@ -348,15 +348,14 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
         error[failed] = end[failed] > J - 1
         end[failed] = np.minimum(end[failed], J - 1)
     done = end <= J
-    last = np.where(done, end, J - 1)  # the last position each row counts
-    seen = np.arange(J + 1) <= last[:, None] if done.any() else None
     if b.event_predicate is not None:
+        last = np.where(done, end, J - 1)  # position J goes on as the next span's 0
         for r in np.flatnonzero(rows.event_stop < 0):
             for j, y in enumerate(Y[:, r, : last[r] + 1].T.tolist()):
                 if not b.event_predicate(i0 + j, tuple(y)):
                     rows.event_stop[r] = i0 + j
                     break
-    return _Span(i0, J, where, states, Y, end, error, done, seen)
+    return _Span(i0, J, where, states, Y, end, error, done)
 
 
 def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
@@ -365,8 +364,8 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     live_rows, J, n, a = len(rows.ids), s.J, b.spec.n, b.spec.a
     # cum[:, :, j] is drift_cum at step i0 + j, summed one step at a time;
     # before the sum, cum[:, :, j + 1] holds the drift of step i0 + j. The
-    # drifts at or past a row's stop reach only positions that ``seen``
-    # leaves out and records past the stop.
+    # drifts at or past a row's stop reach only positions that are cleared
+    # and records past the stop.
     cum = np.empty((a, live_rows, J + 1))
     with _guard(b.plugin, "drift_batch", s.where):
         cum[:, :, 1:] = b.plugin.drift_batch(
@@ -378,8 +377,8 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
         r, j = np.nonzero(np.arange(J) < (s.end + s.error)[:, None])
         if len(r):
             points = np.column_stack(((s.i0 + j) / n, s.Y[:, r, j].T.astype(float) / n))
-            with _guard(b.plugin, "drift_field", s.where):
-                field = drift_at(b.plugin.drift_field, points)
+            with _guard(b.spec, "drift", s.where):
+                field = drift_at(b.spec.drift, points)
             gap = np.abs(cum[:, r, j + 1].T - field)
             x, k = np.nonzero(~(gap <= b.spec.delta))  # a NaN gap is a violation
             trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
@@ -388,16 +387,15 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     on_grid = slice(-s.i0 % b.stride, J, b.stride)
     first = -(-s.i0 // b.stride)
     kept = slice(first, first + len(range(J)[on_grid]))
-    ids = slice(None) if live_rows == len(b.rec_y) else rows.ids  # all rows live: a slice
-    b.rec_y[ids, :, kept] = s.Y[:, :, on_grid].transpose(1, 0, 2)
-    b.rec_d[ids, :, kept] = cum[:, :, 1:][:, :, on_grid].transpose(1, 0, 2)
+    b.rec_y[rows.ids, :, kept] = s.Y[:, :, on_grid].transpose(1, 0, 2)
+    b.rec_d[rows.ids, :, kept] = cum[:, :, 1:][:, :, on_grid].transpose(1, 0, 2)
     cum[:, :, 0] = rows.drift_cum.T
     np.add.accumulate(cum, axis=2, out=cum)
     rows.drift_cum[:] = cum[:, :, J].T
     # the martingale part; a NaN propagates through max, so it never passes
     np.subtract(s.Y - b.Y0, cum, out=cum)
-    mart = np.abs(cum, out=cum).max(axis=0)
-    np.maximum(rows.sup_mart, _sup(mart, J, s.seen), out=rows.sup_mart)
+    mart = _clear_past_stops(np.abs(cum, out=cum).max(axis=0), s)
+    np.maximum(rows.sup_mart, mart.max(axis=1), out=rows.sup_mart)
     return trend
 
 
@@ -416,18 +414,16 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
     steps = s.i0 + np.arange(jd)
     target = np.stack([p.counts_at_steps(steps[-1], s.i0).T for p in prep.solutions])
     dev = np.subtract(s.Y[:, :, :jd], target[:, :, None])  # (K, a, rows, jd)
-    dev = np.abs(dev, out=dev).max(axis=1)
-    binds = b.event_predicate is not None and (rows.event_stop >= 0).any()
-    if s.seen is None and s.i0 + s.J - 1 <= prep.caps.min() and not binds:
-        live = in_range = None  # every path and row counts positions 0..J - 1
-    else:
-        seen = (np.arange(jd) < s.J)[None] if s.seen is None else s.seen[:, :jd]
-        live = (steps <= prep.caps[:, None, None]) & seen
-        in_range = live
-        if binds:
-            before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
-            in_range = live & before
-    np.maximum(rows.sup_dev, _sup(dev, s.J, in_range).T, out=rows.sup_dev)
+    dev = _clear_past_stops(np.abs(dev, out=dev).max(axis=1), s)
+    # a cleared position passes the replay check: its bound is at least
+    # 2*lambda*n > 0, or NaN only after a NaN deviation has failed the row
+    for k, cap in enumerate(prep.caps):
+        dev[k, :, max(0, cap + 1 - s.i0) :] = 0
+    sup = dev
+    if b.event_predicate is not None and (rows.event_stop >= 0).any():
+        before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
+        sup = np.where(before, dev, 0.0)
+    np.maximum(rows.sup_dev, sup.max(axis=2).T, out=rows.sup_dev)
     if b.replay_check:
         # chain[:, :, j] is the chain's sum at step i0 + j, summed one step at a time
         chain = np.empty(dev.shape[:2] + (jd + 1,))
@@ -437,22 +433,15 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
         np.add.accumulate(chain, axis=2, out=chain)
         rows.carry[:] = chain[:, :, min(s.J, jd)].T
         bound = np.add(chain[:, :, :jd], prep.two_lam_n, out=chain[:, :, :jd])
-        if live is None:
-            ok = np.less(dev[:, :, : s.J], bound[:, :, : s.J]).all(axis=2)
-        else:
-            ok = np.less(dev, bound).all(axis=2, where=live)
-        np.logical_and(rows.replay_ok, ok.T, out=rows.replay_ok)
+        np.logical_and(rows.replay_ok, np.less(dev, bound).all(axis=2).T, out=rows.replay_ok)
     return dev
 
 
 def _bound_jumps(b: _Batch, s: _Span):
     """Steps before each row's stop that move a coordinate by more than beta, as
     (rows, positions, kinds, coordinates, jumps), or None."""
-    jump = np.diff(s.Y, axis=2)
+    jump = _clear_past_stops(np.diff(s.Y, axis=2), s, after=0)
     over = np.abs(jump, out=jump) > b.spec.beta
-    if not over.any():
-        return None
-    over &= np.arange(s.J) < s.end[:, None]
     if over.any():
         k, r, j = np.nonzero(over)
         return r, j, np.ones_like(k), k, jump[k, r, j]
@@ -703,13 +692,15 @@ def check_hypotheses(
     """Summarize recorded condition violations.
 
     ``strict`` keeps every violation recorded inside the domain.
-    ``proof-structure`` keeps only violations at steps that additionally
-    satisfy i < floor(T*n) and deviation-from-ODE < 3*exp(L*T)*lambda*n;
-    steps already past the envelope are exempt because the concentration
-    argument never inspects them. That mode needs ``solution``, whose
-    envelope it applies; deviations must have been tracked at simulation
-    time (pass the solution to :func:`simulate`), or be recomputable here
-    from a fully recorded trajectory.
+    ``proof-structure`` keeps only violations at steps i < floor(sigma*n)
+    (``Constants.steps``, the range the envelope claims) whose deviation
+    from the ODE path is below the envelope 3*exp(L*T)*lambda*n; later
+    steps and steps already past the envelope are exempt because the
+    concentration argument never inspects them. That
+    mode needs ``solution``, whose range and envelope it applies; the kept
+    steps' deviations must have been tracked at simulation time (pass the
+    solution to :func:`simulate`), or be recomputable here from a fully
+    recorded trajectory, over steps 0..min(stop_index, floor(sigma*n)).
     """
     if mode not in ("strict", "proof-structure"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -717,15 +708,18 @@ def check_hypotheses(
     if mode == "proof-structure" and kept:
         if solution is None:
             raise ValueError("proof-structure mode needs an ODE solution")
+        cap = solution.constants.steps(spec.n)
+        kept = tuple(v for v in kept if v.i < cap)
         devs = [v.deviation for v in kept]
         if None in devs:
             if not traj.is_full:
                 raise ValueError("cannot recompute deviations on a thinned trajectory")
-            # max_k |Y_k(i) - n*y_k(i/n)| for i = 0..stop_index
-            table = np.max(np.abs(traj.steps - solution.counts_at_steps(traj.stop_index)), axis=1)
+            # max_k |Y_k(i) - n*y_k(i/n)| for i = 0..min(stop_index, cap)
+            last = min(traj.stop_index, cap)
+            table = np.max(np.abs(traj.steps[: last + 1] - solution.counts_at_steps(last)), axis=1)
             devs = [float(table[v.i]) if d is None else d for v, d in zip(kept, devs)]
         envelope = solution.constants.envelope(spec.n)
-        kept = tuple(v for v, d in zip(kept, devs) if v.i < spec.horizon and d < envelope)
+        kept = tuple(v for v, d in zip(kept, devs) if d < envelope)
     trend = sum(1 for v in kept if v.kind == "trend")
     bound = sum(1 for v in kept if v.kind == "bound")
     return HypothesisSummary(mode=mode, trend_count=trend, bound_count=bound, violations=kept)

@@ -165,7 +165,7 @@ def _simulate_prepared(
             rec_y.append(Y)
             rec_d.append(d)
         if check_trend:
-            field = plugin.drift_field(i / n, np.asarray(Y, dtype=float) / n)
+            field = spec.drift(i / n, np.asarray(Y, dtype=float) / n)
             for k in ks:
                 gap = abs(d[k] - float(field[k]))
                 if not gap <= delta:  # a NaN gap is a violation

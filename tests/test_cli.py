@@ -16,7 +16,8 @@ from demtrack.processes import (
     register_plugin,
 )
 from demtrack.specio import save_spec, spec_to_dict
-from test_kernel import GUARDED, RaisingBalls
+from test_kernel import GUARDED, RaisingBalls, crash_name
+from test_verify import VERIFY_DOM
 
 verify_module = importlib.import_module("demtrack.verify")
 
@@ -142,6 +143,22 @@ class TestSimulate:
         assert rc == 0
         assert "sup_deviation = " in capsys.readouterr().out
 
+    def test_bound_violations_set_flag_bit_2(self, tmp_path):
+        # beta = 0.5 < 1, so every step that fills an empty bin is a bound
+        # violation; the field is the process's, so no step is a trend one
+        spec, _ = balls_in_bins_spec(200, lam=5e-3)
+        path = tmp_path / "half_beta.json"
+        save_spec(spec, path)
+        doc = json.loads(path.read_text())
+        doc["beta"] = 0.5
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "runs"
+        assert main(["simulate", str(path), "--count", "1", "--full", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "traj_0000.csv").read_text().splitlines()[1:]]
+        for row, nxt in zip(rows, rows[1:]):
+            assert row[-1] == ("2" if nxt[1] != row[1] else "0")
+        assert any(row[-1] == "2" for row in rows)
+
     def test_unknown_plugin_exits_2(self, tmp_path, capsys):
         doc = spec_to_dict(balls_in_bins_spec(100)[0])
         doc["plugin"] = "mystery-process"
@@ -200,6 +217,29 @@ class TestVerify:
         assert "gronwall_replay" in replayed and "gronwall_replay" not in bare
         assert bare == {k: v for k, v in replayed.items() if k != "gronwall_replay"}
 
+    def test_vacuous_run_exits_0(self, tmp_path, capsys):
+        # margin 3*e*0.25 far exceeds the anchor's gap to the box's top face
+        spec, _ = balls_in_bins_spec(500, lam=0.25, domain=VERIFY_DOM)
+        path = tmp_path / "vacuous.json"
+        save_spec(spec, path)
+        assert main(["verify", str(path), "--count", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "sigma = 0: guarantee vacuous over an empty range" in out
+        assert "verdict" not in out
+
+    def test_hypothesis_violations_are_printed(self, tmp_path, capsys):
+        # beta = 0.5 < 1: every step that fills an empty bin is a bound violation
+        spec, _ = balls_in_bins_spec(2000, lam=0.02, domain=VERIFY_DOM)
+        doc = spec_to_dict(spec)
+        doc["beta"] = 0.5
+        path = tmp_path / "half_beta.json"
+        path.write_text(json.dumps(doc))
+        main(["verify", str(path), "--count", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("hypotheses-failed: ")]
+        assert len(failed) == 1 and failed[0].startswith("hypotheses-failed: 0 trend / ")
+        assert int(failed[0].split(" / ")[1].split()[0]) > 0
+
     def test_truncated_without_extensions_exits_2(self, balls_spec_file, capsys):
         rc = main(["verify", str(balls_spec_file), "--mode", "truncated", "--count", "2"])
         assert rc == 2
@@ -233,24 +273,18 @@ class TestVerify:
     def test_a_raising_plugin_method_exits_3(self, method, tmp_path, capsys, monkeypatch):
         def make(n, params):
             plugin = RaisingBalls(n)
-            plugin.raising, plugin.armed = method, False
+            plugin.raising = method
             return plugin
-
-        def armed_run(plugin, *args, **kwargs):
-            plugin.armed = True
-            return run_ensemble(plugin, *args, **kwargs)
 
         monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
         register_plugin(RaisingBalls.name, make)
-        run_ensemble = verify_module.run_ensemble
-        monkeypatch.setattr(verify_module, "run_ensemble", armed_run)
         doc = spec_to_dict(balls_in_bins_spec(2000, lam=1e-3)[0])
         doc["plugin"] = RaisingBalls.name
         path = tmp_path / "raising.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--count", "2"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: RaisingBalls.{method} raised ZeroDivisionError")
+        assert err.startswith(f"error: {crash_name(method)} raised ZeroDivisionError")
 
     def test_raising_initial_observables_exit_3(self, tmp_path, capsys, monkeypatch):
         """verify takes Y(0) under the same guard as the kernel."""

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,35 +285,23 @@ def test_failing_rows_leave_the_others_running():
 
 
 def test_sliced_and_masked_spans_in_one_batch(monkeypatch):
-    """A span where no row stops reduces over the slice of its positions
-    0..J-1, with no mask; a span where a row stops, or a path's cap falls,
-    keeps the masks. Both forms in one batch give the scalar reference's
-    trajectories, path by path. Two paths' caps, steps 200 and 444, fall
-    inside the spans 196..203 and 441..448, where no row stops (the first
-    stop is 493), and a row leaves the box at step 504, the last position
-    of the span 497..504."""
+    """Spans where no row stops, where a path's cap falls and where a row
+    stops, in one batch, give the scalar reference's trajectories, path by
+    path: each reducer clears what lies past a stop or a cap and reduces the
+    whole plane, and a row that goes on counts its last position again as
+    the next span's first. Two paths' caps, steps 200 and 444, fall inside
+    the spans 196..203 and 441..448, where no row stops (the first stop is
+    493), and a row leaves the box at step 504, the last position of the
+    span 497..504."""
     n, span, count, base_seed = 1000, 7, 9, 0
     set_span(monkeypatch, span, span, count, span)
     spec, plugin = make_case("balls", n, tight=True)
     R, T = case_RT("balls", True)
     solutions = [solve_ode(spec, R, T), solve_ode(spec, R, 0.2)]
     assert [s.constants.steps(n) for s in solutions] == [444, 200]
-    forms = []  # (axes of the reduced array, reduced over a slice) per _sup call
-    sup = simulate._sup
-
-    def spy(x, J, where):
-        forms.append((x.ndim, where is None))
-        return sup(x, J, where)
-
-    monkeypatch.setattr(simulate, "_sup", spy)
     ens = run_ensemble(plugin, spec, count, base_seed, solution=solutions, replay_check=True)
     stops = sorted(t.stop_index for t in ens.trajectories)
     assert stops[0] == 493 and 504 in stops and max(stops) < 1000
-    # the martingale part (2 axes) and the deviation (3 axes) each in both
-    # forms; the caps' spans sliced for the first, masked for the second
-    assert {(2, True), (2, False), (3, True), (3, False)} <= set(forms)
-    for i0 in (196, 441):
-        assert forms[2 * (i0 // span) : 2 * (i0 // span) + 2] == [(2, True), (3, False)]
     per_path = ("sup_deviation", "deviation_cap", "replay_ok")
     for idx, traj in enumerate(ens.trajectories):
         want = [
@@ -386,9 +375,9 @@ class DegreeField(SinglePointField, DegreeProcess):
 
 @pytest.mark.parametrize("shape", [(), (1, 1), (1, 2)], ids=["float", "1x1", "1x2"])
 def test_single_point_field_outputs_are_read_in_the_point_shape(shape):
-    """A field that returns a float or a (1, a) array for a point gives the
-    trend violations of the per-point reference on its (a,) twin, in every
-    coordinate k < a and in no other."""
+    """A spec's field that returns a float or a (1, a) array for a point gives
+    the trend violations of the per-point reference on its (a,) twin's field,
+    in every coordinate k < a and in no other."""
     n, count, base_seed = 300, 4, 2
     if shape == (1, 2):
         spec, _ = degree_process_spec(n, max_degree=1, lam=0.01)
@@ -396,11 +385,13 @@ def test_single_point_field_outputs_are_read_in_the_point_shape(shape):
     else:
         spec, _ = balls_in_bins_spec(n, lam=0.01)
         plugin, twin = BallsField(n), BallsField(n)
-    spec = dataclasses.replace(spec, delta=0.01)
+    spec = dataclasses.replace(spec, delta=0.01, drift=plugin.drift_field)
+    twin_spec = dataclasses.replace(spec, drift=twin.drift_field)
     plugin.shape = shape
     ens = run_ensemble(plugin, spec, count, base_seed)
     for idx, traj in enumerate(ens.trajectories):
-        assert_same_trajectory(traj, reference_simulate(twin, spec, derive_seed(base_seed, idx)))
+        want = reference_simulate(twin, twin_spec, derive_seed(base_seed, idx))
+        assert_same_trajectory(traj, want)
         assert {v.k for v in traj.violations if v.kind == "trend"} == set(range(spec.a))
 
 
@@ -413,6 +404,7 @@ class NanFieldCoin(FairCoin):
 
 def test_a_nan_field_is_a_trend_violation_at_every_step():
     spec, base_seed = coin_spec(n=200), 1
+    spec = dataclasses.replace(spec, drift=NanFieldCoin(200).drift_field)
     ens = run_ensemble(NanFieldCoin(200), spec, 4, base_seed)
     for idx, traj in enumerate(ens.trajectories):
         trend = [v for v in traj.violations if v.kind == "trend"]
@@ -965,20 +957,23 @@ class RaisingBalls(BallsInBins):
     with fewer than 0.95 n empty bins, a few dozen steps in, while ``armed``.
 
     Its drift is not declared exact, so that the kernel's trend check calls
-    ``drift_field``. The ODE scans call that field too when the spec is built
-    from this plugin; ``armed = False`` holds the raise back there.
+    the spec's field; a spec that takes ``drift_field`` as its field raises
+    there. The RT scan and the ODE solve call that field too, before any
+    step: the plugin arms itself at its first ``step_batch`` call, so only
+    the states the kernel reaches raise.
     """
 
     name = "raising-balls"
     exact_drift = False
     raising = None
-    armed = True
+    armed = False
 
     def _check(self, method, filled):
         if method == self.raising and self.armed and np.any(filled):
             raise ZeroDivisionError(f"{method} divided by zero")
 
     def step_batch(self, states, u):
+        self.armed = True
         self._check("step_batch", states < 0.95 * self.n)
         return super().step_batch(states, u)
 
@@ -995,23 +990,32 @@ class RaisingBalls(BallsInBins):
         return super().drift_field(t, y)
 
 
-# the plugin methods the kernel calls besides a row-wise ``step``
+# the plugin methods the kernel calls besides a row-wise ``step``; it calls
+# ``drift_field`` as the spec's field
 GUARDED = ("observables_batch", "drift_batch", "step_batch", "drift_field")
+
+
+def crash_name(method):
+    """How a ``PluginCrashed`` message names the raising ``method`` of RaisingBalls."""
+    return "ProcessSpec.drift" if method == "drift_field" else f"RaisingBalls.{method}"
 
 
 @pytest.mark.parametrize("method", GUARDED)
 def test_a_raising_plugin_method_is_a_crash(method):
-    """A batch method or the field that raises stops the run with
+    """A batch method or the spec's field that raises stops the run with
     ``PluginCrashed`` naming the class, the method and the span's steps."""
     spec, _ = balls_in_bins_spec(2000, lam=1e-3)
     plugin = RaisingBalls(2000)
     plugin.raising = method
+    spec = dataclasses.replace(spec, drift=plugin.drift_field)
     named = (
-        rf"^RaisingBalls\.{method} raised ZeroDivisionError\(.*\) in the span of steps 0\.\.\d+$"
+        rf"^{re.escape(crash_name(method))} raised ZeroDivisionError\(.*\)"
+        rf" in the span of steps 0\.\.\d+$"
     )
     with pytest.raises(PluginCrashed, match=named) as err:
         simulate.simulate(plugin, spec, seed=1, solution=solve_ode(spec), replay_check=True)
     assert isinstance(err.value.__cause__, ZeroDivisionError)
+    plugin.armed = False
     with pytest.raises(PluginCrashed, match=named):
         verify(spec, plugin, 3, 0)
 

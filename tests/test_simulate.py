@@ -328,6 +328,29 @@ class TestHypothesisChecks:
         assert 0 < got.trend_count < len(thinned.violations)
         assert got == replace(want, violations=stamped(want.violations))
 
+    def test_proof_structure_reads_steps_before_floor_sigma_n(self):
+        # lambda = 1e-3 puts floor(sigma*n) = 1983 before the horizon 2000:
+        # the kernel stamps no deviation past it, and past the ODE grid a full
+        # path would be compared with the value np.interp holds flat, so
+        # both runs exempt the violations at steps 1983..1999
+        dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
+        spec, _ = balls_in_bins_spec(2000, lam=1e-3, domain=dom)
+        liar = DriftLiar(2000)
+        sol = solve_ode(spec)
+        cap = sol.constants.steps(spec.n)
+        assert cap == 1983 < spec.horizon
+        thinned = simulate(liar, spec, 4, solution=sol)
+        full = simulate(liar, spec, 4, full_paths=True)
+        assert not thinned.is_full
+        assert any(v.i >= cap for v in full.violations)
+        got = check_hypotheses(thinned, spec, mode="proof-structure", solution=sol)
+        want = check_hypotheses(full, spec, mode="proof-structure", solution=sol)
+        assert got.trend_count == want.trend_count == 1611
+        assert [(v.i, v.k, v.kind) for v in got.violations] == [
+            (v.i, v.k, v.kind) for v in want.violations
+        ]
+        assert all(v.i < cap for v in got.violations)
+
     def test_recomputed_deviations_match_tracked(self):
         dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
         spec, _ = balls_in_bins_spec(100, lam=1e-3, domain=dom)

@@ -72,6 +72,12 @@ class BigStepPlugin(BallsInBins):
         return out
 
 
+class InexactBalls(BallsInBins):
+    """Balls-in-bins whose drift is not declared exact, so the kernel checks it."""
+
+    exact_drift = False
+
+
 class TestVerifyPlain:
     def test_balls_report_contents(self):
         spec, plugin = small_balls()
@@ -124,6 +130,14 @@ class TestVerifyPlain:
         assert report.empirical_sup_deviations == ()
         assert within_bound(report)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sup_deviation_never_passes(self, bad):
+        spec, plugin = small_balls(n=500)
+        report = verify(spec, plugin, 5, 0)
+        assert within_bound(report)
+        poisoned = report.empirical_sup_deviations[:-1] + (bad,)
+        assert not within_bound(replace(report, empirical_sup_deviations=poisoned))
+
     @pytest.mark.parametrize("lam", [0.02, 0.25], ids=["tracked", "vacuous"])
     @pytest.mark.parametrize("count,jobs", [(0, 1), (-2, 1), (3, 0), (3, -3)])
     def test_count_and_jobs_refused_before_the_scan(self, monkeypatch, lam, count, jobs):
@@ -171,6 +185,15 @@ class TestVerifyPlain:
         assert report.hypotheses_failed
         assert report.bound_violation_count > 0
         assert report.trajectories_with_violations > 0
+
+    def test_trend_check_reads_the_spec_field(self):
+        # the plugin's drift and its own field agree, but the spec's F = -1.5y
+        # is not the process's: every step of every trajectory is a trend
+        # violation, since the kernel compares the drift with the spec's F
+        spec = replace(small_balls(n=20_000)[0], drift=lambda t, y: -1.5 * np.asarray(y))
+        report = verify(spec, InexactBalls(20_000), 8, 0)
+        assert report.trend_violation_count == 8 * 20_000
+        assert report.hypotheses_failed
 
 
 POISON = st.sampled_from([math.nan, math.inf, -math.inf])
