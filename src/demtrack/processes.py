@@ -8,7 +8,12 @@ F(t, y) in rescaled coordinates; plugins with ``exact_drift`` guarantee that
 ``drift(state)`` equals the field at the current rescaled state, so the
 trend condition can never be violated.
 
-States must be cheap plain values (ints or tuples) and hashable, so that
+A state is an int or a flat tuple of ints, each within int64, and every
+state of a plugin has the length of its initial state: the kernel holds
+every plugin's states as int64 rows (``_int64_rows``). A state from
+``initial_state`` or a row-wise ``step`` that int64 cannot hold exactly,
+such as 1.5, 2**70 or a ragged tuple, ends the run with ``PluginCrashed``
+naming the method; it is never truncated. States are hashable, so that
 small instances can be exhaustively enumerated for oracle tests.
 
 A plugin states each part of its dynamics once. A row-wise plugin defines
@@ -18,12 +23,12 @@ steps each row through ``step`` with the row's own generator, and the
 row by row. An array plugin sets ``uniforms_per_step = k`` and defines the
 batch methods on the int64 array that stacks its states; its
 ``step_batch(states, u)`` returns the next states, and each scalar method
-it lacks is a batch of one. A variant falls back per method: one that
-overrides ``step`` is row-wise, and one that overrides only ``observables``
-or ``drift`` keeps its parent's array ``step_batch`` and gets that method's
-per-row batch default. An exception of a batch method, or of the spec's
-field in the kernel's trend check, ends the run with ``PluginCrashed``
-(``_guard``); one of a row-wise ``step`` ends only its row's trajectory.
+it lacks is a batch of one. One fallback rule covers variants: a class
+that overrides a scalar method without its batch twin gets that twin's
+per-row default, and one that so overrides ``step`` is row-wise. An
+exception of a batch method, or of the spec's field in the kernel's trend
+check, ends the run with ``PluginCrashed`` (``_guard``); one of a row-wise
+``step`` ends only its row's trajectory.
 """
 
 from __future__ import annotations
@@ -83,6 +88,30 @@ def _rows(states: np.ndarray) -> list:
     return [tuple(s) if isinstance(s, list) else s for s in states.tolist()]
 
 
+def _int64_rows(plugin, method: str, states: list, row: tuple | None = None) -> np.ndarray:
+    """The ``states`` that ``method`` returned, stacked as int64, each of shape
+    ``row`` (by default any flat shape). A state is an int or a flat tuple of
+    ints, each within int64: any other is refused, never truncated."""
+
+    def held(x, lead=0):
+        try:
+            x = np.array(x)
+        except ValueError:  # a ragged tuple
+            return None
+        shape = x.shape[lead:]
+        if shape == (shape[:1] if row is None else row) and np.can_cast(x.dtype, np.int64):
+            return x.astype(np.int64, copy=False)
+
+    out = held(states, 1)
+    if out is not None:
+        return out
+    bad = next((x for x in states if held(x) is None), states)
+    raise PluginCrashed(
+        f"{type(plugin).__name__}.{method} returned {bad!r}: a state is an int"
+        " or a flat tuple of ints, each within int64, all of one length"
+    )
+
+
 def _integral(value, name: str) -> int:
     """``value`` as an int if it is an integral number, not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
@@ -98,19 +127,18 @@ class ProcessPlugin(ABC):
     uniforms_per_step: int | None = None
 
     def __init_subclass__(cls, **kwargs):
-        # Fall back per method: a variant that overrides ``step`` without
-        # ``step_batch`` is row-wise, with every batch default; one that
-        # overrides ``observables`` or ``drift`` without its twin gets that
-        # twin's default only. An array plugin gets each scalar method it
-        # lacks as a batch of one; a method with neither form stays abstract.
+        # One fallback rule: a class that overrides a scalar method without
+        # its batch twin gets that twin's per-row default, and one that so
+        # overrides ``step`` is stepped row by row. An array plugin gets each
+        # scalar method it lacks as a batch of one; a method with neither
+        # form stays abstract.
         super().__init_subclass__(**kwargs)
         own = vars(cls)
-        row_wise = "step" in own and "step_batch" not in own
-        if row_wise:
+        if "step" in own and "step_batch" not in own:
             cls.uniforms_per_step = None
         for scalar, batch in _BATCH_TWINS:
             default = getattr(ProcessPlugin, batch)
-            if row_wise or (scalar in own and batch not in own):
+            if scalar in own and batch not in own:
                 setattr(cls, batch, default)
             elif (
                 cls.uniforms_per_step is not None
@@ -353,8 +381,7 @@ class DegreeProcess(ProcessPlugin):
         # 2 * (prev - y), prev = (0, y_0, .., y_{a-2}) written into the output;
         # numpy multiplies by a 0-d array faster than by a Python float
         y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape)
-        out[..., 0] = 0.0
+        out = np.zeros(y.shape)
         out[..., 1:] = y[..., :-1]
         np.subtract(out, y, out)
         return np.multiply(_TWO, out, out)

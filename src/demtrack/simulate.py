@@ -21,7 +21,7 @@ budget, or one span of all rows (a counter-based Philox stream yields
 them unchanged however they are chunked; each trajectory keeps its own).
 Each block is stepped in a few whole-block passes (``_step_block``). A
 row-wise plugin is stepped by ``_step_rows``, one pass per step that calls
-each row's ``step`` with the row's own generator.
+each row's ``step`` with its own generator and writes one int64 column.
 
 The live rows' state is one record, ``_Rows``: every per-row statistic is
 a field of it, and its ``keep`` compacts them all when rows stop. Once per
@@ -50,13 +50,13 @@ of float operations. Rows are stepped, observed and given their drift to
 the end of the span even past their stop: these are all states the chain
 reaches. What their steps do there, a row-wise ``step``'s exceptions
 included, is discarded; an exception of a batch method or of the field,
-there too, ends the run with ``PluginCrashed``. Records are preallocated
-coordinate-major for a run to the horizon, and each Trajectory holds
-transposed views into them. ``simulate`` is a batch of one;
-``run_ensemble`` runs one batch per worker. Deviations and the replay
-chain may be tracked against several ODE solutions (reference paths) at
-once, as (rows, K) arrays with one column per path, each column updated
-only up to its own path's cap.
+or a row-wise state that int64 cannot hold, there too, ends the run with
+``PluginCrashed``. Records are preallocated coordinate-major for a run to
+the horizon, and each Trajectory holds transposed views into them.
+``simulate`` is a batch of one; ``run_ensemble`` runs one batch per
+worker. Deviations and the replay chain may be tracked against several ODE
+solutions (reference paths) at once, as (rows, K) arrays with one column
+per path, each column updated only up to its own path's cap.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 
 from .core import Ensemble, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution, drift_at
-from .processes import ProcessPlugin, _guard
+from .processes import ProcessPlugin, _guard, _int64_rows, _rows
 
 # Steps per block of the block stepper, and the row-steps of one span: a
 # batch of ``rows`` trajectories reduces once per span of
@@ -236,12 +236,11 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
         p += 1 + c
 
 
-def _step_rows(
-    plugin: ProcessPlugin, buf: np.ndarray, states: np.ndarray, gens: np.ndarray
-) -> tuple[int, list[int]]:
-    """Fill ``buf[:, 1:]`` one pass per step, stepping each row's state in
-    ``states`` with its own generator; a pass in which some row's step raised
-    ends the span. Returns the steps taken and the rows that raised."""
+def _step_rows(plugin: ProcessPlugin, buf: np.ndarray, gens: np.ndarray) -> tuple[int, list[int]]:
+    """Fill ``buf[:, 1:]`` one pass per step, stepping each row's state from
+    ``buf[:, 0]`` with its own generator; a pass in which some row's step
+    raised ends the span. Returns the steps taken and the rows that raised."""
+    states = _rows(buf[:, 0])
     failed = []
     for j in range(1, buf.shape[1]):
         for r, g in enumerate(gens):
@@ -249,7 +248,7 @@ def _step_rows(
                 states[r] = plugin.step(states[r], g)
             except Exception:
                 failed.append(r)
-        buf[:, j] = states
+        buf[:, j] = _int64_rows(plugin, "step", states, buf.shape[2:])
         if failed:
             return j, failed
     return buf.shape[1] - 1, failed
@@ -543,12 +542,8 @@ def _simulate_batch(
     # read-only step grid unless their last step is off it.
     grid = np.arange(-(-m_cap // stride) + 1, dtype=np.int64) * stride
     grid[-1] = m_cap
-    start = plugin.initial_state()  # deterministic, so every row starts from it
-    if upf is None:
-        states = np.empty(count, dtype=object)
-        states.fill(start)
-    else:
-        states = np.array([start] * count, dtype=np.int64)
+    start = _int64_rows(plugin, "initial_state", [plugin.initial_state()])
+    states = np.repeat(start, count, axis=0)  # deterministic, so every row starts from it
     with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
         Y0 = plugin.observables_batch(states[:1])[0]
     b = _Batch(
@@ -587,7 +582,7 @@ def _simulate_batch(
         buf[:, 0] = rows.states
         failed = []
         if rows.uniforms is None:
-            J, failed = _step_rows(plugin, buf[:, : J + 1], rows.states, rows.gens)
+            J, failed = _step_rows(plugin, buf[:, : J + 1], rows.gens)
         else:
             d = i0 % draw
             if d == 0:
@@ -597,7 +592,7 @@ def _simulate_batch(
                 for q in range(0, J, _BLOCK_STEPS):
                     e = min(q + _BLOCK_STEPS, J)
                     _step_block(plugin, buf[:, q : e + 1], rows.uniforms[:, d + q : d + e])
-            rows.states = buf[:, J]
+        rows.states = buf[:, J]
         done = _write_out(b, rows, _reduce_span(b, rows, buf[:, : J + 1], i0, J, failed))
         if done.all():
             return b.out

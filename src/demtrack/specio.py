@@ -17,6 +17,8 @@ The drift functions are resolved through the plugin registry; loading a
 spec therefore returns the plugin instance alongside the spec. A key not
 listed above, at the top level, under "domain" or under "extensions", is
 refused by name, and so is a parameter the plugin's factory does not take.
+Every number is a JSON number: a string or a boolean in place of one is
+refused by name, never parsed, and ``n`` and ``max_degree`` must be integral.
 """
 
 from __future__ import annotations
@@ -78,19 +80,19 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         name = doc["plugin"]
         n = _integral(doc["n"], "n")
         dom_doc = doc["domain"]
-        t_lo, t_hi = (float(v) for v in dom_doc["t"])
-        ranges = [(float(lo), float(hi)) for lo, hi in dom_doc["y"]]
+        t_lo, t_hi = (_number(v, f"domain.t[{i}]") for i, v in enumerate(dom_doc["t"]))
+        ranges = [
+            (_number(lo, f"domain.y[{k}][0]"), _number(hi, f"domain.y[{k}][1]"))
+            for k, (lo, hi) in enumerate(dom_doc["y"])
+        ]
         domain = Domain(
             t_lo=t_lo,
             t_hi=t_hi,
             lo=tuple(r[0] for r in ranges),
             hi=tuple(r[1] for r in ranges),
         )
-        y_hat = tuple(float(v) for v in doc["y_hat"])
-        L = float(doc["L"])
-        delta = float(doc["delta"])
-        beta = float(doc["beta"])
-        lam = float(doc["lambda"])
+        y_hat = tuple(_number(v, f"y_hat[{k}]") for k, v in enumerate(doc["y_hat"]))
+        L, delta, beta, lam = (_number(doc[k], k) for k in ("L", "delta", "beta", "lambda"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed spec document: {exc!r}") from exc
     _refuse_unknown(dom_doc, _DOMAIN_KEYS, "domain.")
@@ -121,7 +123,7 @@ def spec_from_dict(doc: dict) -> tuple[ProcessSpec, ProcessPlugin]:
         domain=domain,
         plugin_name=name,
         plugin_params=dict(params),
-        **{f: _opt_float(ext, key) for key, f in _EXTENSIONS},
+        **{f: _number(ext[key], f"extensions.{key}") for key, f in _EXTENSIONS if key in ext},
     )
     return spec, plugin
 
@@ -132,13 +134,15 @@ def _refuse_unknown(doc: dict, known, prefix: str) -> None:
             raise ValueError(f"unknown spec key {prefix + str(key)!r} (known: {', '.join(known)})")
 
 
-def _opt_float(ext: dict, key: str) -> float | None:
-    if key not in ext:
-        return None
-    try:
-        return float(ext[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"extensions.{key} must be a number, got {ext[key]!r}") from exc
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number, not a bool or a string
+    (nor an integer past the float range)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def load_spec(path) -> tuple[ProcessSpec, ProcessPlugin]:

@@ -17,6 +17,7 @@ from demtrack.processes import (
 )
 from demtrack.specio import save_spec, spec_to_dict
 from test_kernel import GUARDED, RaisingBalls, crash_name
+from test_specio import NOT_NUMBER_IDS, NOT_NUMBERS
 from test_verify import VERIFY_DOM
 
 verify_module = importlib.import_module("demtrack.verify")
@@ -401,6 +402,19 @@ def test_non_integer_count_exits_2(command, key, value, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("edit,name,value", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_a_string_or_boolean_number_exits_2(command, edit, name, value, tmp_path, capsys):
+    """Real-valued keys take JSON numbers: a string or a boolean is a schema
+    error naming the key."""
+    doc = spec_to_dict(balls_in_bins_spec(1000)[0])
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be a number, got {value!r}\n"
 
 
 # (plugin, edit of its spec document, the key the error names)

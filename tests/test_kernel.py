@@ -460,16 +460,21 @@ def test_predicate_sees_each_step_once_up_to_the_stop(
 
 class TestBatchContract:
     def test_variants_fall_back_to_row_defaults(self):
-        """Variants fall back per method: one that overrides only ``drift``
-        keeps its parent's array step, one that overrides ``step`` is row-wise."""
+        """One fallback rule: a variant that overrides a scalar method without
+        its batch twin gets that twin's per-row default, and keeps every other
+        batch method of its parent; one that overrides ``step`` is row-wise."""
         assert DriftLiar.uniforms_per_step == 1
         assert DriftLiar.step_batch is BallsInBins.step_batch
         assert DriftLiar.observables_batch is BallsInBins.observables_batch
         assert DriftLiar.drift_batch is ProcessPlugin.drift_batch
-        for cls in (BigStepPlugin, CrashingLiar, FairCoin):
+        for cls in (BigStepPlugin, CrashingLiar):
             assert cls.uniforms_per_step is None
-            for name in ("step_batch", "observables_batch", "drift_batch"):
-                assert getattr(cls, name) is getattr(ProcessPlugin, name)
+            assert cls.step_batch is ProcessPlugin.step_batch
+            assert cls.observables_batch is BallsInBins.observables_batch
+            assert cls.drift_batch is ProcessPlugin.drift_batch
+        assert FairCoin.uniforms_per_step is None
+        for name in ("step_batch", "observables_batch", "drift_batch"):
+            assert getattr(FairCoin, name) is getattr(ProcessPlugin, name)
         assert BallsInBins.uniforms_per_step == 1
         assert DegreeProcess.uniforms_per_step == 2
 
@@ -502,6 +507,77 @@ class TestBatchContract:
         assert np.array_equal(got, np.array(want, dtype=np.int64))
         assert np.array_equal(plugin.observables_batch(got), [twin.observables(s) for s in want])
         assert np.array_equal(plugin.drift_batch(got), [twin.drift(s) for s in want])
+
+    @pytest.mark.parametrize("parent", [BallsInBins, DegreeProcess])
+    def test_a_step_only_variant_observes_and_drifts_a_span_at_a_time(
+        self, monkeypatch, parent
+    ):
+        """A variant that overrides only ``step``, with the body of the
+        scalar twin, keeps its parent's array ``observables_batch`` and
+        ``drift_batch``: each is called once per span on all of its rows, not
+        once per row, and the trajectories equal the twin's bit for bit."""
+        twin_cls = SCALAR_TWINS[parent]
+        StepOnly = type("StepOnly", (parent,), {"step": twin_cls.step})
+        assert StepOnly.uniforms_per_step is None
+        n, count, span = 1500, 3, 256
+        set_span(monkeypatch, 128, span, count, span)
+        spec, plugin = make_case("balls" if parent is BallsInBins else "degree", n, False)
+        sol = solve_ode(spec)
+        twin = scalar_twin(plugin)
+        plugin = StepOnly(n, **plugin.params)
+        rows = {"observables_batch": [], "drift_batch": []}  # the rows of each call
+
+        def spy(method, seen):
+            def counted(self, states):
+                seen.append(len(states))
+                return method(self, states)
+            return counted
+
+        for name, seen in rows.items():
+            monkeypatch.setattr(parent, name, spy(getattr(parent, name), seen))
+        ens = run_ensemble(plugin, spec, count, 5, solution=sol, full_paths=True,
+                           replay_check=True)
+        spans = max(1, math.ceil(max(t.stop_index for t in ens.trajectories) / span))
+        assert len(rows["observables_batch"]) == 1 + spans  # Y(0), then one per span
+        assert len(rows["drift_batch"]) == spans
+        assert min(rows["drift_batch"]) > 1
+        want = run_ensemble(twin, spec, count, 5, solution=sol, full_paths=True,
+                            replay_check=True)
+        for got, ref in zip(ens.trajectories, want.trajectories):
+            assert_same_trajectory(got, ref)
+
+    @pytest.mark.parametrize(
+        "bad", [1.5, 2**70, 2**63, "1", (1, (2, 3))],
+        ids=["fraction", "2**70", "2**63", "string", "nested"],
+    )
+    @pytest.mark.parametrize("method", ["step", "initial_state"])
+    def test_a_state_int64_cannot_hold_is_refused(self, bad, method):
+        """A state from ``initial_state`` or a row-wise ``step`` that is not an
+        int or a flat tuple of ints within int64 ends the run with
+        ``PluginCrashed`` naming the method; it is never truncated."""
+
+        class BadCoin(FairCoin):
+            def initial_state(self):
+                return bad if method == "initial_state" else 0
+
+            def step(self, state, rng):
+                return bad if state == 2 else super().step(state, rng)
+
+        spec = coin_spec(n=100)
+        named = rf"^BadCoin\.{method} returned {re.escape(repr(bad))}:"
+        with pytest.raises(PluginCrashed, match=named):
+            simulate.simulate(BadCoin(100), spec, seed=1)
+
+    def test_a_ragged_tuple_state_is_refused(self):
+        """Every state of a plugin has the length of its initial state."""
+
+        class RaggedWalk(DegreeProcess):
+            def step(self, state, rng):
+                return state[:-1] if rng.random() < 0.5 else state
+
+        spec, _ = degree_process_spec(100, max_degree=2)
+        with pytest.raises(PluginCrashed, match=r"^RaggedWalk\.step returned \(100, 0, 0\):"):
+            simulate.simulate(RaggedWalk(100, 2), spec, seed=1)
 
     def test_a_method_with_neither_form_is_refused(self):
         class Skeleton(ProcessPlugin):

@@ -127,6 +127,33 @@ def test_non_integral_n_rejected(n):
         spec_from_dict(doc)
 
 
+# (edit of a spec document, the key the error names, the value it shows)
+NOT_NUMBERS = [
+    (lambda doc: doc.update(L="0.0"), "L", "0.0"),
+    (lambda doc: doc.update(delta="0"), "delta", "0"),
+    (lambda doc: doc.update(beta=True), "beta", True),
+    (lambda doc: doc.update({"lambda": True}), "lambda", True),
+    (lambda doc: doc.update(y_hat=["1.0"]), "y_hat[0]", "1.0"),
+    (lambda doc: doc["domain"]["t"].__setitem__(1, True), "domain.t[1]", True),
+    (lambda doc: doc["domain"]["y"][0].__setitem__(0, "0.05"), "domain.y[0][0]", "0.05"),
+    (lambda doc: doc.update(extensions={"b": "1.5"}), "extensions.b", "1.5"),
+    (lambda doc: doc.update(extensions={"x": False}), "extensions.x", False),
+    (lambda doc: doc.update(L=10**400), "L", 10**400),
+]
+NOT_NUMBER_IDS = [f"{name}-{type(value).__name__}" for _, name, value in NOT_NUMBERS]
+
+
+@pytest.mark.parametrize("edit,name,value", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_a_real_key_refuses_strings_and_booleans(edit, name, value):
+    """Every real-valued key takes a JSON number only: a string or a boolean
+    is refused by name, never parsed or read as 0 or 1."""
+    doc = spec_to_dict(balls_in_bins_spec(1000)[0])
+    edit(doc)
+    message = f"^{re.escape(name)} must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict(doc)
+
+
 def test_integral_float_n_loads_as_int():
     doc = spec_to_dict(balls_in_bins_spec(1000)[0])
     doc["n"] = 1000.0
