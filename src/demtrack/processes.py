@@ -12,9 +12,10 @@ A state is an int or a flat tuple of ints, each within int64, and every
 state of a plugin has the length of its initial state: the kernel holds
 every plugin's states as int64 rows (``_int64_rows``). A state from
 ``initial_state`` or a row-wise ``step`` that int64 cannot hold exactly,
-such as 1.5, 2**70 or a ragged tuple, ends the run with ``PluginCrashed``
-naming the method; it is never truncated. States are hashable, so that
-small instances can be exhaustively enumerated for oracle tests.
+such as 1.5, 2**70 or a ragged tuple, or a ``step_batch`` or
+``observables_batch`` result of a dtype it cannot hold, ends the run with
+``PluginCrashed`` naming the method; it is never truncated. States are
+hashable, so that small instances can be exhaustively enumerated.
 
 A plugin states each part of its dynamics once. A row-wise plugin defines
 only the scalar methods ``step``, ``observables`` and ``drift``: the kernel
@@ -22,18 +23,19 @@ steps each row through ``step`` with the row's own generator, and the
 ``observables_batch`` and ``drift_batch`` defaults call the scalar methods
 row by row. An array plugin sets ``uniforms_per_step = k`` and defines the
 batch methods on the int64 array that stacks its states; its
-``step_batch(states, u)`` returns the next states, and each scalar method
-it lacks is a batch of one. One fallback rule covers variants: a class
-that overrides a scalar method without its batch twin gets that twin's
-per-row default, and one that so overrides ``step`` is row-wise. An
-exception of a batch method, or of the spec's field in the kernel's trend
-check, ends the run with ``PluginCrashed`` (``_guard``); one of a row-wise
-``step`` ends only its row's trajectory.
+``step_batch(states, u)`` returns the next states. A fallback rule covers
+each way: a class that overrides a scalar method without its batch twin
+gets that twin's per-row default (one that so overrides ``step`` is
+row-wise), and an array plugin class that defines a batch method without
+its scalar twin gets that scalar, when the class is made, as a batch of
+one of its own batch function (``_batch_of_one``). An exception of a
+batch method, or of the spec's field in the kernel's trend check, ends the
+run with ``PluginCrashed`` (``_guard``); one of a row-wise ``step`` ends
+only its row's trajectory.
 """
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Callable
@@ -62,25 +64,24 @@ def _guard(plugin, method: str, where: str):
         raise PluginCrashed(f"{type(plugin).__name__}.{method} raised {exc!r} {where}") from exc
 
 
-def _batch_of_one(plugin, batch: str, state, rng=None):
-    """A scalar method of an array plugin: ``state`` run through the batch
-    method ``batch`` as one row, returned as an int or a tuple. The batch
-    method is that of the nearest class that defines its own, so a variant's
-    ``super()`` call reaches its parent's array code, not a per-row default
-    that calls the variant again.
-    """
-    default = getattr(ProcessPlugin, batch)
-    cls = next(c for c in type(plugin).__mro__ if vars(c).get(batch, default) is not default)
-    args = () if rng is None else (rng.random((1, cls.uniforms_per_step)),)
-    out = getattr(cls, batch)(plugin, np.array([state], dtype=np.int64), *args)
-    if not (isinstance(out, np.ndarray) and out.shape[:1] == (1,)):
-        got = f"an array of shape {out.shape}" if isinstance(out, np.ndarray) else repr(out)
-        raise PluginCrashed(
-            f"{type(plugin).__name__}.{batch} returned {got} for a batch of one row,"
-            " not an array of one row"
-        )
-    row = out[0].tolist()
-    return tuple(row) if isinstance(row, list) else row
+def _batch_of_one(scalar: str, batch, k: int):
+    """The method ``scalar`` of an array plugin as a batch of one: the state
+    run through its class's own batch function ``batch``, bound when the
+    class is made (so a variant's ``super()`` call reaches the parent's
+    array code), drawing ``rng.random((1, k))`` for ``step``."""
+
+    def method(self, state, rng=None):
+        rows = _int64_rows(self, f"{scalar} was given", [state])
+        out = batch(self, rows, *(() if rng is None else (rng.random((1, k)),)))
+        if not (isinstance(out, np.ndarray) and out.shape[:1] == (1,)):
+            got = f"an array of shape {out.shape}" if isinstance(out, np.ndarray) else repr(out)
+            raise PluginCrashed(
+                f"{type(self).__name__}.{scalar}_batch returned {got} for a batch of one row,"
+                " not an array of one row"
+            )
+        return _rows(out)[0]
+
+    return method
 
 
 def _rows(states: np.ndarray) -> list:
@@ -88,10 +89,11 @@ def _rows(states: np.ndarray) -> list:
     return [tuple(s) if isinstance(s, list) else s for s in states.tolist()]
 
 
-def _int64_rows(plugin, method: str, states: list, row: tuple | None = None) -> np.ndarray:
-    """The ``states`` that ``method`` returned, stacked as int64, each of shape
-    ``row`` (by default any flat shape). A state is an int or a flat tuple of
-    ints, each within int64: any other is refused, never truncated."""
+def _int64_rows(plugin, what: str, states: list, row: tuple | None = None) -> np.ndarray:
+    """``states`` stacked as int64, each of shape ``row`` (by default any flat
+    shape); ``what`` names the method and how it met them ("step returned").
+    A state is an int or a flat tuple of ints, each within int64: any other
+    is refused, never truncated."""
 
     def held(x, lead=0):
         try:
@@ -107,9 +109,21 @@ def _int64_rows(plugin, method: str, states: list, row: tuple | None = None) -> 
         return out
     bad = next((x for x in states if held(x) is None), states)
     raise PluginCrashed(
-        f"{type(plugin).__name__}.{method} returned {bad!r}: a state is an int"
+        f"{type(plugin).__name__}.{what} {bad!r}: a state is an int"
         " or a flat tuple of ints, each within int64, all of one length"
     )
+
+
+def _int64_values(plugin, method: str, values: np.ndarray) -> np.ndarray:
+    """``values``, from what the batch method ``method`` returned, if int64
+    holds their dtype exactly: a float state or count is refused, never
+    truncated."""
+    if not np.can_cast(values.dtype, np.int64):
+        raise PluginCrashed(
+            f"{type(plugin).__name__}.{method} returned {values.dtype} values:"
+            " states and counts are ints within int64"
+        )
+    return values
 
 
 def _integral(value, name: str) -> int:
@@ -127,11 +141,11 @@ class ProcessPlugin(ABC):
     uniforms_per_step: int | None = None
 
     def __init_subclass__(cls, **kwargs):
-        # One fallback rule: a class that overrides a scalar method without
-        # its batch twin gets that twin's per-row default, and one that so
-        # overrides ``step`` is stepped row by row. An array plugin gets each
-        # scalar method it lacks as a batch of one; a method with neither
-        # form stays abstract.
+        # One fallback rule each way: a class that overrides a scalar method
+        # without its batch twin gets the twin's per-row default (one that so
+        # overrides ``step`` is row-wise), and an array plugin class that
+        # defines a batch method without its scalar twin gets that scalar as
+        # a batch of one of it. A method with neither form stays abstract.
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         if "step" in own and "step_batch" not in own:
@@ -142,10 +156,10 @@ class ProcessPlugin(ABC):
                 setattr(cls, batch, default)
             elif (
                 cls.uniforms_per_step is not None
-                and getattr(cls, scalar) is getattr(ProcessPlugin, scalar)
-                and getattr(cls, batch) is not default
+                and scalar not in own
+                and own.get(batch, default) is not default
             ):
-                setattr(cls, scalar, functools.partialmethod(_batch_of_one, batch))
+                setattr(cls, scalar, _batch_of_one(scalar, own[batch], cls.uniforms_per_step))
 
     def __init__(self, n: int):
         if n < 1:

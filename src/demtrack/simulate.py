@@ -6,6 +6,13 @@ path, the sup of the martingale part, and the recurrence replay are all
 accumulated online, so the default thinned storage (every ceil(n/1000)-th
 step) never affects verification.
 
+What the batches of a run share is checked and built once, by
+``_prepare``, into one record (``_Run``): its inputs, record grid, start
+row and Y(0) (``_start``, the one start rule, which ``verify`` uses too),
+box on counts and reference paths. A batch (``_Batch``) is its run plus
+the outputs its spans fill; ``simulate`` is a batch of one, and
+``run_ensemble`` runs one batch per worker.
+
 One lockstep kernel (``_simulate_batch``) simulates a batch of
 trajectories, one row per trajectory, in time spans of a few blocks: a
 block is the unit of stepping, a span the unit of reduction. A block is
@@ -33,7 +40,7 @@ records, the martingale sup and the trend check; ``_reduce_deviation`` the
 sup deviation and the replay chain against each ODE path;
 ``_add_violations`` the bound jumps and the ``Violation`` objects; and
 ``_write_out`` the rows that stopped. The box is tested on the int64
-counts against ``Domain.count_bounds``, computed once per batch, which is
+counts against ``Domain.count_bounds``, computed once per run, which is
 the same rule as testing Y/n against the open box. Every reducer counts
 positions one way: it sets to 0 each stopped row's positions past its stop
 (``_clear_past_stops``) and each path's positions past its cap, then
@@ -50,11 +57,10 @@ of float operations. Rows are stepped, observed and given their drift to
 the end of the span even past their stop: these are all states the chain
 reaches. What their steps do there, a row-wise ``step``'s exceptions
 included, is discarded; an exception of a batch method or of the field,
-or a row-wise state that int64 cannot hold, there too, ends the run with
-``PluginCrashed``. Records are preallocated coordinate-major for a run to
-the horizon, and each Trajectory holds transposed views into them.
-``simulate`` is a batch of one; ``run_ensemble`` runs one batch per
-worker. Deviations and the replay chain may be tracked against several ODE
+or a state or count that int64 cannot hold exactly, there too, ends the
+run with ``PluginCrashed``. Records are preallocated coordinate-major for
+a run to the horizon, and each Trajectory holds transposed views into
+them. Deviations and the replay chain may be tracked against several ODE
 solutions (reference paths) at once, as (rows, K) arrays with one column
 per path, each column updated only up to its own path's cap.
 """
@@ -70,7 +76,7 @@ import numpy as np
 
 from .core import Ensemble, ProcessSpec, Trajectory, Violation
 from .ode import OdeSolution, drift_at
-from .processes import ProcessPlugin, _guard, _int64_rows, _rows
+from .processes import ProcessPlugin, _guard, _int64_rows, _int64_values, _rows
 
 # Steps per block of the block stepper, and the row-steps of one span: a
 # batch of ``rows`` trajectories reduces once per span of
@@ -101,43 +107,69 @@ Solutions = OdeSolution | Sequence[OdeSolution]
 
 
 @dataclass(frozen=True)
-class _SimPrep:
-    """Per-spec data shared by every trajectory of an ensemble: K reference paths."""
+class _Run:
+    """What every batch of a run shares, checked and built once by ``_prepare``."""
 
-    solutions: tuple[OdeSolution, ...]  # the K paths, interpolated one span at a time
-    caps: np.ndarray       # per path Constants.steps(n), shape (K,)
-    cap: int               # max(caps)
+    plugin: ProcessPlugin
+    spec: ProcessSpec
+    event_predicate: Callable[[int, tuple], bool] | None
+    replay_check: bool
+    stride: int         # records are kept every stride-th step and at the stop
+    grid: np.ndarray    # the record steps of a trajectory that reaches the horizon
+    start: np.ndarray   # the start row, int64 of shape (1, ...): every row starts from it
+    # (a, 1, 1) columns against (a, rows, positions) planes:
+    Y0: np.ndarray      # Y(0), the same for all rows
+    c_lo: np.ndarray    # the open box on counts: lo < Y/n < hi iff c_lo <= Y <= c_hi
+    c_hi: np.ndarray
+    solutions: tuple[OdeSolution, ...]  # the K paths, none without a solution
+    single: bool        # one solution, not a sequence: trajectories get scalars
+    caps: np.ndarray    # per path Constants.steps(n), shape (K,)
     # per path, as (K, 1, 1) columns against (K, rows, positions) planes:
     two_lam_n: np.ndarray  # 2*lambda*n, lambda that of the path's spec
     step_term: np.ndarray  # L*R/n + delta, the per-step additive recurrence term
-    L_over_n: float
-    single: bool           # one solution, not a sequence: trajectories get scalars
+
+
+def _start(plugin: ProcessPlugin) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for a run's start: the start row, int64 of shape (1, ...),
+    and its counts Y(0), int64 of shape (dim,)."""
+    with _guard(plugin, "initial_state", "at the start of the run"):
+        state = plugin.initial_state()
+    start = _int64_rows(plugin, "initial_state returned", [state])
+    with _guard(plugin, "observables_batch", "on the initial state"):
+        Y0 = plugin.observables_batch(start).reshape(plugin.dim)
+    return start, _int64_values(plugin, "observables_batch", Y0)
 
 
 def _prepare(
-    plugin: ProcessPlugin, spec: ProcessSpec, solution: Solutions | None, replay_check: bool
-) -> _SimPrep | None:
-    """Check a simulation's inputs before any batch starts; None without a solution."""
+    plugin: ProcessPlugin, spec: ProcessSpec, solution: Solutions | None, replay_check: bool,
+    full_paths: bool, event_predicate: Callable[[int, tuple], bool] | None,
+) -> _Run:
+    """Check a run's inputs and build what its batches share, before any batch starts."""
     n = spec.n
     if replay_check and solution is None:
         raise ValueError("replay_check requires an ODE solution")
     _check_plugin(plugin, spec)
-    if solution is None:
-        return None
     single = isinstance(solution, OdeSolution)
-    solutions = [solution] if single else list(solution)
-    if not solutions:
+    solutions = (solution,) if single else tuple(solution or ())
+    if solution is not None and not solutions:
         raise ValueError("need at least one ODE solution")
+    # Records of a trajectory that reaches the horizon: every stride-th step
+    # before it, then the horizon. A trajectory that stops at i ends at
+    # record ceil(i/stride), so it keeps a prefix of its row. Trajectories
+    # share the read-only step grid unless their last step is off it.
+    stride = 1 if full_paths else max(1, math.ceil(n / 1000))
+    grid = np.arange(-(-spec.horizon // stride) + 1, dtype=np.int64) * stride
+    grid[-1] = spec.horizon
+    start, Y0 = _start(plugin)
     consts = [s.constants for s in solutions]
-    caps = np.array([c.steps(n) for c in consts])
-    return _SimPrep(
-        solutions=tuple(solutions),
-        caps=caps,
-        cap=int(caps.max()),
+    return _Run(
+        plugin, spec, event_predicate, replay_check, stride, grid, start,
+        *(np.reshape(c, (spec.a, 1, 1)) for c in (Y0, *spec.domain.count_bounds(n))),
+        solutions=solutions,
+        single=single,
+        caps=np.array([c.steps(n) for c in consts]),
         two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions])[:, None, None],
         step_term=np.array([spec.L * c.R / n + spec.delta for c in consts])[:, None, None],
-        L_over_n=spec.L / n,
-        single=single,
     )
 
 
@@ -180,10 +212,8 @@ def simulate(
     docstring), so the plugin may be stepped past the stop; those steps are
     discarded.
     """
-    prep = _prepare(plugin, spec, solution, replay_check)
-    return _simulate_batch(
-        plugin, spec, prep, full_paths, event_predicate, replay_check, [int(seed)]
-    )[0]
+    run = _prepare(plugin, spec, solution, replay_check, full_paths, event_predicate)
+    return _simulate_batch(run, [int(seed)])[0]
 
 
 def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
@@ -193,24 +223,25 @@ def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
     (rows, J, uniforms_per_step). Pass 1 steps the start state with the
     uniforms of every column in one ``step_batch`` call and builds each
     column as the running sum of the moves, the first with the start state
-    added (exact in int64, the moves cast to the buffer's dtype), which
-    makes column 1 right. If columns 0..p are right, each later pass steps
-    the guesses in columns p..J-1 of the unsettled rows in one call and
-    compares the next states with the guesses one column on, over each
-    row's whole run at once. A row that agrees everywhere is settled: each
-    column is the step of the one before. The rows that disagree are
-    rebuilt from the first column past p where some row disagrees, as the
-    next state there plus the running sum of the later moves, which makes
-    that column right; the next pass starts there. Every pass after the
-    first settles at least one more column, so at most J passes give the
-    step-by-step sequence, and a pass over all rows takes slices of ``buf``,
-    not copies by index.
+    added (exact in int64: next states of a dtype that int64 cannot hold
+    exactly are refused), which makes column 1 right. If columns 0..p are
+    right, each later pass steps the guesses in columns p..J-1 of the
+    unsettled rows in one call and compares the next states with the
+    guesses one column on, over each row's whole run at once. A row that
+    agrees everywhere is settled: each column is the step of the one
+    before. The rows that disagree are rebuilt from the first column past p
+    where some row disagrees, as the next state there plus the running sum
+    of the later moves, which makes that column right; the next pass starts
+    there. Every pass after the first settles at least one more column, so
+    at most J passes give the step-by-step sequence, and a pass over all
+    rows takes slices of ``buf``, not copies by index.
     """
     J = buf.shape[1] - 1
     k = u.shape[2]
     guess = np.repeat(buf[:, 0], J, axis=0)
     nxt = plugin.step_batch(guess, u.reshape(len(guess), k))
-    moves = np.subtract(nxt, guess).astype(buf.dtype, copy=False).reshape(buf[:, 1:].shape)
+    moves = _int64_values(plugin, "step_batch", np.subtract(nxt, guess))
+    moves = moves.astype(buf.dtype, copy=False).reshape(buf[:, 1:].shape)
     moves[:, 0] += buf[:, 0]
     np.add.accumulate(moves, axis=1, out=buf[:, 1:])
     rows = slice(None)  # the rows not yet settled: all of them, or an index array
@@ -248,27 +279,16 @@ def _step_rows(plugin: ProcessPlugin, buf: np.ndarray, gens: np.ndarray) -> tupl
                 states[r] = plugin.step(states[r], g)
             except Exception:
                 failed.append(r)
-        buf[:, j] = _int64_rows(plugin, "step", states, buf.shape[2:])
+        buf[:, j] = _int64_rows(plugin, "step returned", states, buf.shape[2:])
         if failed:
             return j, failed
     return buf.shape[1] - 1, failed
 
 
 @dataclass(frozen=True)
-class _Batch:
-    """What every span of a batch shares: its inputs and the outputs it fills."""
+class _Batch(_Run):
+    """A batch of a run: what its run shares, and the outputs its spans fill."""
 
-    plugin: ProcessPlugin
-    spec: ProcessSpec
-    prep: _SimPrep | None
-    event_predicate: Callable[[int, tuple], bool] | None
-    replay_check: bool
-    stride: int         # records are kept every stride-th step and at the stop
-    grid: np.ndarray    # the record steps of a trajectory that reaches the horizon
-    # (a, 1, 1) columns against (a, rows, positions) planes:
-    Y0: np.ndarray      # Y(0), the same for all rows
-    c_lo: np.ndarray    # the open box on counts: lo < Y/n < hi iff c_lo <= Y <= c_hi
-    c_hi: np.ndarray
     seeds: list[int]
     rec_y: np.ndarray   # each trajectory's records, coordinate-major: (count, a, len(grid))
     rec_d: np.ndarray
@@ -336,6 +356,7 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
             states.reshape((live_rows * (J + 1),) + states.shape[2:])
         )
         Y = np.ascontiguousarray(Y.reshape(-1, a).T).reshape(a, live_rows, J + 1)
+    _int64_values(b.plugin, "observables_batch", Y)
     outside = ((Y < b.c_lo) | (Y > b.c_hi)).any(axis=0)
     if i0 + J >= b.spec.horizon:
         outside[:, J] = True
@@ -406,17 +427,17 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
     Returns the (K, rows, positions) deviation at the positions up to the
     longest path's cap, or None past it or without paths.
     """
-    prep = b.prep
-    if prep is None or s.i0 > prep.cap:
+    cap = int(b.caps.max(initial=-1))
+    if s.i0 > cap:
         return None
-    jd = min(s.J, prep.cap - s.i0) + 1
+    jd = min(s.J, cap - s.i0) + 1
     steps = s.i0 + np.arange(jd)
-    target = np.stack([p.counts_at_steps(steps[-1], s.i0).T for p in prep.solutions])
+    target = np.stack([p.counts_at_steps(steps[-1], s.i0).T for p in b.solutions])
     dev = np.subtract(s.Y[:, :, :jd], target[:, :, None])  # (K, a, rows, jd)
     dev = _clear_past_stops(np.abs(dev, out=dev).max(axis=1), s)
     # a cleared position passes the replay check: its bound is at least
     # 2*lambda*n > 0, or NaN only after a NaN deviation has failed the row
-    for k, cap in enumerate(prep.caps):
+    for k, cap in enumerate(b.caps):
         dev[k, :, max(0, cap + 1 - s.i0) :] = 0
     sup = dev
     if b.event_predicate is not None and (rows.event_stop >= 0).any():
@@ -427,11 +448,11 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
         # chain[:, :, j] is the chain's sum at step i0 + j, summed one step at a time
         chain = np.empty(dev.shape[:2] + (jd + 1,))
         chain[:, :, 0] = rows.carry.T
-        np.multiply(dev, prep.L_over_n, out=chain[:, :, 1:])
-        chain[:, :, 1:] += prep.step_term
+        np.multiply(dev, b.spec.L / b.spec.n, out=chain[:, :, 1:])
+        chain[:, :, 1:] += b.step_term
         np.add.accumulate(chain, axis=2, out=chain)
         rows.carry[:] = chain[:, :, min(s.J, jd)].T
-        bound = np.add(chain[:, :, :jd], prep.two_lam_n, out=chain[:, :, :jd])
+        bound = np.add(chain[:, :, :jd], b.two_lam_n, out=chain[:, :, :jd])
         np.logical_and(rows.replay_ok, np.less(dev, bound).all(axis=2).T, out=rows.replay_ok)
     return dev
 
@@ -453,7 +474,7 @@ def _add_violations(b: _Batch, rows: _Rows, s: _Span, trend, dev) -> None:
     if not found:
         return
     r, j, kind, k, observed = (np.concatenate(f) for f in zip(*found))
-    single = dev is not None and b.prep.single
+    single = dev is not None and b.single
     for x in np.lexsort((k, kind, j, r)):
         rx, jx = r[x], j[x]
         b.violations[rows.ids[rx]].append(Violation(
@@ -486,11 +507,11 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
             b.rec_d[t, :, pos] = math.nan
         ev = int(rows.event_stop[r]) if rows.event_stop[r] >= 0 else None
         sup = dev_cap = ok = None
-        if b.prep is not None:
+        if b.solutions:
             last = i if ev is None else min(i, ev)
-            per_path = (rows.sup_dev[r], np.minimum(b.prep.caps, last), rows.replay_ok[r])
+            per_path = (rows.sup_dev[r], np.minimum(b.caps, last), rows.replay_ok[r])
             sup, dev_cap, ok = (
-                v.tolist()[0] if b.prep.single else tuple(v.tolist()) for v in per_path
+                v.tolist()[0] if b.single else tuple(v.tolist()) for v in per_path
             )
             ok = ok if b.replay_check else None
         b.out[t] = Trajectory(
@@ -511,23 +532,10 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
     return s.done
 
 
-def _simulate_batch(
-    plugin: ProcessPlugin,
-    spec: ProcessSpec,
-    prep: _SimPrep | None,
-    full_paths: bool,
-    event_predicate,
-    replay_check: bool,
-    seeds: list[int],
-) -> list[Trajectory]:
+def _simulate_batch(run: _Run, seeds: list[int]) -> list[Trajectory]:
     """The lockstep kernel: one trajectory per seed, in seed order."""
-    n = spec.n
-    a = spec.a
-    count = len(seeds)
-    m_cap = spec.horizon
-    stride = 1 if full_paths else max(1, math.ceil(n / 1000))
-    upf = plugin.uniforms_per_step
-    paths = len(prep.caps) if prep is not None else 0
+    count, a, m_cap = len(seeds), run.spec.a, run.spec.horizon
+    upf = run.plugin.uniforms_per_step
     span = _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (count * _BLOCK_STEPS))
     span = max(1, min(span, m_cap))
     draw = span * max(1, min(  # steps of uniforms drawn at once
@@ -535,30 +543,20 @@ def _simulate_batch(
         _DRAW_STEPS // _BLOCK_STEPS * _SPAN_ROW_STEPS // (count * span),
         -(-m_cap // span),
     ))
-
-    # Records of a trajectory that reaches the horizon: every stride-th step
-    # before m_cap, then m_cap. A trajectory that stops at i ends at record
-    # ceil(i/stride), so it keeps a prefix of its row. Trajectories share the
-    # read-only step grid unless their last step is off it.
-    grid = np.arange(-(-m_cap // stride) + 1, dtype=np.int64) * stride
-    grid[-1] = m_cap
-    start = _int64_rows(plugin, "initial_state", [plugin.initial_state()])
-    states = np.repeat(start, count, axis=0)  # deterministic, so every row starts from it
-    with _guard(plugin, "observables_batch", "in the span of steps 0..0"):
-        Y0 = plugin.observables_batch(states[:1])[0]
     b = _Batch(
-        plugin, spec, prep, event_predicate, replay_check, stride, grid,
-        *(np.reshape(c, (a, 1, 1)) for c in (Y0, *spec.domain.count_bounds(n))), seeds,
-        rec_y=np.empty((count, a, len(grid)), dtype=np.int64),
-        rec_d=np.empty((count, a, len(grid))),
+        **vars(run),
+        seeds=seeds,
+        rec_y=np.empty((count, a, len(run.grid)), dtype=np.int64),
+        rec_d=np.empty((count, a, len(run.grid))),
         violations=[[] for _ in range(count)],
         out=[None] * count,
     )
     gens = np.empty(count, dtype=object)
     gens[:] = [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))) for s in seeds]
+    paths = len(run.caps)
     rows = _Rows(
         ids=np.arange(count),
-        states=states,
+        states=np.repeat(run.start, count, axis=0),
         gens=gens,
         uniforms=None if upf is None else np.empty((count, draw, upf)),
         drift_cum=np.zeros((count, a)),
@@ -569,7 +567,7 @@ def _simulate_batch(
         event_stop=np.full(count, -1, dtype=np.int64),
     )
     # the states at steps i0..i0+J of the current span, one row per live row
-    held = np.empty((count, span + 1) + states.shape[1:], dtype=states.dtype)
+    held = np.empty((count, span + 1) + run.start.shape[1:], dtype=np.int64)
 
     i0 = 0
     while True:
@@ -582,16 +580,16 @@ def _simulate_batch(
         buf[:, 0] = rows.states
         failed = []
         if rows.uniforms is None:
-            J, failed = _step_rows(plugin, buf[:, : J + 1], rows.gens)
+            J, failed = _step_rows(b.plugin, buf[:, : J + 1], rows.gens)
         else:
             d = i0 % draw
             if d == 0:
                 for g, u in zip(rows.gens, rows.uniforms):
                     g.random(out=u)
-            with _guard(plugin, "step_batch", f"in the span of steps {i0}..{i0 + J}"):
+            with _guard(b.plugin, "step_batch", f"in the span of steps {i0}..{i0 + J}"):
                 for q in range(0, J, _BLOCK_STEPS):
                     e = min(q + _BLOCK_STEPS, J)
-                    _step_block(plugin, buf[:, q : e + 1], rows.uniforms[:, d + q : d + e])
+                    _step_block(b.plugin, buf[:, q : e + 1], rows.uniforms[:, d + q : d + e])
         rows.states = buf[:, J]
         done = _write_out(b, rows, _reduce_span(b, rows, buf[:, : J + 1], i0, J, failed))
         if done.all():
@@ -626,11 +624,9 @@ def run_ensemble(
     trajectory; the order of calls across trajectories is unspecified.
     """
     _check_counts(count, jobs)
-    prep = _prepare(plugin, spec, solution, replay_check)
+    run = _prepare(plugin, spec, solution, replay_check, full_paths, event_predicate)
     seeds = [derive_seed(base_seed, idx) for idx in range(count)]
-    batch = partial(
-        _simulate_batch, plugin, spec, prep, full_paths, event_predicate, replay_check
-    )
+    batch = partial(_simulate_batch, run)
     if jobs > 1:
         # imported here: it loads multiprocessing, which a jobs=1 run never needs
         from concurrent.futures import ProcessPoolExecutor

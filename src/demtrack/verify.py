@@ -29,8 +29,8 @@ from .core import (
     check_initial_condition,
 )
 from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
-from .processes import ProcessPlugin, _guard
-from .simulate import _check_counts, _check_plugin, check_hypotheses, run_ensemble
+from .processes import ProcessPlugin
+from .simulate import _check_counts, _check_plugin, _start, check_hypotheses, run_ensemble
 
 MODES = ("plain", "averaged", "truncated")
 
@@ -103,7 +103,7 @@ def verify(
     B, budget x). An ``event_predicate`` restricts the deviation range per
     side-event semantics and relabels plain mode as 'side-events'. The mode
     parameters and the initial condition max_k |Y_k(0) - y_hat_k*n| <=
-    lambda*n, Y(0) from ``plugin.initial_state()``, are checked before any
+    lambda*n, Y(0) by the kernel's start rule, are checked before any
     work starts, even when sigma = 0, and so are ``count`` and ``jobs``
     (both at least 1) and the plugin's ``n`` and ``dim`` against the spec.
     Raises :class:`PluginCrashed` when a plugin method raises.
@@ -169,13 +169,11 @@ def _verify_anchors(
     _check_counts(count, jobs)
     _check_plugin(plugin, spec)
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
-    start = plugin.initial_state()
-    with _guard(plugin, "observables", "on the initial state"):
-        y0 = plugin.observables(start)
+    y0 = _start(plugin)[1]
     for idx, anchored_spec in enumerate(anchored):
         if not check_initial_condition(anchored_spec, y0):
             raise ValueError(
-                f"anchor {idx} violates the initial condition, Y(0) = {tuple(y0)}"
+                f"anchor {idx} violates the initial condition, Y(0) = {tuple(y0.tolist())}"
             )
     R, T = compute_RT(spec)
     threshold = lambda_threshold(spec, R, T, gamma=gamma, B=B, x=x)

@@ -288,7 +288,7 @@ class TestVerify:
         assert err.startswith(f"error: {crash_name(method)} raised ZeroDivisionError")
 
     def test_raising_initial_observables_exit_3(self, tmp_path, capsys, monkeypatch):
-        """verify takes Y(0) under the same guard as the kernel."""
+        """verify takes Y(0) from the kernel's start rule, under its guard."""
 
         class NoCountsBalls(BallsInBins):
             name = "no-counts-balls"
@@ -304,7 +304,28 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--count", "2"]) == 3
         assert capsys.readouterr().err == (
-            "error: NoCountsBalls.observables raised KeyError('no counts') on the initial state\n"
+            "error: NoCountsBalls.observables_batch raised KeyError('no counts') on the initial state\n"
+        )
+
+    def test_fractional_initial_state_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A start state that the kernel would refuse is refused by verify,
+        even when every anchor is vacuous and nothing is simulated."""
+
+        class HalfBalls(BallsInBins):
+            name = "half-balls"
+
+            def initial_state(self):
+                return self.n + 0.5
+
+        monkeypatch.setattr(processes, "_REGISTRY", dict(processes._REGISTRY))
+        register_plugin(HalfBalls.name, lambda n, params: HalfBalls(n))
+        doc = spec_to_dict(balls_in_bins_spec(1000, lam=0.05)[0])
+        doc["plugin"] = HalfBalls.name
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--count", "2"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: HalfBalls.initial_state returned 1000.5: a state is an int"
         )
 
     def test_inadmissible_lambda_exits_2(self, tmp_path, capsys):

@@ -672,6 +672,35 @@ class TestBatchContract:
             with pytest.raises(PluginCrashed, match=rf"^{cls.__name__}\.step_batch raised "):
                 simulate.simulate(plugin, spec, seed=1)
 
+    def test_float_states_of_an_array_step_are_refused(self):
+        """A ``step_batch`` whose next states int64 cannot hold exactly, such
+        as a step that removes half a ball, ends the run with
+        ``PluginCrashed`` naming it; the states are never truncated."""
+
+        class HalfBallBins(BallsInBins):
+            def step_batch(self, states, u):
+                return states - 0.5 * (u[:, 0] * self.n < states)
+
+        spec, _ = balls_in_bins_spec(1000)
+        with pytest.raises(PluginCrashed, match=r"^HalfBallBins\.step_batch returned float64 values"):
+            simulate.simulate(HalfBallBins(1000), spec, seed=1)
+
+    @pytest.mark.parametrize("at_start", [True, False], ids=["start", "span"])
+    def test_float_counts_are_refused(self, at_start):
+        """Counts from ``observables_batch`` that int64 cannot hold exactly
+        end the run with ``PluginCrashed`` naming it, on the start state or
+        in a span; they are never truncated for the records while the box
+        test and the martingale read the floats."""
+
+        class HalfCounts(BallsInBins):
+            def observables_batch(self, states):
+                Y = super().observables_batch(states)
+                return Y + 0.5 if at_start or len(states) > 1 else Y
+
+        spec, _ = balls_in_bins_spec(1000)
+        with pytest.raises(PluginCrashed, match=r"^HalfCounts\.observables_batch returned float64 values"):
+            simulate.simulate(HalfCounts(1000), spec, seed=1)
+
     def test_a_scalar_method_refuses_a_batch_result_without_one_row(self):
         """The scalar methods of an array plugin are batches of one: a batch
         method that gives anything but an array of one row is refused, as the

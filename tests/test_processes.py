@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracle_utils import oracle_drift, oracle_mean_abs_step, reachable_states
 from scalar_reference import scalar_twin
 
+from demtrack import PluginCrashed
 from demtrack.processes import (
     BallsInBins,
     DegreeProcess,
@@ -239,6 +240,20 @@ class TestBatchOfOne:
                 state = nxt
                 assert_same_plain(plugin.observables(state), twin.observables(state))
                 assert_same_plain(plugin.drift(state), twin.drift(state))
+
+    def test_a_state_int64_cannot_hold_is_refused(self):
+        """A scalar method of an array plugin takes its state as the kernel
+        holds it: one that int64 cannot hold exactly is refused, naming the
+        method that was given it, never truncated."""
+        rng = np.random.Generator(np.random.Philox(0))
+        balls = BallsInBins(100)
+        with pytest.raises(PluginCrashed, match=r"^BallsInBins\.step was given 1\.5: "):
+            balls.step(1.5, rng)
+        with pytest.raises(PluginCrashed, match=r"^BallsInBins\.observables was given 7\.9: "):
+            balls.observables(7.9)
+        with pytest.raises(PluginCrashed, match=r"^DegreeProcess\.drift was given \(9, 0\.5, 0\): "):
+            DegreeProcess(10, max_degree=1).drift((9, 0.5, 0))
+        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()  # no draw taken
 
 
 def class_edge_states(n, top, rng):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from test_ode import CallCounter
 
-from demtrack import Domain, ProcessSpec
+from demtrack import Domain, PluginCrashed, ProcessSpec
 from demtrack.ode import solve_ode
 from demtrack.processes import (
     BallsInBins,
@@ -430,4 +430,19 @@ class TestFailureHandling:
         for count, jobs in ((0, 1), (4, 0), (4, -3)):
             with pytest.raises(ValueError, match="must be at least 1"):
                 run_ensemble(plugin, spec, count, 0, jobs=jobs)
+        assert batches.calls == 0
+
+    def test_a_raising_initial_state_fails_before_any_batch(self, monkeypatch):
+        """A run's start is built once, before its batches: a raising
+        ``initial_state`` ends the run in the calling process."""
+
+        class NoStartBalls(BallsInBins):
+            def initial_state(self):
+                raise RuntimeError("no start")
+
+        spec, _ = balls_in_bins_spec(100, lam=1e-3)
+        batches = CallCounter(simulate_module._simulate_batch)
+        monkeypatch.setattr(simulate_module, "_simulate_batch", batches)
+        with pytest.raises(PluginCrashed, match=r"^NoStartBalls\.initial_state raised RuntimeError"):
+            run_ensemble(NoStartBalls(100), spec, 4, 0, jobs=2)
         assert batches.calls == 0

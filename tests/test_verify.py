@@ -13,7 +13,7 @@ from scan_reference import reference_compute_RT
 from test_ode import CallCounter
 from test_simulate import DriftLiar
 
-from demtrack import Constants, Domain, LambdaNotAdmissible, ProcessSpec
+from demtrack import Constants, Domain, LambdaNotAdmissible, PluginCrashed, ProcessSpec
 from demtrack.ode import _margin, compute_RT, lambda_threshold, solve_ode
 from demtrack.processes import (
     BallsInBins,
@@ -177,6 +177,21 @@ class TestVerifyPlain:
                 verify(replace(spec, y_hat=(y_hat,)), plugin, 3, 0)
         # refused before the RT scan or any simulation
         assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
+    def test_a_start_state_the_kernel_refuses_is_refused(self, monkeypatch):
+        """Y(0) comes from the kernel's start rule: a fractional start state
+        is refused, not truncated, even when every anchor is vacuous."""
+
+        class HalfBalls(BallsInBins):
+            def initial_state(self):
+                return self.n + 0.5
+
+        counters = count_calls(monkeypatch)
+        spec, plugin = balls_in_bins_spec(1000, lam=0.05)
+        with pytest.raises(PluginCrashed, match=r"^HalfBalls\.initial_state returned 1000\.5:"):
+            verify(spec, HalfBalls(1000), 3, 0)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+        assert verify(spec, plugin, 3, 0).vacuous
 
     def test_hypothesis_violations_surface(self):
         spec, _ = small_balls(n=400, lam=0.02)
