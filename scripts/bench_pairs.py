@@ -28,12 +28,17 @@ n = 100,000 with 200 trajectories and the degree-anchors spec with its
 three anchors and 100 trajectories), in six alternating fresh interpreters
 per tree, by process time (``time.process_time``) with the wall time
 next to it: ``ode.anchor_grids``, with a SHA-256 of the grids, and
-``simulate.run_ensemble`` as ``verify`` calls it, with a SHA-256 of every
+``simulate.run_ensemble`` with the solutions and replay check ``verify``
+passes, keeping the default thinned records, with a SHA-256 of every
 trajectory's statistics and records. Both layers are also timed on the
 degree spec at n = 1,000,000 with its one anchor, the process's start, and
 100 trajectories; its ensemble, at about 23 s a call, is one call in one
-interpreter per tree, the parent first. The digests must agree between the
-trees. The layout is that of ``BENCH_10.json``.
+interpreter per tree, the parent first. Last, it records ``verify``'s peak
+resident set (``ru_maxrss``), with a SHA-256 of the report, in one fresh
+interpreter per tree and instance, the parent first: on the balls n =
+100,000 instance with 200 trajectories and on the balls-ensemble spec with
+2,000 trajectories. The digests must agree between the trees. The layout
+is that of ``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -115,10 +120,12 @@ for name, w, _ in INSTANCES + LARGE:
 print(json.dumps(out))
 """
 
-# run_ensemble with every anchor's solution and the replay check, as verify
-# calls it, timed by the best of three calls on INSTANCES (argument
-# "acceptance") or by one call on LARGE (argument "large"); the digest covers
-# each Trajectory field, arrays by dtype, shape and bytes, the rest by repr
+# run_ensemble with every anchor's solution and the replay check, timed by
+# the best of three calls on INSTANCES (argument "acceptance") or by one call
+# on LARGE (argument "large"); the digest covers each Trajectory field,
+# arrays by dtype, shape and bytes, the rest by repr. It times the thinned
+# call that both trees support: verify keeps only each trajectory's start and
+# stop records (endpoints_only), an option an older parent lacks
 ENSEMBLE_CODE = ACCEPTANCE + """
 import numpy as np
 
@@ -144,6 +151,27 @@ for name, w, count in instances:
                  "sha256": digest.hexdigest()}
 print(json.dumps(out))
 """
+
+
+# verify's peak resident set (ru_maxrss, KiB on Linux) on the instance named
+# by the argument, alone in a fresh interpreter so that no other call's peak
+# counts, with a SHA-256 of the report's to_dict()
+RSS_CODE = ACCEPTANCE + """
+import resource
+from demtrack.verify import verify
+
+RSS = {name: (w, count) for name, w, count in (
+    INSTANCES[0],
+    ("balls n=20000, 2000 trajectories", WORKLOADS["balls-ensemble"], 2000),
+)}
+w, count = RSS[sys.argv[1]]
+spec, plugin = spec_from_dict(w.spec_doc())
+report = verify(spec, plugin, count, 1, replay_check=True)
+doc = json.dumps(report.to_dict(), sort_keys=True, allow_nan=True)
+print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "sha256": hashlib.sha256(doc.encode()).hexdigest()}))
+"""
+RSS_INSTANCES = ("balls n=100000", "balls n=20000, 2000 trajectories")
 
 
 def run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -254,6 +282,29 @@ def bench_fresh(trees: dict, code: str, *args: str, repeats: int = REPEATS) -> d
     return doc
 
 
+def bench_rss(trees: dict) -> dict:
+    """``RSS_CODE`` on each of ``RSS_INSTANCES`` in one fresh interpreter per
+    tree, the parent first: both peaks, and whether the report digests agree."""
+    doc = {}
+    for name in RSS_INSTANCES:
+        runs = {
+            side: json.loads(subprocess.run(
+                [sys.executable, "-c", RSS_CODE, name], cwd=trees[side],
+                capture_output=True, text=True, check=True,
+            ).stdout)
+            for side in ("parent", "change")
+        }
+        digests = sorted({r["sha256"] for r in runs.values()})
+        doc[name] = {
+            "unit": "MB",
+            "parent_peak_rss_mb": runs["parent"]["peak_rss_mb"],
+            "change_peak_rss_mb": runs["change"]["peak_rss_mb"],
+            "identical": len(digests) == 1,
+            "sha256": digests,
+        }
+    return doc
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -302,7 +353,7 @@ def main(argv=None) -> int:
                 "what": (
                     "simulate.run_ensemble process (CPU) time, with the call's wall time"
                     " under wall_s, with every anchor's solution and"
-                    " replay_check, as verify calls it, on base seed 1; best of 3 calls"
+                    " replay_check, thinned records, on base seed 1; best of 3 calls"
                     f" in a fresh interpreter, {REPEATS} interpreters per tree alternating;"
                     " the degree n=1000000 instance by one call in one interpreter per"
                     " tree, the parent first; sha256 over every Trajectory field of every"
@@ -310,6 +361,14 @@ def main(argv=None) -> int:
                 ),
                 **bench_fresh(trees, ENSEMBLE_CODE, "acceptance"),
                 **bench_fresh(trees, ENSEMBLE_CODE, "large", repeats=1),
+            },
+            "verify_peak_rss": {
+                "what": (
+                    "verify(count, base seed 1, replay_check=True) alone in a fresh"
+                    " interpreter per tree and instance, the parent first: peak resident"
+                    " set by resource.getrusage ru_maxrss; sha256 of the report's to_dict()"
+                ),
+                **bench_rss(trees),
             },
             "elapsed_s": time.time() - started,
         }

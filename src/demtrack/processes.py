@@ -232,10 +232,13 @@ class ProcessPlugin(ABC):
         raise NotImplementedError(f"{type(self).__name__} steps row by row, through step")
 
     def observables_batch(self, states: np.ndarray) -> np.ndarray:
-        """Y(i) of every row, int64 of shape (rows, dim)."""
-        return np.array(
-            [self.observables(s) for s in _rows(states)], dtype=np.int64
-        ).reshape(len(states), self.dim)
+        """Y(i) of every row, int64 of shape (rows, dim); counts that int64
+        cannot hold exactly are refused, naming ``observables``."""
+        if not len(states):
+            return np.empty((0, self.dim), dtype=np.int64)
+        counts = np.array([self.observables(s) for s in _rows(states)])
+        counts = _int64_values(self, "observables", counts)
+        return counts.astype(np.int64, copy=False).reshape(len(states), self.dim)
 
     def drift_batch(self, states: np.ndarray) -> np.ndarray:
         """Exact drift of every row, float of shape (rows, dim)."""

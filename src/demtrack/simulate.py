@@ -3,8 +3,9 @@
 The stopping index of a trajectory is the first step at which the rescaled
 state leaves the domain, capped at floor(T*n). Sup-deviation from the ODE
 path, the sup of the martingale part, and the recurrence replay are all
-accumulated online, so the default thinned storage (every ceil(n/1000)-th
-step) never affects verification.
+accumulated online, so the records kept (every ceil(n/1000)-th step by
+default, every step, or with ``endpoints_only`` the start and the stop
+only, as ``verify`` keeps them) never affect verification.
 
 What the batches of a run share is checked and built once, by
 ``_prepare``, into one record (``_Run``): its inputs, record grid, start
@@ -143,11 +144,14 @@ def _start(plugin: ProcessPlugin) -> tuple[np.ndarray, np.ndarray]:
 def _prepare(
     plugin: ProcessPlugin, spec: ProcessSpec, solution: Solutions | None, replay_check: bool,
     full_paths: bool, event_predicate: Callable[[int, tuple], bool] | None,
+    endpoints_only: bool = False,
 ) -> _Run:
     """Check a run's inputs and build what its batches share, before any batch starts."""
     n = spec.n
     if replay_check and solution is None:
         raise ValueError("replay_check requires an ODE solution")
+    if full_paths and endpoints_only:
+        raise ValueError("full_paths and endpoints_only exclude each other")
     _check_plugin(plugin, spec)
     single = isinstance(solution, OdeSolution)
     solutions = (solution,) if single else tuple(solution or ())
@@ -156,8 +160,10 @@ def _prepare(
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before it, then the horizon. A trajectory that stops at i ends at
     # record ceil(i/stride), so it keeps a prefix of its row. Trajectories
-    # share the read-only step grid unless their last step is off it.
-    stride = 1 if full_paths else max(1, math.ceil(n / 1000))
+    # share the read-only step grid unless their last step is off it. The
+    # stride is 1 for full paths, the horizon for the start and stop only
+    # (grid [0, horizon]), and ceil(n/1000) otherwise.
+    stride = 1 if full_paths else max(1, spec.horizon if endpoints_only else math.ceil(n / 1000))
     grid = np.arange(-(-spec.horizon // stride) + 1, dtype=np.int64) * stride
     grid[-1] = spec.horizon
     start, Y0 = _start(plugin)
@@ -608,6 +614,7 @@ def run_ensemble(
     *,
     solution: Solutions | None = None,
     full_paths: bool = False,
+    endpoints_only: bool = False,
     replay_check: bool = False,
     jobs: int = 1,
 ) -> Ensemble:
@@ -622,9 +629,15 @@ def run_ensemble(
     ``event_predicate`` is called once per trajectory and step up to that
     trajectory's stop (as in :func:`simulate`), in step order for each
     trajectory; the order of calls across trajectories is unspecified.
+    Records are kept every ceil(n/1000)-th step and at the stop, at every
+    step with ``full_paths``, or at step 0 and the stop only with
+    ``endpoints_only`` (which excludes ``full_paths``); the other fields
+    of each trajectory are the same whichever is kept.
     """
     _check_counts(count, jobs)
-    run = _prepare(plugin, spec, solution, replay_check, full_paths, event_predicate)
+    run = _prepare(
+        plugin, spec, solution, replay_check, full_paths, event_predicate, endpoints_only
+    )
     seeds = [derive_seed(base_seed, idx) for idx in range(count)]
     batch = partial(_simulate_batch, run)
     if jobs > 1:

@@ -196,6 +196,7 @@ def _verify_anchors(
             base_seed,
             event_predicate,
             solution=[solutions[k] for k in tracked],
+            endpoints_only=True,  # the reports read only what the kernel reduces online
             replay_check=replay_check,
             jobs=jobs,
         ).trajectories

@@ -701,6 +701,26 @@ class TestBatchContract:
         with pytest.raises(PluginCrashed, match=r"^HalfCounts\.observables_batch returned float64 values"):
             simulate.simulate(HalfCounts(1000), spec, seed=1)
 
+    @pytest.mark.parametrize("at_start", [True, False], ids=["start", "span"])
+    def test_float_counts_of_a_row_wise_plugin_are_refused(self, at_start):
+        """A row-wise plugin's ``observables`` goes through the same int64
+        rule as an array plugin's batch: non-integral counts end the run with
+        ``PluginCrashed`` naming ``observables``, never truncated."""
+
+        class HalfCoin(FairCoin):
+            def observables(self, state):
+                return (state + 0.5,) if at_start or state else (state,)
+
+        with pytest.raises(PluginCrashed, match=r"^HalfCoin\.observables returned float64 values"):
+            simulate.simulate(HalfCoin(100), coin_spec(100), seed=1)
+
+    def test_a_row_wise_plugin_observes_no_rows(self):
+        """The per-row ``observables_batch`` of no rows is int64 of shape (0, dim)."""
+        for plugin in (FairCoin(100), BigStepPlugin(100), DegreeProcess(100, max_degree=2)):
+            row = np.shape(plugin.initial_state())
+            Y = ProcessPlugin.observables_batch(plugin, np.empty((0,) + row, dtype=np.int64))
+            assert Y.dtype == np.int64 and Y.shape == (0, plugin.dim)
+
     def test_a_scalar_method_refuses_a_batch_result_without_one_row(self):
         """The scalar methods of an array plugin are batches of one: a batch
         method that gives anything but an array of one row is refused, as the
@@ -773,6 +793,76 @@ def test_paths_tracked_together_match_one_at_a_time(
             dataclasses.replace(traj, **{name: None for name in per_path}, violations=()),
             dataclasses.replace(want, **{name: None for name in per_path}, violations=()),
         )
+
+
+# (kind, tight box, paths, event predicate): balls to the horizon and balls
+# that leave the box mid-span, degree against three paths, a row-wise coin,
+# a drift liar (trend violations), big steps (bound violations), a liar
+# whose step raises (error rows) and a predicate that cuts the deviations
+ENDPOINT_CASES = {
+    "balls": ("balls", False, 1, None),
+    "balls-exit": ("balls", True, 1, None),
+    "degree-3-paths": ("degree", True, 3, None),
+    "coin": ("coin", True, 1, None),
+    "liar": ("liar", False, 1, None),
+    "bigstep": ("bigstep", False, 1, None),
+    "crash-liar": ("crash-liar", True, 1, None),
+    "predicate": ("balls", False, 1, CountFloor(1500)),
+}
+RECORDS = ("indices", "steps", "drifts")
+
+
+@pytest.mark.parametrize("spans", [None, (3, 9, 27)], ids=["default", "3-9x3"])
+@pytest.mark.parametrize("case", list(ENDPOINT_CASES))
+def test_endpoint_records_change_nothing_else(monkeypatch, case, spans):
+    """``endpoints_only`` keeps each trajectory's records at step 0 and its
+    stop; every other field equals the thinned run's bit for bit, and so do
+    the two records kept. The stop record's drift is NaN in both, except
+    that a thinned record on its grid keeps the drift of a step that raised."""
+    kind, tight, paths, predicate = ENDPOINT_CASES[case]
+    n, count = 2300, 6
+    if spans is not None:
+        set_span(monkeypatch, spans[0], spans[1], count, spans[2])
+    spec, plugin = make_case(kind, n, tight)
+    R, T = case_RT(kind, tight)
+    shift = np.zeros(spec.a)
+    shift[0] = 0.5 * spec.lam
+    solutions = [
+        solve_ode(dataclasses.replace(spec, y_hat=tuple(np.array(spec.y_hat) + f * shift)), R, T)
+        for f in (0.0, -1.0, 1.0)[:paths]
+    ]
+    run = functools.partial(
+        run_ensemble, plugin, spec, count, 17, predicate,
+        solution=solutions if paths > 1 else solutions[0], replay_check=True,
+    )
+    thinned, ends = run().trajectories, run(endpoints_only=True).trajectories
+    stride = math.ceil(n / 1000)
+    for t, e in zip(thinned, ends):
+        for f in dataclasses.fields(t):
+            if f.name not in RECORDS:
+                assert repr(getattr(e, f.name)) == repr(getattr(t, f.name)), f.name
+        stop = t.stop_index
+        assert e.indices.tolist() == [0, stop]
+        for rec in (0, -1):
+            assert np.array_equal(e.steps[rec], t.steps[rec])
+        assert np.array_equal(e.drifts[0], t.drifts[0])
+        assert np.isnan(e.drifts[-1]).all()
+        if t.valid or stop % stride:
+            assert np.isnan(t.drifts[-1]).all()
+    if case == "crash-liar":
+        assert not any(t.valid for t in thinned)
+    if case == "balls-exit":
+        assert all(0 < t.stop_index < spec.horizon for t in thinned)
+
+
+def test_endpoint_records_of_a_run_that_never_steps():
+    """At horizon 0 the start is the stop: one record, as in a thinned run."""
+    spec = coin_spec(100, t_hi=0.005)
+    assert spec.horizon == 0
+    thinned = run_ensemble(FairCoin(100), spec, 3, 2).trajectories
+    for t, e in zip(thinned, run_ensemble(FairCoin(100), spec, 3, 2, endpoints_only=True).trajectories):
+        assert_same_trajectory(e, t)
+        assert e.indices.tolist() == [0]
 
 
 class SharpShift(ProcessPlugin):

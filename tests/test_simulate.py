@@ -203,6 +203,11 @@ class TestThinning:
         assert traj.indices[-1] == traj.stop_index
         assert not traj.is_full
 
+    def test_endpoints_only_excludes_full_paths(self):
+        spec, plugin = balls_in_bins_spec(150, lam=1e-3)
+        with pytest.raises(ValueError, match="^full_paths and endpoints_only exclude each other$"):
+            run_ensemble(plugin, spec, 3, 0, full_paths=True, endpoints_only=True)
+
     def test_online_stats_unaffected_by_thinning(self):
         spec, plugin = balls_in_bins_spec(5000, lam=2e-3)
         sol = solve_ode(spec)

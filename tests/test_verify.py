@@ -506,6 +506,39 @@ def test_each_anchor_report_equals_verify(kind, jobs, monkeypatch):
         assert report.to_dict() == {**want.to_dict(), "anchor": list(anchor)}
 
 
+def before_step_300(i, y):
+    """An event predicate that pickles, for jobs > 1."""
+    return i < 300
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_keeps_only_start_and_stop_records(jobs, monkeypatch):
+    """The reports read only what the kernel reduces online, so every
+    trajectory that verify and verify_multi_anchor simulate keeps two
+    records: step 0 and its stop."""
+    simulated = []
+
+    def spy(*args, **kwargs):
+        ens = real(*args, **kwargs)
+        simulated.extend(ens.trajectories)
+        return ens
+
+    real = verify_module.run_ensemble
+    monkeypatch.setattr(verify_module, "run_ensemble", spy)
+    spec, plugin = small_balls(n=1000)
+    verify(spec, plugin, 4, 5, jobs=jobs)
+    verify(spec, BigStepPlugin(1000), 3, 6, event_predicate=before_step_300, jobs=jobs)
+    for kind in ("degree", "liar"):
+        spec, plugin, anchors = anchored_case(kind)
+        verify_multi_anchor(spec, plugin, 5, 8, anchors, jobs=jobs)
+    assert len(simulated) == 4 + 3 + 5 + 5
+    for traj in simulated:
+        assert 0 < traj.stop_index
+        assert traj.indices.tolist() == [0, traj.stop_index]
+        assert traj.steps.shape == traj.drifts.shape == (2, len(traj.steps[0]))
+        assert np.isnan(traj.drifts[1]).all()
+
+
 def all_m_gw_final_inequality(spec: ProcessSpec, c: Constants) -> bool:
     """The Gronwall check as it was first written: in counts, at every m <= min(T, sigma)*n."""
     n = spec.n
