@@ -71,9 +71,6 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for idx, traj in enumerate(ensemble.trajectories):
-        flags = {}
-        for v in traj.violations:
-            flags[v.i] = flags.get(v.i, 0) | (1 if v.kind == "trend" else 2)
         path = outdir / f"traj_{idx:04d}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -83,12 +80,9 @@ def cmd_simulate(args) -> int:
                 + [f"drift_{k + 1}" for k in range(spec.a)]
                 + ["flags"]
             )
-            for i, y_row, d_row in zip(traj.indices, traj.steps, traj.drifts):
+            for i, y_row, d_row, flag in zip(traj.indices, traj.steps, traj.drifts, traj.flags):
                 writer.writerow(
-                    [int(i)]
-                    + [int(v) for v in y_row]
-                    + [_fmt(v) for v in d_row]
-                    + [flags.get(int(i), 0)]
+                    [int(i)] + [int(v) for v in y_row] + [_fmt(v) for v in d_row] + [int(flag)]
                 )
         line = f"{path}: stop_index = {traj.stop_index}, seed = {traj.seed}"
         if traj.sup_deviation is not None:

@@ -236,8 +236,7 @@ class Violation:
     """One recorded hypothesis violation at step ``i``, coordinate ``k``.
 
     ``kind`` is 'trend' (conditional drift differs from F_k by more than
-    delta) or 'bound' (one-step change exceeds beta). ``deviation`` is the
-    trajectory's distance to the ODE path at step i, when known.
+    delta) or 'bound' (one-step change exceeds beta).
     """
 
     i: int
@@ -245,7 +244,6 @@ class Violation:
     kind: str
     observed: float
     allowed: float
-    deviation: float | None = None
 
 
 @dataclass(frozen=True)
@@ -256,15 +254,20 @@ class Trajectory:
     fully recorded, a thinned subset otherwise); ``steps[r]`` is the count
     vector Y(indices[r]) and ``drifts[r]`` the exact conditional expectation
     E(Y(i+1)-Y(i) | F_i) at that step (NaN on the final record, where no
-    step was taken). ``stop_index`` is the first exit from the domain capped
-    at floor(T*n). Online statistics (sup_deviation, sup_martingale,
-    replay_ok) are computed during simulation so that thinning never affects
-    verification. A trajectory simulated against a sequence of ODE solutions
-    holds ``sup_deviation``, ``deviation_cap`` and ``replay_ok`` as tuples,
-    one entry per solution, and its violations carry no deviation. The
-    kernel stores records coordinate-major, so ``steps`` and ``drifts`` may
-    be read-only, Fortran-ordered views; take ``np.ascontiguousarray`` of
-    one for its raw bytes in row order.
+    step was taken); ``flags[r]`` is 1 for a trend and 2 for a bound
+    violation there, or 3. ``stop_index`` is the first exit from the domain
+    capped at floor(T*n). Online statistics are computed during simulation
+    so that thinning never affects verification: sup_deviation,
+    sup_martingale, replay_ok, ``violation_counts`` (trend, bound) before
+    the stop, of which ``violations`` holds the first 16 in (step, trend
+    before bound, coordinate) order, and ``in_range_violations``, the same
+    at steps i < floor(sigma*n) with the deviation below the envelope. A
+    trajectory simulated against a sequence of ODE solutions holds the
+    latter, ``sup_deviation``, ``deviation_cap`` and ``replay_ok`` as
+    tuples, one entry per solution. The kernel stores records coordinate-major, so
+    ``steps`` and ``drifts`` may be read-only, Fortran-ordered views (and
+    ``flags`` of a run without violations a view of one 0); take
+    ``np.ascontiguousarray`` of one for its raw bytes in row order.
     """
 
     seed: int
@@ -272,7 +275,10 @@ class Trajectory:
     indices: np.ndarray
     steps: np.ndarray
     drifts: np.ndarray
+    flags: np.ndarray
     violations: tuple[Violation, ...] = ()
+    violation_counts: tuple[int, int] = (0, 0)
+    in_range_violations: tuple[int, int] | tuple[tuple[int, int], ...] | None = None
     sup_deviation: float | tuple[float, ...] | None = None
     deviation_cap: int | tuple[int, ...] | None = None
     sup_martingale: float = 0.0
@@ -282,7 +288,7 @@ class Trajectory:
     error_step: int | None = None
 
     def __post_init__(self):
-        for arr in (self.indices, self.steps, self.drifts):
+        for arr in (self.indices, self.steps, self.drifts, self.flags):
             arr.setflags(write=False)
 
     @property

@@ -39,8 +39,9 @@ box, or the first step that raised, unless the row left the box at or
 before it) and its event stop; ``_reduce_drift`` the drift, the stride
 records, the martingale sup and the trend check; ``_reduce_deviation`` the
 sup deviation and the replay chain against each ODE path;
-``_add_violations`` the bound jumps and the ``Violation`` objects; and
-``_write_out`` the rows that stopped. The box is tested on the int64
+``_count_violations`` the counts, examples and record flags of the trend
+and bound violations, in memory bounded per row; and ``_write_out`` the
+rows that stopped. The box is tested on the int64
 counts against ``Domain.count_bounds``, computed once per run, which is
 the same rule as testing Y/n against the open box. Every reducer counts
 positions one way: it sets to 0 each stopped row's positions past its stop
@@ -93,6 +94,8 @@ from .processes import ProcessPlugin, _guard, _int64_rows, _int64_values, _rows
 _BLOCK_STEPS = 128
 _SPAN_ROW_STEPS = 160 * 128
 _DRAW_STEPS = 1024
+# Violations kept as examples per trajectory; the others are only counted.
+_EXAMPLES = 16
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -298,7 +301,9 @@ class _Batch(_Run):
     seeds: list[int]
     rec_y: np.ndarray   # each trajectory's records, coordinate-major: (count, a, len(grid))
     rec_d: np.ndarray
-    violations: list[list[Violation]]
+    flags: list         # [the records' violation flags, (count, len(grid))]: a view of one 0
+                        # until the batch's first violation, so a clean batch writes none
+    examples: list[list[Violation]]  # each trajectory's first _EXAMPLES violations
     out: list[Trajectory | None]
 
 
@@ -317,6 +322,8 @@ class _Rows:
     carry: np.ndarray        # the replay chain's sum at step i0, (rows, K)
     replay_ok: np.ndarray    # (rows, K)
     event_stop: np.ndarray   # the predicate's first failing step, -1 until then
+    counts: np.ndarray       # (trend, bound) violations so far, (rows, 2)
+    in_range: np.ndarray     # the same below each path's cap and envelope, (rows, K, 2)
 
     def keep(self, mask: np.ndarray) -> None:
         vars(self).update({k: v[mask] for k, v in vars(self).items() if v is not None})
@@ -334,6 +341,8 @@ class _Span:
     end: np.ndarray      # the position of each row's stop, J + 1 for a row that goes on
     error: np.ndarray    # the row stopped at a step that raised
     done: np.ndarray     # end <= J
+    on_grid: slice       # the positions 0..J-1 on the record grid,
+    kept: slice          # and their records
 
 
 def _clear_past_stops(x: np.ndarray, s: _Span, after: int = 1) -> np.ndarray:
@@ -381,12 +390,16 @@ def _stop_rule(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fail
                 if not b.event_predicate(i0 + j, tuple(y)):
                     rows.event_stop[r] = i0 + j
                     break
-    return _Span(i0, J, where, states, Y, end, error, done)
+    on_grid = slice(-i0 % b.stride, J, b.stride)
+    first = -(-i0 // b.stride)
+    kept = slice(first, first + len(range(J)[on_grid]))
+    return _Span(i0, J, where, states, Y, end, error, done, on_grid, kept)
 
 
 def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     """Drift, stride records, martingale sup and trend check of the span; returns
-    the trend violations as (rows, positions, kinds, coordinates, gaps), or None."""
+    the (a, rows, J) plane of |drift - F| at the steps taken, 0 elsewhere, or
+    None for an ``exact_drift`` plugin."""
     live_rows, J, n, a = len(rows.ids), s.J, b.spec.n, b.spec.a
     # cum[:, :, j] is drift_cum at step i0 + j, summed one step at a time;
     # before the sum, cum[:, :, j + 1] holds the drift of step i0 + j. The
@@ -405,16 +418,12 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
             points = np.column_stack(((s.i0 + j) / n, s.Y[:, r, j].T.astype(float) / n))
             with _guard(b.spec, "drift", s.where):
                 field = drift_at(b.spec.drift, points)
-            gap = np.abs(cum[:, r, j + 1].T - field)
-            x, k = np.nonzero(~(gap <= b.spec.delta))  # a NaN gap is a violation
-            trend = (r[x], j[x], np.zeros_like(k), k, gap[x, k])
+            trend = np.zeros((a, live_rows, J))
+            trend[:, r, j] = np.abs(cum[:, r, j + 1] - field.T)
     # records of the steps on the stride grid; a row's records past its
     # stop are overwritten by its last record or lie past its prefix
-    on_grid = slice(-s.i0 % b.stride, J, b.stride)
-    first = -(-s.i0 // b.stride)
-    kept = slice(first, first + len(range(J)[on_grid]))
-    b.rec_y[rows.ids, :, kept] = s.Y[:, :, on_grid].transpose(1, 0, 2)
-    b.rec_d[rows.ids, :, kept] = cum[:, :, 1:][:, :, on_grid].transpose(1, 0, 2)
+    b.rec_y[rows.ids, :, s.kept] = s.Y[:, :, s.on_grid].transpose(1, 0, 2)
+    b.rec_d[rows.ids, :, s.kept] = cum[:, :, 1:][:, :, s.on_grid].transpose(1, 0, 2)
     cum[:, :, 0] = rows.drift_cum.T
     np.add.accumulate(cum, axis=2, out=cum)
     rows.drift_cum[:] = cum[:, :, J].T
@@ -463,31 +472,39 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
     return dev
 
 
-def _bound_jumps(b: _Batch, s: _Span):
-    """Steps before each row's stop that move a coordinate by more than beta, as
-    (rows, positions, kinds, coordinates, jumps), or None."""
+def _count_violations(b: _Batch, rows: _Rows, s: _Span, trend, dev) -> None:
+    """Count, at each step before a row's stop and in each coordinate, a gap
+    ``trend`` not within delta (NaN included) and a move by more than beta:
+    in all, and per path below its cap with the deviation ``dev`` inside its
+    envelope. Keep a row's first ``_EXAMPLES`` in (step, trend before bound,
+    coordinate) order, and flag its records. A clean span writes nothing."""
     jump = _clear_past_stops(np.diff(s.Y, axis=2), s, after=0)
     over = np.abs(jump, out=jump) > b.spec.beta
-    if over.any():
-        k, r, j = np.nonzero(over)
-        return r, j, np.ones_like(k), k, jump[k, r, j]
-
-
-def _add_violations(b: _Batch, rows: _Rows, s: _Span, trend, dev) -> None:
-    """Add the span's trend and bound violations to their trajectories, in
-    (step, trend before bound, coordinate) order."""
-    found = [f for f in (trend, _bound_jumps(b, s)) if f is not None]
-    if not found:
+    off = None if trend is None else ~(trend <= b.spec.delta)
+    if not over.any() and (off is None or not off.any()):
         return
-    r, j, kind, k, observed = (np.concatenate(f) for f in zip(*found))
-    single = dev is not None and b.single
-    for x in np.lexsort((k, kind, j, r)):
-        rx, jx = r[x], j[x]
-        b.violations[rows.ids[rx]].append(Violation(
-            s.i0 + int(jx), int(k[x]), ("trend", "bound")[kind[x]], float(observed[x]),
-            (b.spec.delta, b.spec.beta)[kind[x]],
-            float(dev[0, rx, jx]) if single and jx < dev.shape[2] else None,
-        ))
+    bad = np.stack((np.zeros_like(over) if off is None else off, over))  # (kind, a, rows, J)
+    need = _EXAMPLES - np.minimum(rows.counts.sum(axis=1), _EXAMPLES)  # examples to keep
+    rows.counts += bad.sum(axis=(1, 3)).T
+    if dev is not None:
+        for k, (cap, path) in enumerate(zip(b.caps, b.solutions)):
+            lim = max(0, min(s.J, cap - s.i0))
+            inside = bad[:, :, :, :lim] & (dev[k, :, :lim] < path.constants.envelope(b.spec.n))
+            rows.in_range[:, k] += inside.sum(axis=(1, 3)).T
+    hit = bad.any(axis=1)  # (kind, rows, J)
+    flag = hit[0] + 2 * hit[1]
+    if not b.flags[0].flags.writeable:  # still the zero view
+        b.flags[0] = np.zeros((len(b.seeds), len(b.grid)), dtype=np.uint8)
+    b.flags[0][rows.ids, s.kept] = flag[:, s.on_grid]
+    for r in np.flatnonzero(s.error):  # the step that raised had its trend checked
+        b.flags[0][rows.ids[r], -(-(s.i0 + s.end[r]) // b.stride)] = flag[r, s.end[r]]
+    for r in np.flatnonzero(hit.any(axis=(0, 2)) & (need > 0)):
+        found = np.flatnonzero(bad[:, :, r].transpose(2, 0, 1))[: need[r]]
+        for j, kind, k in zip(*np.unravel_index(found, (s.J, 2, b.spec.a))):
+            b.examples[rows.ids[r]].append(Violation(
+                s.i0 + int(j), int(k), ("trend", "bound")[kind],
+                float((trend, jump)[kind][k, r, j]), (b.spec.delta, b.spec.beta)[kind],
+            ))
 
 
 def _reduce_span(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, failed) -> _Span:
@@ -497,7 +514,7 @@ def _reduce_span(b: _Batch, rows: _Rows, states: np.ndarray, i0: int, J: int, fa
     bounds the span's memory.
     """
     s = _stop_rule(b, rows, states, i0, J, failed)
-    _add_violations(b, rows, s, _reduce_drift(b, rows, s), _reduce_deviation(b, rows, s))
+    _count_violations(b, rows, s, _reduce_drift(b, rows, s), _reduce_deviation(b, rows, s))
     return s
 
 
@@ -508,17 +525,17 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
         i = s.i0 + int(s.end[r])
         pos = -(-i // b.stride)
         indices = b.grid[: pos + 1] if b.grid[pos] == i else np.append(b.grid[:pos], i)
-        if not (s.error[r] and i % b.stride == 0):
-            b.rec_y[t, :, pos] = s.Y[:, r, s.end[r]]
-            b.rec_d[t, :, pos] = math.nan
+        b.rec_y[t, :, pos] = s.Y[:, r, s.end[r]]
+        b.rec_d[t, :, pos] = math.nan
         ev = int(rows.event_stop[r]) if rows.event_stop[r] >= 0 else None
-        sup = dev_cap = ok = None
+        sup = dev_cap = ok = in_range = None
         if b.solutions:
             last = i if ev is None else min(i, ev)
-            per_path = (rows.sup_dev[r], np.minimum(b.caps, last), rows.replay_ok[r])
-            sup, dev_cap, ok = (
-                v.tolist()[0] if b.single else tuple(v.tolist()) for v in per_path
+            per_path = (
+                rows.sup_dev[r].tolist(), np.minimum(b.caps, last).tolist(),
+                rows.replay_ok[r].tolist(), list(map(tuple, rows.in_range[r].tolist())),
             )
+            sup, dev_cap, ok, in_range = (v[0] if b.single else tuple(v) for v in per_path)
             ok = ok if b.replay_check else None
         b.out[t] = Trajectory(
             seed=int(b.seeds[t]),
@@ -526,7 +543,10 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
             indices=indices,
             steps=b.rec_y[t, :, : pos + 1].T,
             drifts=b.rec_d[t, :, : pos + 1].T,
-            violations=tuple(b.violations[t]),
+            flags=b.flags[0][t, : pos + 1],
+            violations=tuple(b.examples[t]),
+            violation_counts=tuple(rows.counts[r].tolist()),
+            in_range_violations=in_range,
             sup_deviation=sup,
             deviation_cap=dev_cap,
             sup_martingale=float(rows.sup_mart[r]),
@@ -554,7 +574,8 @@ def _simulate_batch(run: _Run, seeds: list[int]) -> list[Trajectory]:
         seeds=seeds,
         rec_y=np.empty((count, a, len(run.grid)), dtype=np.int64),
         rec_d=np.empty((count, a, len(run.grid))),
-        violations=[[] for _ in range(count)],
+        flags=[np.broadcast_to(np.uint8(0), (count, len(run.grid)))],
+        examples=[[] for _ in range(count)],
         out=[None] * count,
     )
     gens = np.empty(count, dtype=object)
@@ -571,6 +592,8 @@ def _simulate_batch(run: _Run, seeds: list[int]) -> list[Trajectory]:
         carry=np.zeros((count, paths)),
         replay_ok=np.ones((count, paths), dtype=bool),
         event_stop=np.full(count, -1, dtype=np.int64),
+        counts=np.zeros((count, 2), dtype=np.int64),
+        in_range=np.zeros((count, paths, 2), dtype=np.int64),
     )
     # the states at steps i0..i0+J of the current span, one row per live row
     held = np.empty((count, span + 1) + run.start.shape[1:], dtype=np.int64)
@@ -680,50 +703,27 @@ class HypothesisSummary:
     mode: str
     trend_count: int
     bound_count: int
-    violations: tuple[Violation, ...]
 
     @property
     def clean(self) -> bool:
-        return not self.violations
+        return self.trend_count == self.bound_count == 0
 
 
 def check_hypotheses(
-    traj: Trajectory,
-    spec: ProcessSpec,
-    mode: str = "strict",
-    solution: OdeSolution | None = None,
+    traj: Trajectory, spec: ProcessSpec, mode: str = "strict"
 ) -> HypothesisSummary:
-    """Summarize recorded condition violations.
+    """Summarize the violation counts the kernel kept for ``traj``, simulated from ``spec``.
 
-    ``strict`` keeps every violation recorded inside the domain.
-    ``proof-structure`` keeps only violations at steps i < floor(sigma*n)
-    (``Constants.steps``, the range the envelope claims) whose deviation
-    from the ODE path is below the envelope 3*exp(L*T)*lambda*n; later
-    steps and steps already past the envelope are exempt because the
-    concentration argument never inspects them. That
-    mode needs ``solution``, whose range and envelope it applies; the kept
-    steps' deviations must have been tracked at simulation time (pass the
-    solution to :func:`simulate`), or be recomputable here from a fully
-    recorded trajectory, over steps 0..min(stop_index, floor(sigma*n)).
+    ``strict`` counts every violation before the stop. ``proof-structure``
+    counts only those at steps i < floor(sigma*n) (``Constants.steps``) whose
+    deviation from the ODE path is below the envelope 3*exp(L*T)*lambda*n:
+    the concentration argument inspects no other step. Thinned trajectories
+    are summarized like full ones; that mode needs one simulated against one
+    ODE solution.
     """
     if mode not in ("strict", "proof-structure"):
         raise ValueError(f"unknown mode {mode!r}")
-    kept = traj.violations
-    if mode == "proof-structure" and kept:
-        if solution is None:
-            raise ValueError("proof-structure mode needs an ODE solution")
-        cap = solution.constants.steps(spec.n)
-        kept = tuple(v for v in kept if v.i < cap)
-        devs = [v.deviation for v in kept]
-        if None in devs:
-            if not traj.is_full:
-                raise ValueError("cannot recompute deviations on a thinned trajectory")
-            # max_k |Y_k(i) - n*y_k(i/n)| for i = 0..min(stop_index, cap)
-            last = min(traj.stop_index, cap)
-            table = np.max(np.abs(traj.steps[: last + 1] - solution.counts_at_steps(last)), axis=1)
-            devs = [float(table[v.i]) if d is None else d for v, d in zip(kept, devs)]
-        envelope = solution.constants.envelope(spec.n)
-        kept = tuple(v for v, d in zip(kept, devs) if d < envelope)
-    trend = sum(1 for v in kept if v.kind == "trend")
-    bound = sum(1 for v in kept if v.kind == "bound")
-    return HypothesisSummary(mode=mode, trend_count=trend, bound_count=bound, violations=kept)
+    counts = traj.violation_counts if mode == "strict" else traj.in_range_violations
+    if counts is None or isinstance(counts[0], tuple):
+        raise ValueError(f"{mode} mode needs a trajectory simulated against one ODE solution")
+    return HypothesisSummary(mode, *counts)

@@ -1,10 +1,13 @@
 """Scalar reference for the lockstep kernel: one trajectory, one step at a time.
 
 This is the per-trajectory loop the batched kernel in ``demtrack.simulate``
-replaced, kept verbatim. Property tests require the kernel to reproduce its
-trajectories field for field on finite inputs. The one intended difference:
-this loop drops a NaN deviation (``d > dev_i`` is false), where the kernel
-propagates it so that verification never passes on it.
+replaced, kept verbatim but for its violations: it keeps every one, and
+counts and flags them from that full list. Property tests require the
+kernel to reproduce its trajectories field for field on finite inputs, with
+the kernel's counts equal to the totals of the full list and its examples
+equal to the list's first 16. The one intended difference: this loop drops
+a NaN deviation (``d > dev_i`` is false), where the kernel propagates it so
+that verification never passes on it.
 
 The built-in processes state their dynamics once, as array batch methods,
 and get their scalar methods as a batch of one. Their scalar twins below
@@ -31,6 +34,7 @@ class _SimPrep:
 
     yode: list          # n * y_k(i/n) as nested python lists, rows 0..cap
     cap: int            # min(floor(T*n), floor(sigma*n))
+    envelope: float     # 3*exp(L*T)*lambda*n
     lam_n: float
     two_lam_n: float
     step_term: float    # L*R/n + delta, the per-step additive recurrence term
@@ -46,6 +50,7 @@ def _prepare(spec: ProcessSpec, solution: OdeSolution) -> _SimPrep:
     return _SimPrep(
         yode=yode,
         cap=cap,
+        envelope=c.margin * n,
         lam_n=lam_n,
         two_lam_n=2.0 * lam_n,
         step_term=spec.L * c.R / n + spec.delta,
@@ -88,6 +93,8 @@ def _simulate_prepared(
     rec_d: list[tuple] = []
     nan_row = (math.nan,) * a
     violations: list[Violation] = []
+    # (trend, bound) at steps i < cap whose deviation is below the envelope
+    in_range = [0, 0] if prep is not None else None
     drift_cum = [0.0] * a
     sup_mart = 0.0
     event_stop: int | None = None
@@ -169,13 +176,17 @@ def _simulate_prepared(
             for k in ks:
                 gap = abs(d[k] - float(field[k]))
                 if not gap <= delta:  # a NaN gap is a violation
-                    violations.append(Violation(i, k, "trend", gap, delta, dev_i))
+                    violations.append(Violation(i, k, "trend", gap, delta))
+                    if i < cap and dev_i < prep.envelope:
+                        in_range[0] += 1
         try:
             state = plugin.step(state, rng)
         except Exception:
             valid = False
             error_step = i
-            if rec_i[-1] != i:
+            if rec_i[-1] == i:
+                rec_d[-1] = nan_row
+            else:
                 rec_i.append(i)
                 rec_y.append(Y)
                 rec_d.append(nan_row)
@@ -186,7 +197,9 @@ def _simulate_prepared(
             if ch < 0:
                 ch = -ch
             if ch > beta:
-                violations.append(Violation(i, k, "bound", float(ch), beta, dev_i))
+                violations.append(Violation(i, k, "bound", float(ch), beta))
+                if i < cap and dev_i < prep.envelope:
+                    in_range[1] += 1
         for k in ks:
             drift_cum[k] += d[k]
         Y = Y_new
@@ -197,6 +210,9 @@ def _simulate_prepared(
         dev_cap = min(cap, i)
         if event_stop is not None:
             dev_cap = min(dev_cap, event_stop)
+    flags = {}
+    for v in violations:
+        flags[v.i] = flags.get(v.i, 0) | (1 if v.kind == "trend" else 2)
 
     return Trajectory(
         seed=seed,
@@ -204,7 +220,12 @@ def _simulate_prepared(
         indices=np.array(rec_i, dtype=np.int64),
         steps=np.array(rec_y, dtype=np.int64),
         drifts=np.array(rec_d, dtype=float),
+        flags=np.array([flags.get(i, 0) for i in rec_i], dtype=np.uint8),
         violations=tuple(violations),
+        violation_counts=tuple(
+            sum(v.kind == kind for v in violations) for kind in ("trend", "bound")
+        ),
+        in_range_violations=None if in_range is None else tuple(in_range),
         sup_deviation=sup_dev,
         deviation_cap=dev_cap,
         sup_martingale=sup_mart,

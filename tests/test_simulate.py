@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +94,13 @@ class DriftLiar(BallsInBins):
 
     def drift(self, state):
         return (-(state / self.n) + 0.5,)
+
+
+class ArrayDriftLiar(DriftLiar):
+    """DriftLiar whose drift comes in one array call per span."""
+
+    def drift_batch(self, states):
+        return 0.5 - (states / self.n)[:, None]
 
 
 class FailingPlugin(ConstantPlugin):
@@ -235,6 +241,24 @@ class TestThinning:
                 tracemalloc.stop()
         assert peaks[2] <= 1.1 * peaks[1], peaks
 
+    def test_memory_peak_does_not_grow_with_violations(self):
+        # a liar breaks the trend hypothesis at every step; its trajectories
+        # keep counts, 16 examples and a flag per record, so a run four
+        # times as long peaks no higher: 16 rows reduce spans of 1,280 steps
+        # at both n. The first run takes the interpreter's one-time
+        # allocations.
+        peaks = []
+        for n in (2_000, 2_000, 8_000):
+            spec, _ = balls_in_bins_spec(n)
+            tracemalloc.start()
+            try:
+                ens = run_ensemble(ArrayDriftLiar(n), spec, 16, 0, endpoints_only=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 64 * 1024, peaks
+        assert all(t.violation_counts == (t.stop_index, 0) for t in ens.trajectories)
+
 
 class TestDoob:
     def test_identity_replay(self):
@@ -287,8 +311,11 @@ class TestHypothesisChecks:
         traj = simulate(plugin, spec, 8, full_paths=True)
         summary = check_hypotheses(traj, spec)
         emptied = int(traj.steps[0, 0] - traj.steps[-1, 0])
-        assert summary.bound_count == emptied
-        assert all(v.kind == "bound" for v in summary.violations)
+        assert summary.bound_count == emptied and summary.trend_count == 0
+        assert all(v.kind == "bound" for v in traj.violations)
+        # the flag of step i marks the move from i to i + 1
+        moved = np.diff(traj.steps[:, 0]) != 0
+        assert np.array_equal(traj.flags, np.append(2 * moved, 0))
 
     def test_drift_liar_flags_every_step(self):
         spec, _ = balls_in_bins_spec(100, lam=1e-3)
@@ -296,6 +323,7 @@ class TestHypothesisChecks:
         traj = simulate(liar, spec, 4, full_paths=True)
         summary = check_hypotheses(traj, spec, mode="strict")
         assert summary.trend_count == traj.stop_index
+        assert [v.i for v in traj.violations] == list(range(16))
 
     def test_proof_structure_mode_exempts_far_steps(self):
         # wrong drift pushes the path away from the ODE curve; once the
@@ -306,38 +334,42 @@ class TestHypothesisChecks:
         sol = solve_ode(spec)
         traj = simulate(liar, spec, 4, solution=sol, full_paths=True)
         strict = check_hypotheses(traj, spec, mode="strict")
-        proof = check_hypotheses(traj, spec, mode="proof-structure", solution=sol)
+        proof = check_hypotheses(traj, spec, mode="proof-structure")
         assert 0 < proof.trend_count < strict.trend_count
-        envelope = sol.constants.envelope(spec.n)
-        assert all(v.deviation < envelope for v in proof.violations)
+        # the count of flagged steps i < floor(sigma*n) inside the envelope
+        cap = sol.constants.steps(spec.n)
+        table = np.max(np.abs(traj.steps[:cap] - sol.counts_at_steps(cap - 1)), axis=1)
+        inside = table < sol.constants.envelope(spec.n)
+        assert proof.trend_count == int(np.sum((traj.flags[:cap] & 1).astype(bool) & inside))
 
-    def test_thinned_run_stamps_the_full_path_deviations(self):
+    def test_thinned_and_full_runs_count_alike(self):
         # n = 2000 keeps every second step; an envelope below one count puts
-        # floor(sigma*n) at the step before the horizon, so the kernel stamps
-        # a deviation on every violation of the run
+        # floor(sigma*n) at the step before the horizon
         dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
         spec, _ = balls_in_bins_spec(2000, lam=5e-5, domain=dom)
         liar = DriftLiar(2000)
         sol = solve_ode(spec)
         thinned = simulate(liar, spec, 4, solution=sol)
-        full = simulate(liar, spec, 4, full_paths=True)
+        full = simulate(liar, spec, 4, solution=sol, full_paths=True)
+        ends = run_ensemble(liar, spec, 3, 4, solution=sol, endpoints_only=True).trajectories
+        wide = run_ensemble(liar, spec, 3, 4, solution=sol, full_paths=True).trajectories
         assert not thinned.is_full
-        table = np.max(np.abs(full.steps - sol.counts_at_steps(full.stop_index)), axis=1)
-
-        def stamped(violations):
-            return tuple(replace(v, deviation=float(table[v.i])) for v in violations)
-
-        assert thinned.violations == stamped(full.violations)
-        got = check_hypotheses(thinned, spec, mode="proof-structure", solution=sol)
-        want = check_hypotheses(full, spec, mode="proof-structure", solution=sol)
-        assert 0 < got.trend_count < len(thinned.violations)
-        assert got == replace(want, violations=stamped(want.violations))
+        counted = ("violations", "violation_counts", "in_range_violations")
+        for got, want in [(thinned, full), *zip(ends, wide)]:
+            for name in counted:
+                assert getattr(got, name) == getattr(want, name), name
+            for mode in ("strict", "proof-structure"):
+                assert check_hypotheses(got, spec, mode) == check_hypotheses(want, spec, mode)
+        # the flags of the records a run keeps are the full run's
+        assert np.array_equal(thinned.flags, full.flags[thinned.indices])
+        for got, want in zip(ends, wide):
+            assert np.array_equal(got.flags, want.flags[got.indices])
+        got = check_hypotheses(thinned, spec, mode="proof-structure")
+        assert 0 < got.trend_count < thinned.violation_counts[0]
 
     def test_proof_structure_reads_steps_before_floor_sigma_n(self):
-        # lambda = 1e-3 puts floor(sigma*n) = 1983 before the horizon 2000:
-        # the kernel stamps no deviation past it, and past the ODE grid a full
-        # path would be compared with the value np.interp holds flat, so
-        # both runs exempt the violations at steps 1983..1999
+        # lambda = 1e-3 puts floor(sigma*n) = 1983 before the horizon 2000,
+        # and the violations at steps 1983..1999 are exempt
         dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
         spec, _ = balls_in_bins_spec(2000, lam=1e-3, domain=dom)
         liar = DriftLiar(2000)
@@ -345,31 +377,27 @@ class TestHypothesisChecks:
         cap = sol.constants.steps(spec.n)
         assert cap == 1983 < spec.horizon
         thinned = simulate(liar, spec, 4, solution=sol)
-        full = simulate(liar, spec, 4, full_paths=True)
+        full = simulate(liar, spec, 4, solution=sol, full_paths=True)
         assert not thinned.is_full
-        assert any(v.i >= cap for v in full.violations)
-        got = check_hypotheses(thinned, spec, mode="proof-structure", solution=sol)
-        want = check_hypotheses(full, spec, mode="proof-structure", solution=sol)
+        assert full.flags[cap:-1].all()
+        got = check_hypotheses(thinned, spec, mode="proof-structure")
+        want = check_hypotheses(full, spec, mode="proof-structure")
         assert got.trend_count == want.trend_count == 1611
-        assert [(v.i, v.k, v.kind) for v in got.violations] == [
-            (v.i, v.k, v.kind) for v in want.violations
-        ]
-        assert all(v.i < cap for v in got.violations)
 
-    def test_recomputed_deviations_match_tracked(self):
+    def test_proof_structure_needs_one_tracked_path(self):
         dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
         spec, _ = balls_in_bins_spec(100, lam=1e-3, domain=dom)
         liar = DriftLiar(100)
         sol = solve_ode(spec)
-        tracked = simulate(liar, spec, 4, solution=sol, full_paths=True)
         bare = simulate(liar, spec, 4, full_paths=True)
-        assert all(v.deviation is None for v in bare.violations)
-        want = check_hypotheses(tracked, spec, mode="proof-structure", solution=sol)
-        got = check_hypotheses(bare, spec, mode="proof-structure", solution=sol)
-        assert want.trend_count > 0
-        assert [(v.i, v.k, v.kind) for v in got.violations] == [
-            (v.i, v.k, v.kind) for v in want.violations
-        ]
+        paths = simulate(liar, spec, 4, solution=[sol, sol])
+        one = simulate(liar, spec, 4, solution=sol)
+        assert bare.in_range_violations is None
+        assert paths.in_range_violations == (one.in_range_violations,) * 2
+        for traj in (bare, paths):
+            assert check_hypotheses(traj, spec).trend_count == traj.stop_index
+            with pytest.raises(ValueError, match="one ODE solution"):
+                check_hypotheses(traj, spec, mode="proof-structure")
 
     def test_unknown_mode_rejected(self):
         spec, plugin = balls_in_bins_spec(100, lam=1e-3)
