@@ -85,8 +85,8 @@ def cmd_simulate(args) -> int:
                     [int(i)] + [int(v) for v in y_row] + [_fmt(v) for v in d_row] + [int(flag)]
                 )
         line = f"{path}: stop_index = {traj.stop_index}, seed = {traj.seed}"
-        if traj.sup_deviation is not None:
-            line += f", sup_deviation = {_fmt(traj.sup_deviation)}"
+        if sol is not None:
+            line += f", sup_deviation = {_fmt(traj.sup_deviation[0])}"
         print(line)
     return 0
 

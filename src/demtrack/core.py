@@ -257,14 +257,17 @@ class Trajectory:
     step was taken); ``flags[r]`` is 1 for a trend and 2 for a bound
     violation there, or 3. ``stop_index`` is the first exit from the domain
     capped at floor(T*n). Online statistics are computed during simulation
-    so that thinning never affects verification: sup_deviation,
-    sup_martingale, replay_ok, ``violation_counts`` (trend, bound) before
-    the stop, of which ``violations`` holds the first 16 in (step, trend
-    before bound, coordinate) order, and ``in_range_violations``, the same
-    at steps i < floor(sigma*n) with the deviation below the envelope. A
-    trajectory simulated against a sequence of ODE solutions holds the
-    latter, ``sup_deviation``, ``deviation_cap`` and ``replay_ok`` as
-    tuples, one entry per solution. The kernel stores records coordinate-major, so
+    so that thinning never affects verification: sup_martingale,
+    ``violation_counts`` (trend, bound) before the stop, of which
+    ``violations`` holds the first 16 in (step, trend before bound,
+    coordinate) order, and four per-path statistics, each a tuple with one
+    entry per ODE solution the trajectory was simulated against (one
+    ``OdeSolution`` gives 1-tuples, no solution ``()``): ``sup_deviation``,
+    the sup deviation from the path over steps 0..``deviation_cap``;
+    ``in_range_violations``, the (trend, bound) counts at steps
+    i < floor(sigma*n) with the deviation below the envelope; and
+    ``replay_ok``, the replay chain's verdict, None when it was not checked.
+    The kernel stores records coordinate-major, so
     ``steps`` and ``drifts`` may be read-only, Fortran-ordered views (and
     ``flags`` of a run without violations a view of one 0); take
     ``np.ascontiguousarray`` of one for its raw bytes in row order.
@@ -278,12 +281,12 @@ class Trajectory:
     flags: np.ndarray
     violations: tuple[Violation, ...] = ()
     violation_counts: tuple[int, int] = (0, 0)
-    in_range_violations: tuple[int, int] | tuple[tuple[int, int], ...] | None = None
-    sup_deviation: float | tuple[float, ...] | None = None
-    deviation_cap: int | tuple[int, ...] | None = None
+    in_range_violations: tuple[tuple[int, int], ...] = ()
+    sup_deviation: tuple[float, ...] = ()
+    deviation_cap: tuple[int, ...] = ()
     sup_martingale: float = 0.0
     event_stop: int | None = None
-    replay_ok: bool | tuple[bool, ...] | None = None
+    replay_ok: tuple[bool, ...] | None = None
     valid: bool = True
     error_step: int | None = None
 

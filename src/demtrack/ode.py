@@ -173,16 +173,16 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     The scan uses RT_GRID_RESOLUTION points per axis, reduced in higher
     dimensions to keep the total under RT_GRID_BUDGET (the coarser mesh is
     compensated by a larger inflation, so R stays a valid upper bound).
-    The points are taken in row-major grid order, RT_SCAN_CHUNK at a time.
     A scan point where the field raises, or some F_k is NaN or infinite,
     leaves no usable R: that raises ValueError naming the first point that
     raises or, if none does, the first that is not finite.
 
-    In row-major order the grid is a run of slabs: the tensor grid of the
-    trailing axes (the most that make at most RT_SCAN_CHUNK points, and at
-    least the last), after each point of the outer axes' grid. Both are
-    built once, and a chunk copies slices of the slabs it crosses next to
-    their outer coordinates.
+    The points are taken in row-major grid order, one slab per drift call:
+    a slab is the tensor grid of the trailing axes (the most that make at
+    most RT_SCAN_CHUNK points, and at least the last) after one point of
+    the outer axes' grid. So a call holds at most max(RT_SCAN_CHUNK, points
+    per axis) points. The slab is built once, in one buffer whose head
+    columns each outer point overwrites.
     """
     dom = spec.domain
     T = dom.t_hi
@@ -195,17 +195,12 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     outer = ndim - 1  # the trailing axes grids[outer:] make one slab
     while outer > 0 and res ** (ndim - outer + 1) <= RT_SCAN_CHUNK:
         outer -= 1
-    heads, slab = _tensor_grid(grids[:outer]), _tensor_grid(grids[outer:])
-    total, size = res ** ndim, len(slab)
+    slab = _tensor_grid(grids[outer:])
+    points = np.empty((len(slab), ndim))
+    points[:, outer:] = slab
     best = 0.0
-    for start in range(0, total, RT_SCAN_CHUNK):
-        stop = min(start + RT_SCAN_CHUNK, total)
-        points = np.empty((stop - start, ndim))
-        for s in range(start // size, (stop - 1) // size + 1):
-            lo, hi = max(start, s * size), min(stop, (s + 1) * size)
-            rows = points[lo - start : hi - start]
-            rows[:, :outer] = heads[s]
-            rows[:, outer:] = slab[lo - s * size : hi - s * size]
+    for head in _tensor_grid(grids[:outer]):
+        points[:, :outer] = head
         f = drift_at(spec.drift, points, "RT scan point")
         best = max(best, float(np.abs(f).max()))
     return max(1.0, best + spec.L * mesh), T

@@ -126,7 +126,6 @@ class _Run:
     c_lo: np.ndarray    # the open box on counts: lo < Y/n < hi iff c_lo <= Y <= c_hi
     c_hi: np.ndarray
     solutions: tuple[OdeSolution, ...]  # the K paths, none without a solution
-    single: bool        # one solution, not a sequence: trajectories get scalars
     caps: np.ndarray    # per path Constants.steps(n), shape (K,)
     # per path, as (K, 1, 1) columns against (K, rows, positions) planes:
     two_lam_n: np.ndarray  # 2*lambda*n, lambda that of the path's spec
@@ -156,8 +155,7 @@ def _prepare(
     if full_paths and endpoints_only:
         raise ValueError("full_paths and endpoints_only exclude each other")
     _check_plugin(plugin, spec)
-    single = isinstance(solution, OdeSolution)
-    solutions = (solution,) if single else tuple(solution or ())
+    solutions = (solution,) if isinstance(solution, OdeSolution) else tuple(solution or ())
     if solution is not None and not solutions:
         raise ValueError("need at least one ODE solution")
     # Records of a trajectory that reaches the horizon: every stride-th step
@@ -175,7 +173,6 @@ def _prepare(
         plugin, spec, event_predicate, replay_check, stride, grid, start,
         *(np.reshape(c, (spec.a, 1, 1)) for c in (Y0, *spec.domain.count_bounds(n))),
         solutions=solutions,
-        single=single,
         caps=np.array([c.steps(n) for c in consts]),
         two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions])[:, None, None],
         step_term=np.array([spec.L * c.R / n + spec.delta for c in consts])[:, None, None],
@@ -528,15 +525,6 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
         b.rec_y[t, :, pos] = s.Y[:, r, s.end[r]]
         b.rec_d[t, :, pos] = math.nan
         ev = int(rows.event_stop[r]) if rows.event_stop[r] >= 0 else None
-        sup = dev_cap = ok = in_range = None
-        if b.solutions:
-            last = i if ev is None else min(i, ev)
-            per_path = (
-                rows.sup_dev[r].tolist(), np.minimum(b.caps, last).tolist(),
-                rows.replay_ok[r].tolist(), list(map(tuple, rows.in_range[r].tolist())),
-            )
-            sup, dev_cap, ok, in_range = (v[0] if b.single else tuple(v) for v in per_path)
-            ok = ok if b.replay_check else None
         b.out[t] = Trajectory(
             seed=int(b.seeds[t]),
             stop_index=i,
@@ -546,12 +534,12 @@ def _write_out(b: _Batch, rows: _Rows, s: _Span) -> np.ndarray:
             flags=b.flags[0][t, : pos + 1],
             violations=tuple(b.examples[t]),
             violation_counts=tuple(rows.counts[r].tolist()),
-            in_range_violations=in_range,
-            sup_deviation=sup,
-            deviation_cap=dev_cap,
+            in_range_violations=tuple(map(tuple, rows.in_range[r].tolist())),
+            sup_deviation=tuple(rows.sup_dev[r].tolist()),
+            deviation_cap=tuple(np.minimum(b.caps, i if ev is None else min(i, ev)).tolist()),
             sup_martingale=float(rows.sup_mart[r]),
             event_stop=ev,
-            replay_ok=ok,
+            replay_ok=tuple(rows.replay_ok[r].tolist()) if b.replay_check else None,
             valid=not s.error[r],
             error_step=i if s.error[r] else None,
         )
@@ -646,9 +634,11 @@ def run_ensemble(
     Trajectory i uses seed derive_seed(base_seed, i); results are identical
     for any ``jobs`` value, and jobs > 1 splits the seeds into contiguous
     chunks, one batch per worker of a process pool (everything passed in
-    must then be picklable). ``solution`` may be a sequence of K solutions
-    of the same spec from different anchors: one simulation then tracks
-    every path, and the per-path statistics of each trajectory are K-tuples.
+    must then be picklable). ``solution`` may be one solution or a sequence
+    of K solutions of the same spec from different anchors: one simulation
+    then tracks every path, and each per-path statistic of a trajectory is
+    a K-tuple, one entry per solution (a 1-tuple for one ``OdeSolution``,
+    ``()`` without a solution; see :class:`~demtrack.core.Trajectory`).
     ``event_predicate`` is called once per trajectory and step up to that
     trajectory's stop (as in :func:`simulate`), in step order for each
     trajectory; the order of calls across trajectories is unspecified.
@@ -718,12 +708,14 @@ def check_hypotheses(
     counts only those at steps i < floor(sigma*n) (``Constants.steps``) whose
     deviation from the ODE path is below the envelope 3*exp(L*T)*lambda*n:
     the concentration argument inspects no other step. Thinned trajectories
-    are summarized like full ones; that mode needs one simulated against one
-    ODE solution.
+    are summarized like full ones; that mode needs one simulated against
+    exactly one ODE solution, one ``OdeSolution`` or a sequence of one, and
+    reads the one entry of its ``in_range_violations``.
     """
-    if mode not in ("strict", "proof-structure"):
+    if mode == "strict":
+        return HypothesisSummary(mode, *traj.violation_counts)
+    if mode != "proof-structure":
         raise ValueError(f"unknown mode {mode!r}")
-    counts = traj.violation_counts if mode == "strict" else traj.in_range_violations
-    if counts is None or isinstance(counts[0], tuple):
+    if len(traj.in_range_violations) != 1:
         raise ValueError(f"{mode} mode needs a trajectory simulated against one ODE solution")
-    return HypothesisSummary(mode, *counts)
+    return HypothesisSummary(mode, *traj.in_range_violations[0])

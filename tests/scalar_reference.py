@@ -2,7 +2,9 @@
 
 This is the per-trajectory loop the batched kernel in ``demtrack.simulate``
 replaced, kept verbatim but for its violations: it keeps every one, and
-counts and flags them from that full list. Property tests require the
+counts and flags them from that full list. It tracks at most one ODE path
+and gives each per-path statistic the kernel's shape, a 1-tuple against a
+solution and ``()`` without one. Property tests require the
 kernel to reproduce its trajectories field for field on finite inputs, with
 the kernel's counts equal to the totals of the full list and its examples
 equal to the list's first 16. The one intended difference: this loop drops
@@ -225,12 +227,12 @@ def _simulate_prepared(
         violation_counts=tuple(
             sum(v.kind == kind for v in violations) for kind in ("trend", "bound")
         ),
-        in_range_violations=None if in_range is None else tuple(in_range),
-        sup_deviation=sup_dev,
-        deviation_cap=dev_cap,
+        in_range_violations=() if in_range is None else (tuple(in_range),),
+        sup_deviation=() if sup_dev is None else (sup_dev,),
+        deviation_cap=() if dev_cap is None else (dev_cap,),
         sup_martingale=sup_mart,
         event_stop=event_stop,
-        replay_ok=replay_ok,
+        replay_ok=None if replay_ok is None else (replay_ok,),
         valid=valid,
         error_step=error_step,
     )

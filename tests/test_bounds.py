@@ -1,5 +1,6 @@
 import math
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -284,3 +285,36 @@ def test_exponential_moment_inequality_spot():
             (lam * c) ** 2 / 2.0
         )
         assert lhs <= rhs + 1e-12
+
+
+# (evaluator, arguments, message): one bad argument each
+REFUSALS = [
+    (b.gronwall_discrete_bound, (-1.0, 0.0, 1.0, 1), "c and b must be nonnegative"),
+    (b.gronwall_discrete_bound, (1.0, -1.0, 1.0, 1), "c and b must be nonnegative"),
+    (b.gronwall_discrete_bound, (1.0, 0.0, 1.0, 1.5), "m must be a nonnegative integer"),
+    (b.gronwall_discrete_bound, (1.0, 0.0, 1.0, -1), "m must be a nonnegative integer"),
+    (b.gronwall_continuous_bound, (1.0, -1.0, 1.0), "L must be nonnegative"),
+    (b.stability_bound, (-0.1, 0.0, 1.0, 1.0), "need lam, delta, L >= 0 and T > 0"),
+    (b.stability_bound, (0.1, 0.0, 1.0, 0.0), "need lam, delta, L >= 0 and T > 0"),
+    (b.azuma_bound, (1, -1.0, 0.0), "c and t must be nonnegative"),
+    (b.azuma_bound, (1, 1.0, -1.0), "c and t must be nonnegative"),
+    (b.freedman_failure_probability, (1, 10, 0.1, 1.0, 1.0, 0.0), "b must be positive"),
+    (b.freedman_two_term_probability, (1, 10, 0.1, 1.0, 1.0, 0.0), "b must be positive"),
+    (b.binomial_tail, (-1, 0.5, 0), "m must be nonnegative"),
+    (b.binomial_tail_remark_bound, (1, 1.5, 0.0), "gamma must lie in [0, 1]"),
+    (b.binomial_tail_remark_bound, (1, 0.5, -1.0), "x must be nonnegative"),
+    (b.truncated_failure_probability, (1, 10, 0.1, 1.0, 1.0, 0.1, -1.0), "x must be nonnegative"),
+    (b.theorem_failure_probability, (0, 10, 0.1, 1.0, 1.0), "a and n must be positive integers"),
+    (b.theorem_failure_probability, (1, 0, 0.1, 1.0, 1.0), "a and n must be positive integers"),
+    (b.theorem_failure_probability, (1, 10, 0.0, 1.0, 1.0), "lambda must be positive"),
+    (b.theorem_failure_probability, (1, 10, 0.1, 0.0, 1.0), "T and beta must be positive"),
+    (b.theorem_failure_probability, (1, 10, 0.1, 1.0, 0.0), "T and beta must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "evaluator,args,message", REFUSALS, ids=[f"{f.__name__}{args}" for f, args, _ in REFUSALS]
+)
+def test_argument_refusals(evaluator, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluator(*args)

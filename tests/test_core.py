@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demtrack import Domain, ProcessSpec, check_initial_condition
+from demtrack import Constants, Domain, ProcessSpec, check_initial_condition
 from demtrack.processes import balls_in_bins_spec
 from scan_reference import boundary_distance
 
@@ -101,6 +102,24 @@ def test_domain_validation():
         Domain(t_lo=0.0, t_hi=math.inf, lo=(0.0,), hi=(1.0,))
     with pytest.raises(ValueError):
         Domain(t_lo=0.0, t_hi=1.0, lo=(0.0, 0.0), hi=(1.0,))
+    with pytest.raises(ValueError, match="^domain needs at least one tracked coordinate$"):
+        Domain(t_lo=0.0, t_hi=1.0, lo=(), hi=())
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(R=0.5), "R must be at least 1"),
+        (dict(sigma=-0.1), "sigma must lie in [0, T]"),
+        (dict(sigma=1.5), "sigma must lie in [0, T]"),
+        (dict(sigma=math.nan), "sigma must lie in [0, T]"),
+    ],
+)
+def test_constants_validation(bad, message):
+    good = dict(R=1.0, T=1.0, sigma=0.5, margin=0.1)
+    Constants(**good)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Constants(**{**good, **bad})
 
 
 boxes = st.integers(min_value=1, max_value=3).flatmap(

@@ -378,6 +378,16 @@ def scan_cases():
     yield "liar", make_spec(stacked_liar, (0.0,), SCAN_DOM), False
 
 
+def rt_slab_calls(ndim, res, chunk):
+    """Drift calls of the RT scan: per slab, one stacked call and a
+    single-point check of its first, middle and last point. A slab is the
+    grid of the most trailing axes that make at most ``chunk`` points, and
+    at least the last axis, after one point of the other axes' grid."""
+    axes = max([k for k in range(1, ndim + 1) if res**k <= chunk], default=1)
+    size = res**axes
+    return res ** (ndim - axes) * (1 + len({0, size // 2, size - 1}))
+
+
 class TestStackedScans:
     @pytest.mark.parametrize("name,spec,stacked", list(scan_cases()))
     def test_compute_RT_matches_per_point_loop(self, name, spec, stacked):
@@ -393,10 +403,8 @@ class TestStackedScans:
         assert got == reference_compute_RT(spec)
         ndim = spec.a + 1
         res = min(RT_GRID_RESOLUTION, max(4, int(RT_GRID_BUDGET ** (1.0 / ndim))))
-        chunks = math.ceil(res**ndim / RT_SCAN_CHUNK)
-        # one stacked call and three single-point checks per chunk
         if stacked:
-            assert counted.calls == 4 * chunks
+            assert counted.calls == rt_slab_calls(ndim, res, RT_SCAN_CHUNK)
         else:
             assert counted.calls > res**ndim
 
@@ -485,11 +493,10 @@ def holed(t, y):
 
 
 class TestRTSlabs:
-    """``compute_RT`` builds each chunk from slabs of the trailing axes' grid;
-    with chunks of 7 and 100 points, chunks cut across slabs (a slab of one
-    axis of 64 points holds several chunks of 7, a chunk of 100 crosses
-    slabs of 15, 25 or 64 points). The budget is cut to 4,096 points so the
-    reference's one call per point stays fast; the slabs do not depend on it.
+    """``compute_RT`` makes one drift call per slab of the trailing axes'
+    grid. With RT_SCAN_CHUNK at 7 and 100 points, slabs are one axis of 64
+    points (more than 7), or 15, 25 or 64 points. The budget is cut to 4,096
+    points so the reference's one call per point stays fast.
     """
 
     @pytest.mark.parametrize("chunk", [7, 100])
@@ -502,11 +509,8 @@ class TestRTSlabs:
                 mock.patch.object(ode, "RT_GRID_BUDGET", 4096), \
                 mock.patch.object(scan_reference, "RT_GRID_BUDGET", 4096):
             assert compute_RT(replace(spec, drift=counted)) == reference_compute_RT(spec)
-            total = min(RT_GRID_RESOLUTION, max(4, int(4096 ** (1.0 / ndim)))) ** ndim
-            # the same chunks: one stacked call each, and a single-point check
-            # of its first, middle and last point
-            sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
-            assert counted.calls == sum(1 + len({0, c // 2, c - 1}) for c in sizes)
+            res = min(RT_GRID_RESOLUTION, max(4, int(4096 ** (1.0 / ndim))))
+            assert counted.calls == rt_slab_calls(ndim, res, chunk)
             with pytest.raises(ValueError, match="not finite at the RT scan point") as want:
                 reference_compute_RT(replace(spec, drift=holed))
             with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):

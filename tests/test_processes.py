@@ -146,6 +146,19 @@ class TestDegreeProcess:
             DegreeProcess(1)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BallsInBins(0), "n must be positive"),
+        (lambda: DegreeProcess(10, max_degree=-1), "max_degree must be nonnegative"),
+    ],
+    ids=["no-bins", "negative-max-degree"],
+)
+def test_constructor_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 class TestGreedyMatching:
     def test_deterministic_decrement(self):
         plugin = GreedyMatching(10)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import os
@@ -392,12 +393,40 @@ class TestHypothesisChecks:
         bare = simulate(liar, spec, 4, full_paths=True)
         paths = simulate(liar, spec, 4, solution=[sol, sol])
         one = simulate(liar, spec, 4, solution=sol)
-        assert bare.in_range_violations is None
-        assert paths.in_range_violations == (one.in_range_violations,) * 2
+        assert bare.in_range_violations == bare.sup_deviation == bare.deviation_cap == ()
+        assert bare.replay_ok is None
+        assert paths.in_range_violations == one.in_range_violations * 2
         for traj in (bare, paths):
             assert check_hypotheses(traj, spec).trend_count == traj.stop_index
             with pytest.raises(ValueError, match="one ODE solution"):
                 check_hypotheses(traj, spec, mode="proof-structure")
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["no-replay", "replay"])
+    def test_one_solution_and_a_list_of_one_agree(self, replay):
+        # per-path statistics are tuples with one entry per solution, whether
+        # the solution came alone or in a list of one
+        dom = Domain(t_lo=-0.1, t_hi=1.0, lo=(0.05,), hi=(2.0,))
+        spec, _ = balls_in_bins_spec(100, lam=1e-3, domain=dom)
+        liar = DriftLiar(100)
+        sol = solve_ode(spec)
+        one = simulate(liar, spec, 4, solution=sol, full_paths=True, replay_check=replay)
+        listed = simulate(liar, spec, 4, solution=[sol], full_paths=True, replay_check=replay)
+        for f in dataclasses.fields(one):
+            x, y = getattr(one, f.name), getattr(listed, f.name)
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y, equal_nan=True), f.name
+            else:
+                assert type(x) is type(y) and x == y, f.name
+        per_path = ["sup_deviation", "deviation_cap", "in_range_violations"]
+        if replay:
+            per_path.append("replay_ok")
+        else:
+            assert one.replay_ok is None
+        for name in per_path:
+            assert type(getattr(one, name)) is tuple and len(getattr(one, name)) == 1, name
+        summary = check_hypotheses(one, spec, "proof-structure")
+        assert summary == check_hypotheses(listed, spec, "proof-structure")
+        assert summary.trend_count == one.in_range_violations[0][0] > 0
 
     def test_unknown_mode_rejected(self):
         spec, plugin = balls_in_bins_spec(100, lam=1e-3)
@@ -424,8 +453,8 @@ class TestEventPredicate:
             plugin, spec, 13, solution=sol, event_predicate=lambda i, y: i < 50
         )
         assert stopper.event_stop == 50
-        assert stopper.deviation_cap == 50
-        assert stopper.sup_deviation <= free.sup_deviation
+        assert stopper.deviation_cap == (50,)
+        assert stopper.sup_deviation[0] <= free.sup_deviation[0]
 
     def test_never_failing_predicate(self):
         spec, plugin = balls_in_bins_spec(100, lam=1e-3)
@@ -460,6 +489,8 @@ class TestFailureHandling:
             run_ensemble(BallsInBins(99), spec, 4, 0, jobs=2)
         with pytest.raises(ValueError, match="solution"):
             run_ensemble(plugin, spec, 4, 0, replay_check=True)
+        with pytest.raises(ValueError, match="^need at least one ODE solution$"):
+            run_ensemble(plugin, spec, 4, 0, solution=[])
         for count, jobs in ((0, 1), (4, 0), (4, -3)):
             with pytest.raises(ValueError, match="must be at least 1"):
                 run_ensemble(plugin, spec, count, 0, jobs=jobs)

@@ -46,6 +46,12 @@ def test_schema_version_enforced():
         spec_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc", [[], "spec", None])
+def test_non_object_document_rejected(doc):
+    with pytest.raises(ValueError, match="^spec document must be a JSON object$"):
+        spec_from_dict(doc)
+
+
 def test_missing_field_rejected():
     spec, _ = balls_in_bins_spec(100)
     doc = spec_to_dict(spec)

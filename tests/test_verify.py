@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ode_reference import reference_solve_ode
 from scan_reference import reference_compute_RT
 from test_ode import CallCounter
-from test_simulate import DriftLiar
+from test_simulate import DriftLiar, FairCoin, coin_spec
 
 from demtrack import Constants, Domain, LambdaNotAdmissible, PluginCrashed, ProcessSpec
 from demtrack.ode import _margin, compute_RT, lambda_threshold, solve_ode
@@ -357,6 +357,30 @@ class TestModes:
             1, spec.n, spec.lam, 1.0, 1.0, 0.5
         )
 
+    @pytest.mark.parametrize(
+        "mode,message",
+        [
+            ("averaged", "averaged mode needs extensions.b"),
+            ("truncated", "truncated mode needs extensions.gamma and extensions.B"),
+        ],
+    )
+    def test_undeclared_mode_parameters_refused_before_the_scan(self, monkeypatch, mode, message):
+        # FairCoin declares neither avg_step_bound nor truncation, and the
+        # spec has no extensions
+        counters = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(coin_spec(n=100), FairCoin(100), 3, 0, mode=mode)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
+    def test_truncated_takes_the_degree_process_declaration(self):
+        # DegreeProcess declares gamma = 0 and B = beta: with the budget x = 0
+        # the truncated report is the plain one, bit for bit
+        spec, plugin = degree_process_spec(1000, max_degree=1)
+        plain = verify(spec, plugin, 4, 5).to_dict()
+        trunc = verify(replace(spec, trunc_x=0.0), plugin, 4, 5, mode="truncated").to_dict()
+        assert (trunc.pop("mode"), plain.pop("mode")) == ("truncated", "plain")
+        assert trunc == plain
+
     def test_truncated_needs_budget(self):
         spec, plugin = small_balls()
         with pytest.raises(ValueError, match="x"):
@@ -410,6 +434,11 @@ class TestMultiAnchor:
         # same realizations compared against different reference curves
         devs = {rep.empirical_sup_deviations for rep in reports}
         assert len(devs) == 3
+
+    def test_no_anchor_rejected(self):
+        spec, plugin = small_balls(n=1000)
+        with pytest.raises(ValueError, match="^need at least one anchor$"):
+            verify_multi_anchor(spec, plugin, 3, 0, [])
 
     def test_anchor_outside_domain_rejected(self):
         spec, plugin = small_balls(n=1000)
