@@ -22,10 +22,10 @@ preallocated grid and checks the margin once per ``_RK4_BLOCK`` steps, with
 ``compute_sigma``'s vectorised distance rule; each anchor halts at its own
 first row below the margin, which it keeps. A row with a NaN or infinite
 entry is at distance -inf, so an anchor halts at its first non-finite row
-too. A block that raises is redone anchor by anchor, step by step, so that
-a failing step is retried once at half width for its own anchor only. The
-grids equal those of stepping each anchor alone and checking the margin
-after every step, bit for bit. Every array state, stacked or a single
+too. A block that raises is redone anchor by anchor, step by step: an anchor
+whose step raises halts at its last full row, so every grid is a prefix of
+t0 + h*arange(steps + 1). The grids equal those of stepping each anchor
+alone and checking the margin after every step, bit for bit. Every array state, stacked or a single
 anchor, is stepped by one stage loop, ``_rk4_arrays``, which writes the
 stage inputs and the k-combination into buffers allocated once per block
 and the stacked times into one reused (K,) array. An anchor stepped alone
@@ -47,7 +47,7 @@ import numpy as np
 from .core import Constants, Domain, ProcessSpec
 
 RT_GRID_RESOLUTION = 64       # per-axis grid points for the sup |F_k| scan
-RT_GRID_BUDGET = 64 ** 3      # cap on total scan points in higher dimensions
+RT_GRID_BUDGET = 64 ** 3      # total scan points in higher dimensions, up to a = 8
 RT_SCAN_CHUNK = 2 ** 15       # scan points per drift call; bounds the scan's memory
 MIN_GRID_STEPS = 2048
 MAX_GRID_STEPS = 2 ** 20
@@ -171,8 +171,10 @@ def compute_RT(spec: ProcessSpec) -> tuple[float, float]:
     grid supremum of max_k |F_k| over the closed box, inflated by L times
     the grid mesh so that the Lipschitz property makes the bound rigorous.
     The scan uses RT_GRID_RESOLUTION points per axis, reduced in higher
-    dimensions to keep the total under RT_GRID_BUDGET (the coarser mesh is
-    compensated by a larger inflation, so R stays a valid upper bound).
+    dimensions towards RT_GRID_BUDGET in total but never below 4, so from
+    a = 9 on it takes 4**(a + 1) points (1,048,576 at a = 9, 16.8M at
+    a = 11). A coarser mesh is compensated by a larger inflation, so R
+    stays a valid upper bound.
     A scan point where the field raises, or some F_k is NaN or infinite,
     leaves no usable R: that raises ValueError naming the first point that
     raises or, if none does, the first that is not finite.
@@ -262,9 +264,8 @@ def rk4_solve(
     ``steps`` steps and an exception of ``f`` propagates. With one, each
     keeps its rows up to the first whose boundary distance is below
     ``margin`` (the initial row included; a non-finite row is at distance
-    -inf), and a step that raises is retried once at half width: the anchor
-    halts with the half step's row, at t + h/2, or without it when the
-    retry raises too.
+    -inf), and an anchor whose step raises halts at its last full row. So
+    each ts is a prefix of t0 + h*arange(steps + 1).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -274,14 +275,13 @@ def rk4_solve(
     grid = np.empty((len(y0s), steps + 1, y0s.shape[1]))
     grid[:, 0] = y0s
     ends = np.ones(len(y0s), dtype=int)  # rows kept per anchor
-    halves = {}  # anchor -> time of its half-width last row
 
-    def advance(rows, j0, j1, width=h):
+    def advance(rows, j0, j1):
         # one anchor's index (a float time, a point of shape (a,), Python floats
         # for a = 1) or an index array (stacked)
         if np.ndim(rows) == 0 and grid.shape[2] == 1:
-            return _rk4_floats(f, grid[rows, :, 0], t0, h, j0, j1, width)
-        _rk4_arrays(f, grid, rows, t0, h, j0, j1, width)
+            return _rk4_floats(f, grid[rows, :, 0], t0, h, j0, j1)
+        _rk4_arrays(f, grid, rows, t0, h, j0, j1)
 
     def below(rows, j0, j1):
         if domain is None:
@@ -294,12 +294,7 @@ def rk4_solve(
             try:
                 advance(k, j, j + 1)
             except Exception:
-                try:
-                    advance(k, j, j + 1, 0.5 * h)
-                    ends[k], halves[k] = j + 2, ts[j] + 0.5 * h
-                except Exception:
-                    ends[k] = j + 1
-                return False
+                return False  # ends[k] already counts the rows before step j
             ends[k] = j + 2
             if below([k], j + 1, j + 2)[0, 0]:
                 return False
@@ -323,19 +318,16 @@ def rk4_solve(
                 rows = rows[~stop]
             if not len(rows):
                 break
-    out = [(ts[:end].copy(), grid[k, :end].copy()) for k, end in enumerate(ends)]
-    for k, t in halves.items():
-        out[k][0][-1] = t
-    return out
+    return [(ts[:end].copy(), grid[k, :end].copy()) for k, end in enumerate(ends)]
 
 
-def _rk4_arrays(f, grid, rows, t0: float, h: float, j0: int, j1: int, width: float) -> None:
+def _rk4_arrays(f, grid, rows, t0: float, h: float, j0: int, j1: int) -> None:
     """Steps j0..j1-1 of the anchors ``rows`` of ``grid``: an index array, one
     (K, a) state at (K,) times, or one index, an (a,) point at a float time.
 
     Each step takes the IEEE operations of classical RK4 in this order:
-    stage inputs y + (0.5*width)*k1, y + (0.5*width)*k2 and y + width*k3, and
-    the new row y + (width/6)*(((k1 + 2*k2) + 2*k3) + k4). They are written
+    stage inputs y + (0.5*h)*k1, y + (0.5*h)*k2 and y + h*k3, and the new
+    row y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4). They are written
     into buffers allocated once for the block, with the scalar factors as
     0-d float64 arrays, which numpy multiplies faster than Python floats to
     the same doubles; stacked times go in one (K,) array, filled anew for
@@ -352,8 +344,8 @@ def _rk4_arrays(f, grid, rows, t0: float, h: float, j0: int, j1: int, width: flo
     point, acc, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
     times = np.empty(shape[:-1]) if len(shape) > 1 else None
     ndarray, f64, mul, add = np.ndarray, np.dtype(float), np.multiply, np.add
-    dt_half = 0.5 * width
-    half, full, sixth, two = map(np.array, (dt_half, width, width / 6.0, 2.0))
+    dt_half = 0.5 * h
+    half, full, sixth, two = map(np.array, (dt_half, h, h / 6.0, 2.0))
 
     def stage(t, y):
         if times is not None:
@@ -374,13 +366,13 @@ def _rk4_arrays(f, grid, rows, t0: float, h: float, j0: int, j1: int, width: flo
         k = stage(t_half, point)
         add(acc, mul(two, k, tmp), acc)
         add(y, mul(full, k, tmp), point)
-        k = stage(t + width, point)
+        k = stage(t + h, point)
         add(acc, k, acc)
         add(y, mul(sixth, acc, acc), block[i + 1])
     grid[rows, j0 + 1 : j1 + 1] = block[1:].swapaxes(0, 1) if np.ndim(rows) else block[1:]
 
 
-def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width: float) -> None:
+def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int) -> None:
     """``_rk4_arrays`` for steps j0..j1-1 of a one-coordinate anchor, on Python
     floats: the same IEEE operations in the same order, the new rows written
     to ``col`` at the end. The field gets a float ``t`` and one reused
@@ -389,7 +381,7 @@ def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width
     """
     point = np.empty(1)
     ndarray, f64 = np.ndarray, np.dtype(float)
-    half, sixth = 0.5 * width, width / 6.0
+    half, sixth = 0.5 * h, h / 6.0
     y = col[j0].item()
     ys = []
     for j in range(j0, j1):
@@ -404,8 +396,8 @@ def _rk4_floats(f, col: np.ndarray, t0: float, h: float, j0: int, j1: int, width
         point[0] = y + half * k2
         r = f(t_half, point)
         k3 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
-        point[0] = y + width * k3
-        r = f(t + width, point)
+        point[0] = y + h * k3
+        r = f(t + h, point)
         k4 = r.item() if type(r) is ndarray and r.dtype == f64 else _as_point(r, point).item()
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ys.append(y)
@@ -441,8 +433,8 @@ def solve_ode(
 
     The grid halts as ``rk4_solve`` says: at the first grid time whose
     boundary distance falls below margin or whose point is not finite, at
-    T, or after a step that raises (retried once at half width). It may
-    include one final point past sigma (the point that triggered the halt).
+    T, or at the last full row before a step that raises. It may include
+    one final point past sigma (the point that triggered the halt).
     ``grid`` is this spec's entry of ``anchor_grids``, when it was solved
     together with other anchors.
     """

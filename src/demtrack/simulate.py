@@ -158,6 +158,9 @@ def _prepare(
     solutions = (solution,) if isinstance(solution, OdeSolution) else tuple(solution or ())
     if solution is not None and not solutions:
         raise ValueError("need at least one ODE solution")
+    for s in solutions:  # another lambda or anchor is fine, not another n or a
+        if (s.spec.n, s.spec.a) != (n, spec.a):
+            raise ValueError(f"ODE solution has n={s.spec.n}, a={s.spec.a}; the spec n={n}, a={spec.a}")
     # Records of a trajectory that reaches the horizon: every stride-th step
     # before it, then the horizon. A trajectory that stops at i ends at
     # record ceil(i/stride), so it keeps a prefix of its row. Trajectories
@@ -635,7 +638,8 @@ def run_ensemble(
     for any ``jobs`` value, and jobs > 1 splits the seeds into contiguous
     chunks, one batch per worker of a process pool (everything passed in
     must then be picklable). ``solution`` may be one solution or a sequence
-    of K solutions of the same spec from different anchors: one simulation
+    of K solutions at the spec's n and dimension, from any anchors and
+    lambdas (another n or dimension raises ValueError): one simulation
     then tracks every path, and each per-path statistic of a trajectory is
     a K-tuple, one entry per solution (a 1-tuple for one ``OdeSolution``,
     ``()`` without a solution; see :class:`~demtrack.core.Trajectory`).

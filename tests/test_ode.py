@@ -378,12 +378,12 @@ def scan_cases():
     yield "liar", make_spec(stacked_liar, (0.0,), SCAN_DOM), False
 
 
-def rt_slab_calls(ndim, res, chunk):
+def rt_slab_calls(ndim, res, slab_cap):
     """Drift calls of the RT scan: per slab, one stacked call and a
     single-point check of its first, middle and last point. A slab is the
-    grid of the most trailing axes that make at most ``chunk`` points, and
-    at least the last axis, after one point of the other axes' grid."""
-    axes = max([k for k in range(1, ndim + 1) if res**k <= chunk], default=1)
+    grid of the most trailing axes that make at most ``slab_cap`` points,
+    and at least the last axis, after one point of the other axes' grid."""
+    axes = max([k for k in range(1, ndim + 1) if res**k <= slab_cap], default=1)
     size = res**axes
     return res ** (ndim - axes) * (1 + len({0, size // 2, size - 1}))
 
@@ -499,18 +499,18 @@ class TestRTSlabs:
     points so the reference's one call per point stays fast.
     """
 
-    @pytest.mark.parametrize("chunk", [7, 100])
+    @pytest.mark.parametrize("slab_cap", [7, 100])
     @pytest.mark.parametrize("ndim", [2, 3, 4, 5, 6])
-    def test_chunks_across_slabs_match_the_reference(self, ndim, chunk):
+    def test_chunks_across_slabs_match_the_reference(self, ndim, slab_cap):
         dom = Domain(t_lo=-0.5, t_hi=1.0, lo=(-1.0,) * (ndim - 1), hi=(1.0,) * (ndim - 1))
         spec = make_spec(wavy, (0.0,) * (ndim - 1), dom)
         counted = CallCounter(wavy)
-        with mock.patch.object(ode, "RT_SCAN_CHUNK", chunk), \
+        with mock.patch.object(ode, "RT_SCAN_CHUNK", slab_cap), \
                 mock.patch.object(ode, "RT_GRID_BUDGET", 4096), \
                 mock.patch.object(scan_reference, "RT_GRID_BUDGET", 4096):
             assert compute_RT(replace(spec, drift=counted)) == reference_compute_RT(spec)
             res = min(RT_GRID_RESOLUTION, max(4, int(4096 ** (1.0 / ndim))))
-            assert counted.calls == rt_slab_calls(ndim, res, chunk)
+            assert counted.calls == rt_slab_calls(ndim, res, slab_cap)
             with pytest.raises(ValueError, match="not finite at the RT scan point") as want:
                 reference_compute_RT(replace(spec, drift=holed))
             with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
@@ -593,16 +593,16 @@ class TestDriver:
         assert len(rows) == 4 and 1 in rows  # four halting rows, one at the anchor
         assert_driver_matches_reference(name, anchors, block)
 
-    @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, _RK4_BLOCK])
     @pytest.mark.parametrize("start", [(), ((0.5,),)])
-    def test_half_step_retry_both_ways(self, start, block):
-        # from |y| = 0.8, the step past t = 0.55 is retried at half width and
-        # kept; from 0.4, |y| crosses 0.3 within the step and its retry, so
+    def test_a_raising_step_halts_at_the_last_full_row(self, start, block):
+        # from |y| = 0.8, the step whose last stage passes t = 0.55 raises;
+        # from 0.4, |y| crosses 0.3 within a step, which raises. Either way
         # the anchor halts at its last full row (the grid step is 1/4096).
         # From 0, the first call raises: the anchors are then not stacked.
         anchors = [(0.1,), (0.3,), (0.9,), *start]
         ends = [reference_solution("brittle", fr).ts[-1] * 4096 for fr in anchors]
-        assert ends == [2252.5, 1178.0, 2252.5, *(0.0 for _ in start)]
+        assert ends == [2252.0, 1178.0, 2252.0, *(0.0 for _ in start)]
         assert_driver_matches_reference("brittle", anchors, block)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, _RK4_BLOCK])
@@ -612,7 +612,7 @@ class TestDriver:
         # (for blocks of 3 and more, which do not split rows 7225..7227)
         anchors = [(0.9, 0.5), (0.9, 0.95)]
         ends = [reference_solution("tripwire", fr).ts[-1] * 4096 for fr in anchors]
-        assert ends == [7227.0, 7225.5]
+        assert ends == [7227.0, 7225.0]
         assert_driver_matches_reference("tripwire", anchors, block)
 
     def test_rk4_grid_matches_reference(self):
@@ -682,8 +682,8 @@ SIZE_ONE_OUTPUTS = {
 
 
 class TestOneCoordinate:
-    """A single one-coordinate anchor steps on Python floats; its grids, halts
-    and retries equal the reference's, whatever size-1 shape the field gives."""
+    """A single one-coordinate anchor steps on Python floats; its grids and
+    halts equal the reference's, whatever size-1 shape the field gives."""
 
     @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
     @pytest.mark.parametrize("output", SIZE_ONE_OUTPUTS)
@@ -716,12 +716,13 @@ class TestOneCoordinate:
         want = reference_rk4_grid(in_point_shape, np.array([0.9]), 0.0, 1.5, 1000)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    # 1228 = 19 * 64 + 12 lies inside a block. The full step from row 1228
-    # passes thr; its half-width retry stays below 1228.75 / 4096 (kept) and
-    # passes 1228.1 / 4096 (the anchor halts at its last full row).
-    @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
+    # 1228 = 19 * 64 + 12 lies inside a block. The step from row 1228 passes
+    # thr at its last stage, t + h = 1229 / 4096, for frac = 0.75, and at its
+    # second, t + h/2 = 1228.5 / 4096, for frac = 0.1; either way the anchor
+    # halts at its last full row, 1228.
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, _RK4_BLOCK])
     @pytest.mark.parametrize("late", [raise_late, widen_late])
-    @pytest.mark.parametrize("frac,end", [(0.75, 1228.5), (0.1, 1228.0)])
+    @pytest.mark.parametrize("frac,end", [(0.75, 1228.0), (0.1, 1228.0)])
     def test_a_failing_step_halts_where_the_reference_halts(self, frac, end, late, block):
         thr = (1228 + frac) / 4096
         want = reference_solve_ode(make_spec(late_field(thr, raise_late), (0.9,), SCAN_DOM), 2.0, 1.0)
@@ -810,8 +811,8 @@ BUFFER_ANCHORS = ((0.1, 0.2, 0.3, 0.4), (0.5, 0.1, 0.0, 0.2), (0.3, 0.3, 0.3, 0.
 
 def raise_time(frac):
     # past (1228 + frac) / 4096, inside the block of rows 1216..1280: the step
-    # from row 1228 raises; its half-width retry is kept for frac = 0.75 and
-    # raises too for frac = 0.1
+    # from row 1228 raises, at its last stage for frac = 0.75 and at its
+    # second for frac = 0.1, so the anchor halts at row 1228
     return math.inf if frac is None else (1228 + frac) / 4096
 
 
@@ -825,7 +826,7 @@ class TestStageBuffers:
     """The driver reuses its stage buffers and its time array within a block;
     fields that alias, reshape or raise give the step-by-step reference's
     grids, stacked (K = 3), for one a = 4 anchor, and in a block redone
-    step by step with the half-width retry."""
+    step by step up to the step that raises."""
 
     @pytest.mark.parametrize("frac", [None, 0.75, 0.1])
     @pytest.mark.parametrize("anchors", [BUFFER_ANCHORS, BUFFER_ANCHORS[:1]], ids=["K=3", "one"])
@@ -842,7 +843,56 @@ class TestStageBuffers:
             assert got.ys.tobytes() == want.ys.tobytes()
             assert got.constants == want.constants
         if frac is not None:
-            assert want.ts[-1] * 4096 == {0.75: 1228.5, 0.1: 1228.0}[frac]
+            assert want.ts[-1] * 4096 == 1228.0
+
+
+def raising_below(thr, c):
+    """``decay`` on one point or stacked points; raises once some point with
+    first coordinate below ``c`` is evaluated at a time past ``thr``."""
+
+    def field(t, y):
+        y = np.asarray(y, dtype=float)
+        if np.any((np.asarray(t) > thr) & (y[..., 0] < c)):
+            raise FloatingPointError("past the supported region")
+        return -y
+
+    return field
+
+
+class TestRaisingFieldHalts:
+    """A step that raises ends its anchor's grid at the last full row, so
+    every grid is a prefix of the uniform grid. The field raises past
+    (1228 + 0.75) / 4096, inside a block, on the anchor that starts at 0.5
+    only: the step from row 1228 raises at its last stage, t + h, while a
+    step of half width from that row would not raise at all."""
+
+    @pytest.mark.parametrize("block", [1, 7, _RK4_BLOCK])
+    @pytest.mark.parametrize("anchors", [
+        [(0.5,)],                               # a = 1, the float stepper
+        [(0.5, 0.2)],                           # a = 2, the array stepper
+        [(1.2, 0.2), (0.5, 0.2), (1.5, 0.2)],   # K = 3 stacked, one raises
+    ], ids=["floats", "arrays", "stacked"])
+    def test_grids_are_prefixes_of_the_uniform_grid(self, anchors, block):
+        field = raising_below((1228 + 0.75) / 4096, 0.42)
+        a = len(anchors[0])
+        dom = Domain(t_lo=-0.5, t_hi=1.0, lo=(-1.0,) * a, hi=(2.0,) * a)
+        specs = [make_spec(field, anchor, dom) for anchor in anchors]
+        if len(anchors) > 1:
+            assert ode._stacked_drift(field, np.zeros(len(anchors)), np.array(anchors)) is not None
+        steps = grid_steps(specs[0], 1.0)
+        uniform = 0.0 + (1.0 / steps) * np.arange(steps + 1)
+        with mock.patch.object(ode, "_RK4_BLOCK", block):
+            grids = anchor_grids(specs, 1.0)
+        for spec, grid in zip(specs, grids):
+            sol = solve_ode(spec, 2.0, 1.0, grid)
+            assert sol.ts.tobytes() == uniform[: len(sol.ts)].tobytes()
+            above = dom.distance(sol.ts, sol.ys) >= sol.constants.margin
+            if spec.y_hat[0] == 0.5:  # halted by the raise, at row 1228
+                assert len(sol.ts) == 1229 and above.all()
+                assert sol.sigma == sol.ts[-1]
+            else:  # halted by the margin, on the first row below it
+                assert above[:-1].all() and not above[-1]
+                assert sol.sigma == sol.ts[-2]
 
 
 class StageRecorder:

@@ -17,6 +17,7 @@ from demtrack.processes import (
     BallsInBins,
     ProcessPlugin,
     balls_in_bins_spec,
+    degree_process_spec,
     greedy_matching_spec,
 )
 from demtrack.simulate import (
@@ -495,6 +496,34 @@ class TestFailureHandling:
             with pytest.raises(ValueError, match="must be at least 1"):
                 run_ensemble(plugin, spec, count, 0, jobs=jobs)
         assert batches.calls == 0
+
+    def test_a_solution_of_another_scale_or_dimension_is_refused(self, monkeypatch):
+        """A solution is read at the run's n and dimension: one of another n
+        or dimension is refused before any batch, by ``simulate`` and by
+        ``run_ensemble``; one of another lambda or anchor is accepted."""
+        spec, plugin = balls_in_bins_spec(2000, lam=0.02)
+        own = solve_ode(spec)
+        refused = {
+            "n=4000, a=1; the spec n=2000, a=1":
+                solve_ode(balls_in_bins_spec(4000, lam=0.02)[0]),
+            "n=2000, a=4; the spec n=2000, a=1":
+                solve_ode(degree_process_spec(2000, max_degree=3)[0]),
+        }
+        batches = CallCounter(simulate_module._simulate_batch)
+        monkeypatch.setattr(simulate_module, "_simulate_batch", batches)
+        for message, sol in refused.items():
+            match = f"^ODE solution has {message}$"
+            with pytest.raises(ValueError, match=match):
+                simulate(plugin, spec, 1, solution=sol)
+            with pytest.raises(ValueError, match=match):
+                run_ensemble(plugin, spec, 4, 0, solution=[own, sol], jobs=2)
+        assert batches.calls == 0
+        other_lam = solve_ode(balls_in_bins_spec(2000, lam=0.05)[0])
+        other_anchor = solve_ode(dataclasses.replace(spec, y_hat=(0.9,)))
+        for sol in (other_lam, other_anchor):
+            assert len(simulate(plugin, spec, 1, solution=sol).sup_deviation) == 1
+        ens = run_ensemble(plugin, spec, 4, 0, solution=[own, other_lam, other_anchor])
+        assert all(len(t.sup_deviation) == 3 for t in ens.trajectories)
 
     def test_a_raising_initial_state_fails_before_any_batch(self, monkeypatch):
         """A run's start is built once, before its batches: a raising
