@@ -29,7 +29,8 @@ three anchors and 100 trajectories), in six alternating fresh interpreters
 per tree, by process time (``time.process_time``) with the wall time
 next to it: ``ode.anchor_grids``, with a SHA-256 of the grids, and
 ``simulate.run_ensemble`` with the solutions and replay check ``verify``
-passes, keeping the default thinned records, with a SHA-256 of every
+passes, keeping only each trajectory's start and stop records
+(``endpoints_only=True``) as ``verify`` does, with a SHA-256 of every
 trajectory's statistics and records. Both layers are also timed on the
 degree spec at n = 1,000,000 with its one anchor, the process's start, and
 100 trajectories; its ensemble, at about 23 s a call, is one call in one
@@ -123,9 +124,8 @@ print(json.dumps(out))
 # run_ensemble with every anchor's solution and the replay check, timed by
 # the best of three calls on INSTANCES (argument "acceptance") or by one call
 # on LARGE (argument "large"); the digest covers each Trajectory field,
-# arrays by dtype, shape and bytes, the rest by repr. It times the thinned
-# call that both trees support: verify keeps only each trajectory's start and
-# stop records (endpoints_only), an option an older parent lacks
+# arrays by dtype, shape and bytes, the rest by repr. It times the call
+# verify makes, which keeps only each trajectory's start and stop records
 ENSEMBLE_CODE = ACCEPTANCE + """
 import numpy as np
 
@@ -137,7 +137,8 @@ for name, w, count in instances:
     R, T = compute_RT(spec)
     solutions = [solve_ode(s, R, T, g) for s, g in zip(specs, anchor_grids(specs, T))]
     s, wall, ens = best_of(
-        calls, lambda: run_ensemble(plugin, spec, count, 1, solution=solutions, replay_check=True)
+        calls, lambda: run_ensemble(plugin, spec, count, 1, solution=solutions, replay_check=True,
+                                    endpoints_only=True)
     )
     digest = hashlib.sha256()
     for traj in ens.trajectories:
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
                 "what": (
                     "simulate.run_ensemble process (CPU) time, with the call's wall time"
                     " under wall_s, with every anchor's solution and"
-                    " replay_check, thinned records, on base seed 1; best of 3 calls"
+                    " replay_check and endpoints_only, as verify calls it, on base seed 1; best of 3 calls"
                     f" in a fresh interpreter, {REPEATS} interpreters per tree alternating;"
                     " the degree n=1000000 instance by one call in one interpreter per"
                     " tree, the parent first; sha256 over every Trajectory field of every"

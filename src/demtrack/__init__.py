@@ -39,7 +39,6 @@ from .ode import (
     estimate_lipschitz_lower_bound,
     lambda_threshold,
     range_check,
-    rk4_grid,
     solve_ode,
 )
 from .processes import (

@@ -248,24 +248,16 @@ def estimate_lipschitz_lower_bound(spec: ProcessSpec, samples: int = 256, seed: 
     return best
 
 
-def rk4_grid(f, y0: np.ndarray, t0: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical 4th-order Runge-Kutta on a uniform grid; returns (ts, ys)."""
-    ((ts, ys),) = rk4_solve(f, [y0], t0, t1, steps)
-    ts[-1] = t1
-    return ts, ys
-
-
 def rk4_solve(
-    f, y0s, t0: float, t1: float, steps: int, domain: Domain | None = None, margin: float = 0.0
+    f, y0s, t0: float, t1: float, steps: int, domain: Domain, margin: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """RK4 from every row of ``y0s`` on the grid t0 + j*h, h = (t1 - t0)/steps.
 
-    Returns one (ts, ys) pair per row. Without a ``domain`` each takes all
-    ``steps`` steps and an exception of ``f`` propagates. With one, each
-    keeps its rows up to the first whose boundary distance is below
-    ``margin`` (the initial row included; a non-finite row is at distance
-    -inf), and an anchor whose step raises halts at its last full row. So
-    each ts is a prefix of t0 + h*arange(steps + 1).
+    Returns one (ts, ys) pair per row. Each keeps its rows up to the first
+    whose boundary distance in ``domain`` is below ``margin`` (the initial
+    row included; a non-finite row is at distance -inf), and an anchor whose
+    step raises halts at its last full row. So each ts is a prefix of
+    t0 + h*arange(steps + 1).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -284,8 +276,6 @@ def rk4_solve(
         _rk4_arrays(f, grid, rows, t0, h, j0, j1)
 
     def below(rows, j0, j1):
-        if domain is None:
-            return np.zeros((len(rows), j1 - j0), dtype=bool)
         return domain.distance(ts[j0:j1], grid[rows, j0:j1]) < margin
 
     def stepwise(k, j0, j1):
@@ -308,8 +298,6 @@ def rk4_solve(
             try:
                 advance(rows if stacked else rows[0], j0, j1)
             except Exception:
-                if domain is None:
-                    raise
                 rows = np.array([k for k in rows if stepwise(k, j0, j1)], dtype=int)
             else:
                 hit = below(rows, j0 + 1, j1 + 1)

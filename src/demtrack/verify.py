@@ -38,7 +38,8 @@ MODES = ("plain", "averaged", "truncated")
 def _resolve_extension_params(spec: ProcessSpec, plugin: ProcessPlugin, mode: str):
     """(b, gamma, B, x) for the mode, preferring spec values over plugin defaults.
 
-    The one check of the mode and its parameters; messages name the spec-file keys.
+    The one check of the mode and its parameters, which refuses b <= 0, gamma
+    outside [0, 1] and B or x below 0; messages name the spec-file keys.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -49,6 +50,8 @@ def _resolve_extension_params(spec: ProcessSpec, plugin: ProcessPlugin, mode: st
             b = plugin.avg_step_bound(spec)
         if b is None:
             raise ValueError("averaged mode needs extensions.b")
+        if not b > 0:
+            raise ValueError(f"extensions.b must be positive, got {b!r}")
     elif mode == "truncated":
         gamma, B = spec.trunc_gamma, spec.trunc_bound
         if gamma is None or B is None:
@@ -60,6 +63,13 @@ def _resolve_extension_params(spec: ProcessSpec, plugin: ProcessPlugin, mode: st
         x = spec.trunc_x
         if x is None:
             raise ValueError("truncated mode needs extensions.x, the oversized-step budget")
+        for key, value, rule, ok in (
+            ("gamma", gamma, "in [0, 1]", 0 <= gamma <= 1),
+            ("B", B, "nonnegative", B >= 0),
+            ("x", x, "nonnegative", x >= 0),
+        ):
+            if not ok:
+                raise ValueError(f"extensions.{key} must be {rule}, got {value!r}")
     return b, gamma, B, x
 
 

@@ -1,11 +1,13 @@
 """Step-by-step reference for the RK4 driver: one anchor, one step at a time.
 
-These are ``rk4_grid`` and the loop of ``solve_ode`` in ``demtrack.ode`` as
-they were before one driver replaced both, kept verbatim: the margin is
-checked with the scalar ``boundary_distance`` of ``scan_reference`` (the
-loop ``Domain.boundary_distance`` ran) after every step, and a step that
-raises ends the grid at its last full row. Tests require ``rk4_solve`` to
-reproduce their grids and constants byte for byte.
+``reference_rk4_grid`` takes every step of the uniform grid and ends it at
+``t1`` exactly; tests require the rows ``rk4_solve`` keeps inside a domain
+to equal its rows byte for byte. ``reference_solve_ode`` is the loop of
+``solve_ode`` one step at a time: the margin is checked with the scalar
+``boundary_distance`` of ``scan_reference`` (the loop
+``Domain.boundary_distance`` ran) after every step, and a step that raises
+ends the grid at its last full row. Tests require ``rk4_solve`` to
+reproduce its grids and constants byte for byte.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from oracle_utils import oracle_drift, reachable_states
 
 from demtrack import bounds
 from demtrack.core import Domain
-from demtrack.ode import grid_steps, rk4_grid, solve_ode
+from demtrack.ode import grid_steps, rk4_solve, solve_ode
 from demtrack.processes import (
     BallsInBins,
     DegreeProcess,
@@ -119,12 +119,13 @@ def test_04_exponential_moment_inequality():
 
 def test_05_ode_engine():
     decay = lambda t, y: -np.asarray(y)
-    _, ys = rk4_grid(decay, np.array([1.0]), 0.0, 1.0, 1000)
+    box = Domain(t_lo=-1.0, t_hi=2.0, lo=(-10.0,), hi=(10.0,))
+    _, ys = rk4_solve(decay, [np.array([1.0])], 0.0, 1.0, 1000, box, 0.0)[0]
     err_h3 = abs(ys[-1, 0] - math.exp(-1.0))
     assert err_h3 < 1e-10
     errs = []
     for steps in (64, 128):
-        _, ys = rk4_grid(decay, np.array([1.0]), 0.0, 1.0, steps)
+        _, ys = rk4_solve(decay, [np.array([1.0])], 0.0, 1.0, steps, box, 0.0)[0]
         errs.append(abs(ys[-1, 0] - math.exp(-1.0)))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0

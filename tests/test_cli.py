@@ -468,6 +468,16 @@ def test_unknown_key_exits_2(command, plugin, edit, named, tmp_path, capsys):
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
+def test_out_of_range_mode_parameter_exits_2(tmp_path, capsys):
+    """A negative B is refused by its spec key before any work, as in CI."""
+    doc = json.loads((SPECS / "matching.json").read_text())
+    doc["extensions"] = {"gamma": 0.1, "B": -1.0, "x": 0.0}
+    path = tmp_path / "negative_B.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--mode", "truncated", "--count", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: extensions.B must be nonnegative")
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
 def test_shipped_spec_solves(name):
     """Every spec file under scripts/specs is named in the README and solves."""

@@ -28,7 +28,7 @@ from demtrack.ode import (
     grid_steps,
     lambda_threshold,
     range_check,
-    rk4_grid,
+    rk4_solve,
     solve_ode,
 )
 from demtrack.processes import balls_in_bins_spec, degree_process_spec, greedy_matching_spec
@@ -46,21 +46,27 @@ def decay(t, y):
     return -np.asarray(y, dtype=float)
 
 
+def box(a):
+    """A domain of dimension ``a`` that strictly contains every path
+    ``rk4_solve`` takes here at margin 0, so none halts."""
+    return Domain(t_lo=-1.0, t_hi=2.0, lo=(-10.0,) * a, hi=(10.0,) * a)
+
+
 class TestRK4:
     def test_decay_accuracy(self):
-        _, ys = rk4_grid(decay, np.array([1.0]), 0.0, 1.0, 1000)
+        _, ys = rk4_solve(decay, [np.array([1.0])], 0.0, 1.0, 1000, box(1), 0.0)[0]
         assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-10
 
     def test_fourth_order_convergence(self):
         errs = []
         for steps in (64, 128):
-            _, ys = rk4_grid(decay, np.array([1.0]), 0.0, 1.0, steps)
+            _, ys = rk4_solve(decay, [np.array([1.0])], 0.0, 1.0, steps, box(1), 0.0)[0]
             errs.append(abs(ys[-1, 0] - math.exp(-1.0)))
         assert 14.0 <= errs[0] / errs[1] <= 18.0
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
-            rk4_grid(decay, np.array([1.0]), 0.0, 1.0, 0)
+            rk4_solve(decay, [np.array([1.0])], 0.0, 1.0, 0, box(1), 0.0)
 
 
 class TestComputeRT:
@@ -623,12 +629,10 @@ class TestDriver:
             (brittle, [1.0], 0.0, 0.5, 100),
             (spec.drift, np.array([1.0, 0.0, 0.0, 0.0]), 0.0, 0.5, 64),
         ):
-            got, want = rk4_grid(f, y0, t0, t1, steps), reference_rk4_grid(f, y0, t0, t1, steps)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-    def test_rk4_grid_propagates_field_errors(self):
-        with pytest.raises(FloatingPointError, match="supported region"):
-            rk4_grid(brittle, np.array([1.0]), 0.0, 1.0, 100)
+            ts, ys = rk4_solve(f, [y0], t0, t1, steps, box(len(y0)), 0.0)[0]
+            _, want = reference_rk4_grid(f, y0, t0, t1, steps)
+            assert ts.tobytes() == (t0 + (t1 - t0) / steps * np.arange(steps + 1)).tobytes()
+            assert ys.tobytes() == want.tobytes()
 
     def test_stacked_anchors_cut_drift_calls(self):
         spec, _ = degree_process_spec(10_000, max_degree=3)
@@ -712,9 +716,10 @@ class TestOneCoordinate:
                 assert sol.ts.tobytes() == want.ts.tobytes()
                 assert sol.ys.tobytes() == want.ys.tobytes()
                 assert sol.constants == want.constants
-        got = rk4_grid(field, [0.9], 0.0, 1.5, 1000)
-        want = reference_rk4_grid(in_point_shape, np.array([0.9]), 0.0, 1.5, 1000)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        ts, ys = rk4_solve(field, [[0.9]], 0.0, 1.5, 1000, box(1), 0.0)[0]
+        _, want = reference_rk4_grid(in_point_shape, np.array([0.9]), 0.0, 1.5, 1000)
+        assert ts.tobytes() == (0.0 + 1.5 / 1000 * np.arange(1001)).tobytes()
+        assert ys.tobytes() == want.tobytes()
 
     # 1228 = 19 * 64 + 12 lies inside a block. The step from row 1228 passes
     # thr at its last stage, t + h = 1229 / 4096, for frac = 0.75, and at its
@@ -733,15 +738,11 @@ class TestOneCoordinate:
         assert got.ts.tobytes() == want.ts.tobytes()
         assert got.ys.tobytes() == want.ys.tobytes()
         assert got.constants == want.constants
-        # without a domain the error propagates
-        error = FloatingPointError if late is raise_late else ValueError
-        with pytest.raises(error):
-            rk4_grid(late_field(thr, late), [0.9], 0.0, 1.0, 4096)
 
     def test_the_field_gets_a_float_time_and_a_one_element_array(self):
         each = {(float, np.ndarray, (1,), np.dtype(float))}
         rec = Recorder()
-        rk4_grid(rec, [0.9], 0.0, 1.0, 10)
+        rk4_solve(rec, [[0.9]], 0.0, 1.0, 10, box(1), 0.0)
         assert len(rec.calls) == 4 * 10 and set(rec.calls) == each
         spec = make_spec(rec, (0.9,), SCAN_DOM)
         for block, steps in ((1, 4063), (_RK4_BLOCK, 4096)):  # whole blocks are stepped
@@ -770,10 +771,11 @@ def test_a_wide_field_output_is_read_in_the_points_shape():
     derivative: every stage and every later step of the block gets a (2,)
     point, and the grid is the one of a field that returns (2,)."""
     rec = WideRecorder()
-    got = rk4_grid(rec, [0.9, 0.1], 0.0, 1.0, 100)
+    ts, ys = rk4_solve(rec, [[0.9, 0.1]], 0.0, 1.0, 100, box(2), 0.0)[0]
     assert len(rec.shapes) == 4 * 100 and set(rec.shapes) == {(2,)}
-    want = reference_rk4_grid(lambda t, y: rec(t, y)[0], np.array([0.9, 0.1]), 0.0, 1.0, 100)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    _, want = reference_rk4_grid(lambda t, y: rec(t, y)[0], np.array([0.9, 0.1]), 0.0, 1.0, 100)
+    assert ts.tobytes() == (0.0 + 1.0 / 100 * np.arange(101)).tobytes()
+    assert ys.tobytes() == want.tobytes()
 
 
 DEGREE_FIELD = degree_process_spec(1000, max_degree=3)[0].drift
@@ -909,7 +911,7 @@ class StageRecorder:
 def test_stacked_stages_get_their_times_in_a_float64_array():
     rec = StageRecorder()
     t0, t1, steps = -0.25, 0.5, 10
-    got = ode.rk4_solve(rec, BUFFER_ANCHORS, t0, t1, steps)
+    got = ode.rk4_solve(rec, BUFFER_ANCHORS, t0, t1, steps, box(4), 0.0)
     h = (t1 - t0) / steps
     # the stacked check's four calls at t0 (one stacked, three single points),
     # then four per step
@@ -921,8 +923,9 @@ def test_stacked_stages_get_their_times_in_a_float64_array():
             assert kind is np.ndarray and dtype == np.float64
             assert times.tobytes() == np.full(3, want).tobytes()
     for anchor, (ts, ys) in zip(BUFFER_ANCHORS, got):
-        want = reference_rk4_grid(DEGREE_FIELD, np.array(anchor), t0, t1, steps)
-        assert ys.tobytes() == want[1].tobytes()
+        _, want = reference_rk4_grid(DEGREE_FIELD, np.array(anchor), t0, t1, steps)
+        assert ts.tobytes() == (t0 + h * np.arange(steps + 1)).tobytes()
+        assert ys.tobytes() == want.tobytes()
 
 
 def test_degree_verify_single_anchor_grid_is_pinned():

@@ -372,6 +372,42 @@ class TestModes:
             verify(coin_spec(n=100), FairCoin(100), 3, 0, mode=mode)
         assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
 
+    @pytest.mark.parametrize(
+        "mode,extensions,key",
+        [
+            ("averaged", {"avg_step_bound": 0.0}, "b"),
+            ("averaged", {"avg_step_bound": -0.5}, "b"),
+            # B < 0 would lower lambda_threshold and admit an inadmissible lambda
+            ("truncated", {"trunc_gamma": 0.1, "trunc_bound": -3.0, "trunc_x": 0.0}, "B"),
+            ("truncated", {"trunc_gamma": -0.1, "trunc_bound": 1.0, "trunc_x": 0.0}, "gamma"),
+            ("truncated", {"trunc_gamma": 1.5, "trunc_bound": 1.0, "trunc_x": 0.0}, "gamma"),
+            ("truncated", {"trunc_gamma": 0.1, "trunc_bound": 1.0, "trunc_x": -1.0}, "x"),
+        ],
+    )
+    def test_out_of_range_mode_parameters_refused_before_the_scan(
+        self, monkeypatch, mode, extensions, key
+    ):
+        spec, plugin = small_balls(lam=0.05)
+        counters = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^extensions\.{key} must be "):
+            verify(replace(spec, **extensions), plugin, 4, 0, mode=mode)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
+    @pytest.mark.parametrize("mode,key", [("averaged", "b"), ("truncated", "B")])
+    def test_out_of_range_declared_parameters_refused_before_the_scan(self, monkeypatch, mode, key):
+        class Overdeclared(BallsInBins):
+            def avg_step_bound(self, spec):
+                return 0.0
+
+            def truncation(self, spec):
+                return 0.1, -3.0
+
+        spec, _ = small_balls(lam=0.05)
+        counters = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^extensions\.{key} must be "):
+            verify(replace(spec, trunc_x=0.0), Overdeclared(spec.n), 4, 0, mode=mode)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
     def test_truncated_takes_the_degree_process_declaration(self):
         # DegreeProcess declares gamma = 0 and B = beta: with the budget x = 0
         # the truncated report is the plain one, bit for bit
