@@ -7,7 +7,6 @@ resulting dynamic-concentration envelope empirically.
 """
 
 from .bounds import (
-    GronwallDiscreteParams,
     azuma_bound,
     binomial_tail,
     binomial_tail_remark_bound,

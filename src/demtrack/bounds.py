@@ -7,11 +7,11 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from .core import _integral
+
 __all__ = [
-    "GronwallDiscreteParams",
     "gronwall_continuous_bound",
     "gronwall_discrete_bound",
     "stability_bound",
@@ -28,24 +28,6 @@ __all__ = [
 ENVELOPE_PANELS = 1024  # composite Simpson panels; rel. error < 1e-10 for smooth integrands
 
 
-@dataclass(frozen=True)
-class GronwallDiscreteParams:
-    """Constants of the additive-plus-linear recurrence x_j < c + sum(a*x_i + b)."""
-
-    c: float
-    b: float
-    a: float
-    m: int
-
-    def __post_init__(self):
-        if self.c < 0 or self.b < 0:
-            raise ValueError("c and b must be nonnegative")
-        if not self.a > 0:
-            raise ValueError("a must be strictly positive")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError("m must be a nonnegative integer")
-
-
 def gronwall_continuous_bound(C: float, L: float, t: float) -> float:
     """Exponential bound C*exp(L*t) for x(t) <= C + L * integral of x."""
     if t < 0:
@@ -60,8 +42,14 @@ def gronwall_discrete_bound(c: float, b: float, a: float, m: int) -> float:
 
     Valid for any sequence with x_j < c + sum_{i<j} (a*x_i + b), 0 <= j <= m.
     """
-    p = GronwallDiscreteParams(c, b, a, m)
-    return (p.c + p.b * min(p.m, 1.0 / p.a)) * math.exp(p.a * p.m)
+    if c < 0 or b < 0:
+        raise ValueError("c and b must be nonnegative")
+    if not a > 0:
+        raise ValueError("a must be strictly positive")
+    m = _integral(m, "m")
+    if m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    return (c + b * min(m, 1.0 / a)) * math.exp(a * m)
 
 
 def stability_bound(lam: float, delta: float, L: float, T: float) -> float:

@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 1 when verification finds more envelope failures
 than the bound (plus sampling slack) allows, 2 on usage or schema errors
 (including an unknown spec key or plugin parameter, a mode parameter that
-neither the spec's ``extensions`` nor the plugin supplies, a bad initial
-condition, and a count or jobs below 1), 3 when a plugin method raises
-during ``simulate`` or ``verify``.
+neither the spec's ``extensions`` nor the plugin supplies or that is out
+of its range, a bad initial condition, a count or jobs below 1, a negative
+seed, and a non-integral ``n`` or ``max_degree``), 3 when a plugin method
+raises during ``simulate`` or ``verify``.
 All printed numbers carry 12 significant digits.
 """
 

@@ -14,6 +14,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int if it is an integral number, not a bool or a string:
+    a fraction is refused by ``name``, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class LambdaNotAdmissible(ValueError):
     """Raised when the approximation parameter is below its admissible threshold."""
 
@@ -133,7 +141,7 @@ class ProcessSpec:
     conditional mean absolute step), ``trunc_gamma``/``trunc_bound`` (a
     probability gamma of exceeding beta together with a hard cap B), and
     ``trunc_x`` (the tolerated number x of oversized steps). Every number
-    given must be finite.
+    given must be finite, and ``n`` an integer (2000.0 is kept as 2000).
     """
 
     n: int
@@ -152,6 +160,7 @@ class ProcessSpec:
     trunc_x: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integral(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         # the range checks below let inf through, and NaN too where they test
@@ -190,15 +199,12 @@ class ProcessSpec:
 
 
 def check_initial_condition(spec: ProcessSpec, y0: Sequence[int]) -> bool:
-    """True iff max_k |Y_k(0) - y_hat_k * n| <= lambda*n and (0, y_hat) is in D.
-
-    The anchor-inclusion half is guaranteed by ProcessSpec construction but is
-    re-checked so the predicate stands on its own.
-    """
+    """True iff max_k |Y_k(0) - y_hat_k * n| <= lambda*n; (0, y_hat) lies in
+    D for every ProcessSpec."""
     if len(y0) != spec.a:
         raise ValueError(f"y0 has {len(y0)} entries, spec tracks {spec.a}")
     offset = max(abs(float(v) - h * spec.n) for v, h in zip(y0, spec.y_hat))
-    return offset <= spec.lam * spec.n and spec.domain.contains((0.0, *spec.y_hat))
+    return offset <= spec.lam * spec.n
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Domain, PluginCrashed, ProcessSpec
+from .core import Domain, PluginCrashed, ProcessSpec, _integral
 
 
 _BATCH_TWINS = (
@@ -126,13 +126,6 @@ def _int64_values(plugin, method: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _integral(value, name: str) -> int:
-    """``value`` as an int if it is an integral number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 class ProcessPlugin(ABC):
     """Dynamics of one discrete-time process at a fixed scale n."""
 
@@ -162,6 +155,7 @@ class ProcessPlugin(ABC):
                 setattr(cls, scalar, _batch_of_one(scalar, own[batch], cls.uniforms_per_step))
 
     def __init__(self, n: int):
+        n = _integral(n, "n")
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n

@@ -76,7 +76,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Ensemble, ProcessSpec, Trajectory, Violation
+from .core import Ensemble, ProcessSpec, Trajectory, Violation, _integral
 from .ode import OdeSolution, drift_at
 from .processes import ProcessPlugin, _guard, _int64_rows, _int64_values, _rows
 
@@ -103,7 +103,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 
     Order-independent, so ensembles are identical across worker counts.
     """
-    ss = np.random.SeedSequence(int(base_seed), spawn_key=(int(index),))
+    key = (_integral(index, "index"),)
+    ss = np.random.SeedSequence(_integral(base_seed, "base_seed"), spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -190,12 +191,18 @@ def _check_plugin(plugin: ProcessPlugin, spec: ProcessSpec) -> None:
         raise ValueError(f"plugin tracks {plugin.dim} variables, spec expects {spec.a}")
 
 
-def _check_counts(count: int, jobs: int) -> None:
-    """Refuse an ensemble of no trajectories and a pool of no workers."""
+def _check_counts(count: int, jobs: int, base_seed: int) -> tuple[int, int, int]:
+    """``count``, ``jobs`` and ``base_seed`` as ints (``_integral``); refuse an
+    ensemble of no trajectories, a pool of no workers and a negative seed."""
+    count, jobs = _integral(count, "count"), _integral(jobs, "jobs")
+    base_seed = _integral(base_seed, "base_seed")
     if count < 1:
         raise ValueError("count must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if base_seed < 0:
+        raise ValueError("base_seed must be nonnegative")
+    return count, jobs, base_seed
 
 
 def simulate(
@@ -208,7 +215,7 @@ def simulate(
     event_predicate: Callable[[int, tuple], bool] | None = None,
     replay_check: bool = False,
 ) -> Trajectory:
-    """Run one trajectory from a 64-bit seed.
+    """Run one trajectory from a nonnegative integer seed, such as a ``derive_seed``.
 
     When ``solution`` is supplied, the sup-deviation from the ODE path over
     steps 0..min(sigma*n, first predicate failure) is tracked online, and
@@ -221,8 +228,11 @@ def simulate(
     docstring), so the plugin may be stepped past the stop; those steps are
     discarded.
     """
+    seed = _integral(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     run = _prepare(plugin, spec, solution, replay_check, full_paths, event_predicate)
-    return _simulate_batch(run, [int(seed)])[0]
+    return _simulate_batch(run, [seed])[0]
 
 
 def _step_block(plugin: ProcessPlugin, buf: np.ndarray, u: np.ndarray) -> None:
@@ -634,6 +644,7 @@ def run_ensemble(
 ) -> Ensemble:
     """Simulate ``count`` independent trajectories from derived seeds.
 
+    ``count`` and ``jobs`` are integers of at least 1, ``base_seed`` of at least 0.
     Trajectory i uses seed derive_seed(base_seed, i); results are identical
     for any ``jobs`` value, and jobs > 1 splits the seeds into contiguous
     chunks, one batch per worker of a process pool (everything passed in
@@ -651,7 +662,7 @@ def run_ensemble(
     ``endpoints_only`` (which excludes ``full_paths``); the other fields
     of each trajectory are the same whichever is kept.
     """
-    _check_counts(count, jobs)
+    count, jobs, base_seed = _check_counts(count, jobs, base_seed)
     run = _prepare(
         plugin, spec, solution, replay_check, full_paths, event_predicate, endpoints_only
     )
@@ -667,11 +678,7 @@ def run_ensemble(
             trajectories = [t for part in pool.map(batch, chunks) for t in part]
     else:
         trajectories = batch(seeds)
-    return Ensemble(
-        spec=spec,
-        base_seed=int(base_seed),
-        trajectories=tuple(trajectories),
-    )
+    return Ensemble(spec=spec, base_seed=base_seed, trajectories=tuple(trajectories))
 
 
 def doob_decompose(traj: Trajectory) -> np.ndarray:

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Domain, ProcessSpec
-from .processes import ProcessPlugin, _integral, make_plugin
+from .core import Domain, ProcessSpec, _integral
+from .processes import ProcessPlugin, make_plugin
 
 SCHEMA_VERSION = 1
 

@@ -115,7 +115,8 @@ def verify(
     parameters and the initial condition max_k |Y_k(0) - y_hat_k*n| <=
     lambda*n, Y(0) by the kernel's start rule, are checked before any
     work starts, even when sigma = 0, and so are ``count`` and ``jobs``
-    (both at least 1) and the plugin's ``n`` and ``dim`` against the spec.
+    (integers of at least 1), ``base_seed`` (an integer of at least 0) and
+    the plugin's ``n`` and ``dim`` against the spec.
     Raises :class:`PluginCrashed` when a plugin method raises.
     """
     return _verify_anchors(
@@ -176,7 +177,7 @@ def _verify_anchors(
     report. What does not depend on the anchor is counted once per ensemble
     (``_ensemble_fields``); each anchor adds what its path gives.
     """
-    _check_counts(count, jobs)
+    count, jobs, base_seed = _check_counts(count, jobs, base_seed)
     _check_plugin(plugin, spec)
     b, gamma, B, x = _resolve_extension_params(spec, plugin, mode)
     y0 = _start(plugin)[1]
@@ -231,7 +232,7 @@ def _verify_anchors(
             mode=reported_mode,
             plugin=spec.plugin_name,
             count=count,
-            base_seed=int(base_seed),
+            base_seed=base_seed,
             constants=c,
             envelope=envelope,
             lambda_value=spec.lam,

@@ -1,8 +1,8 @@
 """Step-by-step reference for the RK4 driver: one anchor, one step at a time.
 
-``reference_rk4_grid`` takes every step of the uniform grid and ends it at
-``t1`` exactly; tests require the rows ``rk4_solve`` keeps inside a domain
-to equal its rows byte for byte. ``reference_solve_ode`` is the loop of
+``reference_rk4_grid`` takes every step of the uniform grid
+``t0 + h*arange(steps + 1)``; tests require the rows ``rk4_solve`` keeps
+inside a domain to equal its times and rows byte for byte. ``reference_solve_ode`` is the loop of
 ``solve_ode`` one step at a time: the margin is checked with the scalar
 ``boundary_distance`` of ``scan_reference`` (the loop
 ``Domain.boundary_distance`` ran) after every step, and a step that raises
@@ -27,7 +27,6 @@ def reference_rk4_grid(f, y0: np.ndarray, t0: float, t1: float, steps: int) -> t
         raise ValueError("steps must be positive")
     h = (t1 - t0) / steps
     ts = t0 + h * np.arange(steps + 1)
-    ts[-1] = t1
     ys = np.empty((steps + 1, len(y0)))
     ys[0] = y0
     y = np.asarray(y0, dtype=float)

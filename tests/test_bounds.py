@@ -291,7 +291,8 @@ def test_exponential_moment_inequality_spot():
 REFUSALS = [
     (b.gronwall_discrete_bound, (-1.0, 0.0, 1.0, 1), "c and b must be nonnegative"),
     (b.gronwall_discrete_bound, (1.0, -1.0, 1.0, 1), "c and b must be nonnegative"),
-    (b.gronwall_discrete_bound, (1.0, 0.0, 1.0, 1.5), "m must be a nonnegative integer"),
+    (b.gronwall_discrete_bound, (1.0, 0.0, 1.0, 1.5), "m must be an integer, got 1.5"),
+    (b.gronwall_discrete_bound, (1.0, 0.0, 1.0, True), "m must be an integer, got True"),
     (b.gronwall_discrete_bound, (1.0, 0.0, 1.0, -1), "m must be a nonnegative integer"),
     (b.gronwall_continuous_bound, (1.0, -1.0, 1.0), "L must be nonnegative"),
     (b.stability_bound, (-0.1, 0.0, 1.0, 1.0), "need lam, delta, L >= 0 and T > 0"),

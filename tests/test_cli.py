@@ -478,6 +478,16 @@ def test_out_of_range_mode_parameter_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: extensions.B must be nonnegative")
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed_exits_2(command, tmp_path, capsys):
+    """A negative --seed is refused by name before any work, as in CI."""
+    out = tmp_path / "runs"
+    args = [command, str(SPECS / "matching.json"), "--count", "4", "--seed", "-1"]
+    assert main(args + (["--out", str(out)] if command == "simulate" else [])) == 2
+    assert capsys.readouterr().err == "error: base_seed must be nonnegative\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
 def test_shipped_spec_solves(name):
     """Every spec file under scripts/specs is named in the README and solves."""

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ def test_spec_validation():
                      ("L", -0.5), ("y_hat", (2.0,)), ("y_hat", (0.5, 0.5))]:
         with pytest.raises(ValueError):
             ProcessSpec(**{**good, key: bad})
+
+
+@pytest.mark.parametrize("n", [2000.5, True])
+def test_spec_refuses_a_non_integral_n(n):
+    spec, _ = balls_in_bins_spec(2000)
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        replace(spec, n=n)
+
+
+def test_spec_takes_an_integral_float_n_as_an_int():
+    spec, _ = balls_in_bins_spec(2000)
+    assert type(replace(spec, n=2000.0).n) is int
+    assert replace(spec, n=2000.0) == replace(spec, n=2000)
 
 
 @pytest.mark.parametrize(

@@ -151,12 +151,19 @@ class TestDegreeProcess:
     [
         (lambda: BallsInBins(0), "n must be positive"),
         (lambda: DegreeProcess(10, max_degree=-1), "max_degree must be nonnegative"),
+        (lambda: BallsInBins(2000.5), r"n must be an integer, got 2000\.5"),
+        (lambda: BallsInBins(True), "n must be an integer, got True"),
     ],
-    ids=["no-bins", "negative-max-degree"],
+    ids=["no-bins", "negative-max-degree", "fractional-n", "boolean-n"],
 )
 def test_constructor_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+def test_an_integral_float_n_is_taken_as_an_int():
+    plugin = BallsInBins(2000.0)
+    assert type(plugin.n) is int and plugin.n == 2000
 
 
 class TestGreedyMatching:

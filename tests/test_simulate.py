@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -112,6 +113,20 @@ class FailingPlugin(ConstantPlugin):
         if state != self.n // 2:
             raise RuntimeError("unreachable")
         raise RuntimeError("boom")
+
+
+# (argument, value, message): a count, jobs or base seed that is not a
+# nonnegative integer, refused by name before any work
+BAD_INTEGERS = [
+    ("count", True, "count must be an integer, got True"),
+    ("count", 2.5, "count must be an integer, got 2.5"),
+    ("jobs", 1.5, "jobs must be an integer, got 1.5"),
+    ("base_seed", 1.7, "base_seed must be an integer, got 1.7"),
+    ("base_seed", "7", "base_seed must be an integer, got '7'"),
+    ("base_seed", True, "base_seed must be an integer, got True"),
+    ("base_seed", -1, "base_seed must be nonnegative"),
+]
+BAD_INTEGER_IDS = [f"{argument}={value!r}" for argument, value, _ in BAD_INTEGERS]
 
 
 def coin_spec(n=100, lam=0.4, t_hi=1.0, width=0.45):
@@ -495,6 +510,29 @@ class TestFailureHandling:
         for count, jobs in ((0, 1), (4, 0), (4, -3)):
             with pytest.raises(ValueError, match="must be at least 1"):
                 run_ensemble(plugin, spec, count, 0, jobs=jobs)
+        assert batches.calls == 0
+
+    @pytest.mark.parametrize("argument,value,message", BAD_INTEGERS, ids=BAD_INTEGER_IDS)
+    def test_a_non_integral_or_negative_argument_is_refused(
+        self, monkeypatch, argument, value, message
+    ):
+        spec, plugin = balls_in_bins_spec(100, lam=1e-3)
+        batches = CallCounter(simulate_module._simulate_batch)
+        monkeypatch.setattr(simulate_module, "_simulate_batch", batches)
+        args = {"count": 4, "base_seed": 0, "jobs": 1, argument: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_ensemble(plugin, spec, **args)
+        assert batches.calls == 0
+
+    @pytest.mark.parametrize(
+        "seed,message", [(1.7, "seed must be an integer, got 1.7"), (-1, "seed must be nonnegative")]
+    )
+    def test_a_non_integral_or_negative_seed_is_refused(self, monkeypatch, seed, message):
+        spec, plugin = balls_in_bins_spec(100, lam=1e-3)
+        batches = CallCounter(simulate_module._simulate_batch)
+        monkeypatch.setattr(simulate_module, "_simulate_batch", batches)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(plugin, spec, seed)
         assert batches.calls == 0
 
     def test_a_solution_of_another_scale_or_dimension_is_refused(self, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ode_reference import reference_solve_ode
 from scan_reference import reference_compute_RT
 from test_ode import CallCounter
-from test_simulate import DriftLiar, FairCoin, coin_spec
+from test_simulate import BAD_INTEGER_IDS, BAD_INTEGERS, DriftLiar, FairCoin, coin_spec
 
 from demtrack import Constants, Domain, LambdaNotAdmissible, PluginCrashed, ProcessSpec
 from demtrack.ode import _margin, compute_RT, lambda_threshold, solve_ode
@@ -148,6 +148,20 @@ class TestVerifyPlain:
             verify(spec, plugin, count, 0, jobs=jobs)
         with pytest.raises(ValueError, match=f"{what} must be at least 1"):
             verify_multi_anchor(spec, plugin, count, 0, [(1.0,)], jobs=jobs)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
+    @pytest.mark.parametrize("lam", [0.02, 0.25], ids=["tracked", "vacuous"])
+    @pytest.mark.parametrize("argument,value,message", BAD_INTEGERS, ids=BAD_INTEGER_IDS)
+    def test_non_integral_or_negative_arguments_refused_before_the_scan(
+        self, monkeypatch, lam, argument, value, message
+    ):
+        counters = count_calls(monkeypatch)
+        spec, plugin = small_balls(n=500, lam=lam)  # lam = 0.25 makes sigma = 0
+        args = {"count": 3, "base_seed": 0, "jobs": 1, argument: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(spec, plugin, **args)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_multi_anchor(spec, plugin, anchors=[(1.0,)], **args)
         assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
 
     @pytest.mark.parametrize("lam", [0.02, 0.25], ids=["tracked", "vacuous"])
@@ -508,6 +522,15 @@ class TestReportSerialization:
         loaded = json.loads(path.read_text())
         assert loaded == report.to_dict()
         assert loaded["schema"] == 1
+
+    def test_numpy_integers_give_a_report_of_ints(self, tmp_path):
+        spec, plugin = small_balls(n=500)
+        report = verify(spec, plugin, np.int64(3), np.int64(9))
+        assert type(report.count) is int and type(report.base_seed) is int
+        assert report == verify(spec, plugin, 3, 9)
+        path = tmp_path / "report.json"
+        report_to_json(report, path)
+        assert json.loads(path.read_text()) == report.to_dict()
 
     def test_failure_probability_not_clamped_in_report(self):
         # small n makes the bound formula exceed 1; report it as computed
