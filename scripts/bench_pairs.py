@@ -34,12 +34,14 @@ passes, keeping only each trajectory's start and stop records
 trajectory's statistics and records. Both layers are also timed on the
 degree spec at n = 1,000,000 with its one anchor, the process's start, and
 100 trajectories; its ensemble, at about 23 s a call, is one call in one
-interpreter per tree, the parent first. Last, it records ``verify``'s peak
-resident set (``ru_maxrss``), with a SHA-256 of the report, in one fresh
-interpreter per tree and instance, the parent first: on the balls n =
-100,000 instance with 200 trajectories and on the balls-ensemble spec with
-2,000 trajectories. The digests must agree between the trees. The layout
-is that of ``BENCH_10.json``.
+interpreter per tree, the parent first. Last, it records the peak resident
+set (``ru_maxrss``), with a SHA-256 of the report, in one fresh
+interpreter per tree and instance, the parent first: of ``verify`` on the
+balls n = 100,000 instance with 200 trajectories and on the balls-ensemble
+spec with 2,000 trajectories, and of ``verify_multi_anchor`` on the
+degree-anchors spec with its 16 trajectories, against its three anchors
+and against nine. The digests must agree between the trees. The layout is
+that of ``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -154,25 +156,38 @@ print(json.dumps(out))
 """
 
 
-# verify's peak resident set (ru_maxrss, KiB on Linux) on the instance named
-# by the argument, alone in a fresh interpreter so that no other call's peak
-# counts, with a SHA-256 of the report's to_dict()
+# the peak resident set (ru_maxrss, KiB on Linux) of verify, or of
+# verify_multi_anchor when the instance has anchors, on the instance named by
+# the argument, alone in a fresh interpreter so that no other call's peak
+# counts, with a SHA-256 of the report's to_dict() (of the list of them for
+# verify_multi_anchor). The degree-anchors instances keep the workload's 16
+# trajectories: its own three anchors, and nine spread over the same range
 RSS_CODE = ACCEPTANCE + """
 import resource
-from demtrack.verify import verify
+from demtrack.verify import verify, verify_multi_anchor
 
-RSS = {name: (w, count) for name, w, count in (
-    INSTANCES[0],
-    ("balls n=20000, 2000 trajectories", WORKLOADS["balls-ensemble"], 2000),
+DEGREE = WORKLOADS["degree-anchors"]
+NINE = tuple((1.0 + (i / 8 - 0.5) * DEGREE.lam, 0.0, 0.0, 0.0) for i in range(9))
+RSS = {name: (w, count, anchors) for name, w, count, anchors in (
+    (*INSTANCES[0], ()),
+    ("balls n=20000, 2000 trajectories", WORKLOADS["balls-ensemble"], 2000, ()),
+    ("degree n=10000, 3 anchors", DEGREE, DEGREE.count, DEGREE.anchors),
+    ("degree n=10000, 9 anchors", DEGREE, DEGREE.count, NINE),
 )}
-w, count = RSS[sys.argv[1]]
+w, count, anchors = RSS[sys.argv[1]]
 spec, plugin = spec_from_dict(w.spec_doc())
-report = verify(spec, plugin, count, 1, replay_check=True)
-doc = json.dumps(report.to_dict(), sort_keys=True, allow_nan=True)
+if anchors:
+    doc = [r.to_dict() for r in verify_multi_anchor(spec, plugin, count, 1, anchors)]
+else:
+    doc = verify(spec, plugin, count, 1, replay_check=True).to_dict()
+doc = json.dumps(doc, sort_keys=True, allow_nan=True)
 print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "sha256": hashlib.sha256(doc.encode()).hexdigest()}))
 """
-RSS_INSTANCES = ("balls n=100000", "balls n=20000, 2000 trajectories")
+RSS_INSTANCES = (
+    "balls n=100000", "balls n=20000, 2000 trajectories",
+    "degree n=10000, 3 anchors", "degree n=10000, 9 anchors",
+)
 
 
 def run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -365,9 +380,11 @@ def main(argv=None) -> int:
             },
             "verify_peak_rss": {
                 "what": (
-                    "verify(count, base seed 1, replay_check=True) alone in a fresh"
-                    " interpreter per tree and instance, the parent first: peak resident"
-                    " set by resource.getrusage ru_maxrss; sha256 of the report's to_dict()"
+                    "verify(count, base seed 1, replay_check=True), or on the degree"
+                    " instances verify_multi_anchor(count, base seed 1, anchors), alone in a"
+                    " fresh interpreter per tree and instance, the parent first: peak"
+                    " resident set by resource.getrusage ru_maxrss; sha256 of the report's"
+                    " to_dict(), or of the list of them"
                 ),
                 **bench_rss(trees),
             },

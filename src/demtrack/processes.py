@@ -382,11 +382,14 @@ class DegreeProcess(ProcessPlugin):
         return states[:, : self.max_degree + 1]
 
     def drift_batch(self, states):
-        # on a transposed copy, one contiguous row per class, as in step_batch
-        counts = states[:, : self.max_degree + 1].T.copy()
-        diff = -counts
-        diff[1:] += counts[:-1]
-        return (2.0 * diff / self.n).T
+        # one contiguous float row per class, from the transposed view with no
+        # copy; 0.0 - c, not -c, gives +0.0 for an empty class, as in integers
+        counts = states[:, : self.max_degree + 1].T
+        out = np.subtract(0.0, counts, out=np.empty(counts.shape))
+        out[1:] += counts[:-1]
+        out *= 2.0
+        out /= self.n
+        return out.T
 
     def drift_field(self, t, y):
         # 2 * (prev - y), prev = (0, y_0, .., y_{a-2}) written into the output;

@@ -70,6 +70,7 @@ per path, each column updated only up to its own path's cap.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -85,7 +86,10 @@ from .processes import ProcessPlugin, _guard, _int64_rows, _int64_values, _rows
 # _BLOCK_STEPS * max(1, _SPAN_ROW_STEPS // (rows * _BLOCK_STEPS)) steps. The
 # span's state buffer, (rows, span + 1, .), and each plane of the
 # reduction's temporaries, (rows, span + 1), then hold at most
-# _SPAN_ROW_STEPS row-steps (more only when one block of all rows does).
+# _SPAN_ROW_STEPS row-steps (more only when one block of all rows does). A
+# span holds its counts and its drift sums, a planes each, with about a
+# more while the drifts are read and the trend and bound checks run, and the
+# deviation reducer one plane per ODE path and two more, whatever a is.
 # Uniforms are drawn for at most _DRAW_STEPS steps of every row at once, and
 # for no more row-steps than _DRAW_STEPS // _BLOCK_STEPS spans of that
 # budget, or one span of all rows: 1.3 MB for 160 rows of one uniform, where
@@ -128,7 +132,7 @@ class _Run:
     c_hi: np.ndarray
     solutions: tuple[OdeSolution, ...]  # the K paths, none without a solution
     caps: np.ndarray    # per path Constants.steps(n), shape (K,)
-    # per path, as (K, 1, 1) columns against (K, rows, positions) planes:
+    # per path, shape (K,):
     two_lam_n: np.ndarray  # 2*lambda*n, lambda that of the path's spec
     step_term: np.ndarray  # L*R/n + delta, the per-step additive recurrence term
 
@@ -178,8 +182,8 @@ def _prepare(
         *(np.reshape(c, (spec.a, 1, 1)) for c in (Y0, *spec.domain.count_bounds(n))),
         solutions=solutions,
         caps=np.array([c.steps(n) for c in consts]),
-        two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions])[:, None, None],
-        step_term=np.array([spec.L * c.R / n + spec.delta for c in consts])[:, None, None],
+        two_lam_n=np.array([2.0 * (s.spec.lam * n) for s in solutions]),
+        step_term=np.array([spec.L * c.R / n + spec.delta for c in consts]),
     )
 
 
@@ -203,6 +207,17 @@ def _check_counts(count: int, jobs: int, base_seed: int) -> tuple[int, int, int]
     if base_seed < 0:
         raise ValueError("base_seed must be nonnegative")
     return count, jobs, base_seed
+
+
+def _check_picklable(jobs: int, **inputs) -> None:
+    """With jobs > 1 the inputs go to worker processes: refuse one that does
+    not pickle, by its argument name, before the scan, solve or batches."""
+    if jobs > 1:
+        for name, value in inputs.items():
+            try:
+                pickle.dumps(value)
+            except Exception as exc:
+                raise ValueError(f"{name} must be picklable when jobs > 1: {exc}") from exc
 
 
 def simulate(
@@ -414,12 +429,15 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     # cum[:, :, j] is drift_cum at step i0 + j, summed one step at a time;
     # before the sum, cum[:, :, j + 1] holds the drift of step i0 + j. The
     # drifts at or past a row's stop reach only positions that are cleared
-    # and records past the stop.
-    cum = np.empty((a, live_rows, J + 1))
+    # and records past the stop. The drifts come first, so the batch's input
+    # copy is freed before cum is allocated.
     with _guard(b.plugin, "drift_batch", s.where):
-        cum[:, :, 1:] = b.plugin.drift_batch(
+        drift = b.plugin.drift_batch(
             s.states[:, :J].reshape((live_rows * J,) + s.states.shape[2:])
         ).reshape(-1, a).T.reshape(a, live_rows, J)
+    cum = np.empty((a, live_rows, J + 1))
+    cum[:, :, 1:] = drift
+    del drift
     trend = None
     if not b.plugin.exact_drift:
         # the steps taken; a step that raised still had a drift
@@ -437,8 +455,10 @@ def _reduce_drift(b: _Batch, rows: _Rows, s: _Span):
     cum[:, :, 0] = rows.drift_cum.T
     np.add.accumulate(cum, axis=2, out=cum)
     rows.drift_cum[:] = cum[:, :, J].T
-    # the martingale part; a NaN propagates through max, so it never passes
-    np.subtract(s.Y - b.Y0, cum, out=cum)
+    # the martingale part, one coordinate at a time; a NaN propagates
+    # through max, so it never passes
+    for k in range(a):
+        np.subtract(s.Y[k] - b.Y0[k], cum[k], out=cum[k])
     mart = _clear_past_stops(np.abs(cum, out=cum).max(axis=0), s)
     np.maximum(rows.sup_mart, mart.max(axis=1), out=rows.sup_mart)
     return trend
@@ -449,36 +469,44 @@ def _reduce_deviation(b: _Batch, rows: _Rows, s: _Span):
 
     Path k counts while i <= caps[k], and the sup only up to the row's event
     stop. Each path's n * y_k(i/n) is interpolated at the span's steps only.
-    Returns the (K, rows, positions) deviation at the positions up to the
-    longest path's cap, or None past it or without paths.
+    A path's deviation plane is filled one coordinate at a time through one
+    scratch plane, and its chain summed in one more, so the reducer holds
+    two (rows, positions) planes plus one per path, whatever a is. Returns
+    the (K, rows, positions) deviation at the positions up to the longest
+    path's cap, or None past it or without paths.
     """
     cap = int(b.caps.max(initial=-1))
     if s.i0 > cap:
         return None
     jd = min(s.J, cap - s.i0) + 1
     steps = s.i0 + np.arange(jd)
-    target = np.stack([p.counts_at_steps(steps[-1], s.i0).T for p in b.solutions])
-    dev = np.subtract(s.Y[:, :, :jd], target[:, :, None])  # (K, a, rows, jd)
-    dev = _clear_past_stops(np.abs(dev, out=dev).max(axis=1), s)
-    # a cleared position passes the replay check: its bound is at least
-    # 2*lambda*n > 0, or NaN only after a NaN deviation has failed the row
-    for k, cap in enumerate(b.caps):
-        dev[k, :, max(0, cap + 1 - s.i0) :] = 0
-    sup = dev
+    Y = s.Y[:, :, :jd]
+    dev = np.empty((len(b.caps), len(rows.ids), jd))
+    diff = np.empty(dev.shape[1:])
+    chain = np.empty((len(rows.ids), jd + 1)) if b.replay_check else None
+    before = None
     if b.event_predicate is not None and (rows.event_stop >= 0).any():
         before = (rows.event_stop < 0)[:, None] | (steps <= rows.event_stop[:, None])
-        sup = np.where(before, dev, 0.0)
-    np.maximum(rows.sup_dev, sup.max(axis=2).T, out=rows.sup_dev)
-    if b.replay_check:
-        # chain[:, :, j] is the chain's sum at step i0 + j, summed one step at a time
-        chain = np.empty(dev.shape[:2] + (jd + 1,))
-        chain[:, :, 0] = rows.carry.T
-        np.multiply(dev, b.spec.L / b.spec.n, out=chain[:, :, 1:])
-        chain[:, :, 1:] += b.step_term
-        np.add.accumulate(chain, axis=2, out=chain)
-        rows.carry[:] = chain[:, :, min(s.J, jd)].T
-        bound = np.add(chain[:, :, :jd], b.two_lam_n, out=chain[:, :, :jd])
-        np.logical_and(rows.replay_ok, np.less(dev, bound).all(axis=2).T, out=rows.replay_ok)
+    for k, (d, path, cap) in enumerate(zip(dev, b.solutions, b.caps)):
+        target = path.counts_at_steps(steps[-1], s.i0).T
+        np.abs(np.subtract(Y[0], target[0], out=d), out=d)
+        for Yk, yk in zip(Y[1:], target[1:]):
+            np.maximum(d, np.abs(np.subtract(Yk, yk, out=diff), out=diff), out=d)
+        _clear_past_stops(d, s)
+        # a cleared position passes the replay check: its bound is at least
+        # 2*lambda*n > 0, or NaN only after a NaN deviation has failed the row
+        d[:, max(0, cap + 1 - s.i0) :] = 0
+        sup = d if before is None else np.where(before, d, 0.0)
+        np.maximum(rows.sup_dev[:, k], sup.max(axis=1), out=rows.sup_dev[:, k])
+        if chain is not None:
+            # chain[:, j] is the chain's sum at step i0 + j, summed one step at a time
+            chain[:, 0] = rows.carry[:, k]
+            np.multiply(d, b.spec.L / b.spec.n, out=chain[:, 1:])
+            chain[:, 1:] += b.step_term[k]
+            np.add.accumulate(chain, axis=1, out=chain)
+            rows.carry[:, k] = chain[:, min(s.J, jd)]
+            bound = np.add(chain[:, :jd], b.two_lam_n[k], out=chain[:, :jd])
+            rows.replay_ok[:, k] &= np.less(d, bound).all(axis=1)
     return dev
 
 
@@ -648,7 +676,8 @@ def run_ensemble(
     Trajectory i uses seed derive_seed(base_seed, i); results are identical
     for any ``jobs`` value, and jobs > 1 splits the seeds into contiguous
     chunks, one batch per worker of a process pool (everything passed in
-    must then be picklable). ``solution`` may be one solution or a sequence
+    must then pickle; a plugin, spec or ``event_predicate`` that does not is
+    refused by name first). ``solution`` may be one solution or a sequence
     of K solutions at the spec's n and dimension, from any anchors and
     lambdas (another n or dimension raises ValueError): one simulation
     then tracks every path, and each per-path statistic of a trajectory is
@@ -666,6 +695,7 @@ def run_ensemble(
     run = _prepare(
         plugin, spec, solution, replay_check, full_paths, event_predicate, endpoints_only
     )
+    _check_picklable(jobs, plugin=plugin, spec=spec, event_predicate=event_predicate)
     seeds = [derive_seed(base_seed, idx) for idx in range(count)]
     batch = partial(_simulate_batch, run)
     if jobs > 1:

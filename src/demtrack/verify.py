@@ -30,7 +30,9 @@ from .core import (
 )
 from .ode import _margin, anchor_grids, compute_RT, lambda_threshold, solve_ode
 from .processes import ProcessPlugin
-from .simulate import _check_counts, _check_plugin, _start, check_hypotheses, run_ensemble
+from .simulate import (
+    _check_counts, _check_picklable, _check_plugin, _start, check_hypotheses, run_ensemble
+)
 
 MODES = ("plain", "averaged", "truncated")
 
@@ -116,7 +118,8 @@ def verify(
     lambda*n, Y(0) by the kernel's start rule, are checked before any
     work starts, even when sigma = 0, and so are ``count`` and ``jobs``
     (integers of at least 1), ``base_seed`` (an integer of at least 0) and
-    the plugin's ``n`` and ``dim`` against the spec.
+    the plugin's ``n`` and ``dim`` against the spec, and with jobs > 1 that
+    the plugin, spec and ``event_predicate`` pickle.
     Raises :class:`PluginCrashed` when a plugin method raises.
     """
     return _verify_anchors(
@@ -186,6 +189,7 @@ def _verify_anchors(
             raise ValueError(
                 f"anchor {idx} violates the initial condition, Y(0) = {tuple(y0.tolist())}"
             )
+    _check_picklable(jobs, plugin=plugin, spec=spec, event_predicate=event_predicate)
     R, T = compute_RT(spec)
     threshold = lambda_threshold(spec, R, T, gamma=gamma, B=B, x=x)
     if not spec.lam >= threshold:

@@ -775,6 +775,11 @@ class TestBatchContract:
 # violations at every step and at many: each path counts its own in-range ones
 @example(kind="liar", n=1000, tight=False, count=4, base_seed=0, replay=False, predicate=None)
 @example(kind="bigstep", n=1000, tight=False, count=4, base_seed=0, replay=True, predicate=None)
+# three coordinates and four paths (caps 103-105 and 150) with the replay
+# chain: every row exits the box mid-span, at steps 175-190, and the event
+# stop at step 120 cuts the sup of the longest path only
+@example(kind="degree", n=1000, tight=True, count=4, base_seed=0, replay=True,
+         predicate=StepCutoff(120))
 def test_paths_tracked_together_match_one_at_a_time(
     kind, n, tight, count, base_seed, replay, predicate
 ):

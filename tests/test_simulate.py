@@ -13,7 +13,7 @@ import pytest
 from test_ode import CallCounter
 
 from demtrack import Domain, PluginCrashed, ProcessSpec
-from demtrack.ode import solve_ode
+from demtrack.ode import compute_RT, solve_ode
 from demtrack.processes import (
     BallsInBins,
     ProcessPlugin,
@@ -127,6 +127,21 @@ BAD_INTEGERS = [
     ("base_seed", -1, "base_seed must be nonnegative"),
 ]
 BAD_INTEGER_IDS = [f"{argument}={value!r}" for argument, value, _ in BAD_INTEGERS]
+
+
+def unpicklable(argument, spec):
+    """A balls-in-bins input that does not pickle, for ``argument``: a plugin
+    of a class local to this function, the spec with a lambda drift, or a
+    lambda event predicate."""
+
+    class LocalBalls(BallsInBins):
+        pass
+
+    return {
+        "plugin": LocalBalls(spec.n),
+        "spec": dataclasses.replace(spec, drift=lambda t, y: -np.asarray(y)),
+        "event_predicate": lambda i, y: True,
+    }[argument]
 
 
 def coin_spec(n=100, lam=0.4, t_hi=1.0, width=0.45):
@@ -275,6 +290,38 @@ class TestThinning:
                 tracemalloc.stop()
         assert peaks[2] <= peaks[1] + 64 * 1024, peaks
         assert all(t.violation_counts == (t.stop_index, 0) for t in ens.trajectories)
+
+    def test_memory_peak_grows_by_at_most_two_planes_per_path(self):
+        # each path's deviation is one (rows, span + 1) plane; the
+        # coordinates pass through one scratch plane and the replay chains
+        # through one more, whatever a is. Stacking every path's a
+        # coordinate differences at once costs about a + 1 planes per path.
+        # Degree (a = 4) with 16 rows reduces spans of 1,280 steps, and every
+        # path's cap lies past the first span. The first run takes the
+        # interpreter's one-time allocations.
+        spec, plugin = degree_process_spec(10_000)
+        R, T = compute_RT(spec)
+        shift = np.zeros(spec.a)
+        shift[0] = 0.1 * spec.lam
+        solutions = [
+            solve_ode(dataclasses.replace(spec, y_hat=tuple(spec.y_hat + f * shift)), R, T)
+            for f in range(-6, 6)
+        ]
+        rows, block = 16, simulate_module._BLOCK_STEPS
+        span = block * (simulate_module._SPAN_ROW_STEPS // (rows * block))
+        assert min(s.constants.steps(spec.n) for s in solutions) > span
+        plane = rows * (span + 1) * 8
+        peaks = {}
+        for paths in (1, 1, 6, 12):
+            tracemalloc.start()
+            try:
+                run_ensemble(plugin, spec, rows, 0, solution=solutions[:paths],
+                             endpoints_only=True, replay_check=True)
+                peaks[paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] - peaks[1] <= 2 * 5 * plane, peaks
+        assert peaks[12] - peaks[6] <= 2 * 6 * plane, peaks
 
 
 class TestDoob:
@@ -523,6 +570,20 @@ class TestFailureHandling:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_ensemble(plugin, spec, **args)
         assert batches.calls == 0
+
+    @pytest.mark.parametrize("argument", ["plugin", "spec", "event_predicate"])
+    def test_an_unpicklable_input_is_refused_when_jobs_exceed_one(self, monkeypatch, argument):
+        """Workers get the inputs by pickle: with jobs > 1 one that does not
+        pickle is refused by name before any batch; with jobs = 1 it runs."""
+        spec, plugin = balls_in_bins_spec(100, lam=1e-3)
+        batches = CallCounter(simulate_module._simulate_batch)
+        monkeypatch.setattr(simulate_module, "_simulate_batch", batches)
+        args = {"plugin": plugin, "spec": spec, "event_predicate": None}
+        args[argument] = unpicklable(argument, spec)
+        with pytest.raises(ValueError, match=f"^{argument} must be picklable when jobs > 1: "):
+            run_ensemble(count=4, base_seed=0, jobs=2, **args)
+        assert batches.calls == 0
+        assert len(run_ensemble(count=4, base_seed=0, jobs=1, **args).trajectories) == 4
 
     @pytest.mark.parametrize(
         "seed,message", [(1.7, "seed must be an integer, got 1.7"), (-1, "seed must be nonnegative")]

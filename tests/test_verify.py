@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ode_reference import reference_solve_ode
 from scan_reference import reference_compute_RT
 from test_ode import CallCounter
-from test_simulate import BAD_INTEGER_IDS, BAD_INTEGERS, DriftLiar, FairCoin, coin_spec
+from test_simulate import (
+    BAD_INTEGER_IDS, BAD_INTEGERS, DriftLiar, FairCoin, coin_spec, unpicklable
+)
 
 from demtrack import Constants, Domain, LambdaNotAdmissible, PluginCrashed, ProcessSpec
 from demtrack.ode import _margin, compute_RT, lambda_threshold, solve_ode
@@ -181,6 +183,24 @@ class TestVerifyPlain:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_multi_anchor(spec, plugin, 3, 0, [(1.0,)])
         assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+
+    @pytest.mark.parametrize("lam", [0.02, 0.25], ids=["tracked", "vacuous"])
+    @pytest.mark.parametrize("argument", ["plugin", "spec", "event_predicate"])
+    def test_an_unpicklable_input_is_refused_before_the_scan(self, monkeypatch, lam, argument):
+        """With jobs > 1 the workers get the inputs by pickle: one that does
+        not pickle is refused by name before the RT scan; jobs = 1 runs it."""
+        counters = count_calls(monkeypatch)
+        spec, plugin = small_balls(n=500, lam=lam)  # lam = 0.25 makes sigma = 0
+        args = {"spec": spec, "plugin": plugin, "event_predicate": None}
+        args[argument] = unpicklable(argument, spec)
+        match = f"^{argument} must be picklable when jobs > 1: "
+        with pytest.raises(ValueError, match=match):
+            verify(count=3, base_seed=0, jobs=2, **args)
+        if argument != "event_predicate":
+            with pytest.raises(ValueError, match=match):
+                verify_multi_anchor(args["spec"], args["plugin"], 3, 0, [(1.0,)], jobs=2)
+        assert counters["compute_RT"].calls == counters["run_ensemble"].calls == 0
+        assert verify(count=3, base_seed=0, jobs=1, **args).count == 3
 
     def test_initial_condition_enforced(self, monkeypatch):
         counters = count_calls(monkeypatch)
